@@ -9,8 +9,8 @@
 // every lane with an event at that instant drains its burst in lane order
 // — so the group shares, across every lane:
 //
-//   * one SharedTraceIndex: S_min queries are O(1) table loads into
-//     cache-resident data instead of N × O(window) scans;
+//   * one SharedTraceIndex: S_min queries are a few loads from a blocked
+//     range-minimum index instead of N × O(window) scans;
 //   * one ZoneModelPool: each per-zone model slides ONCE per tick for the
 //     whole group (windows are pure functions of (zone, now)), and its
 //     (state, alive) memo dedupes the closed-form solves across lanes and

@@ -32,14 +32,20 @@ void ZoneModelPool::prewarm(ZoneSlot& z, Money price) {
   grid_prices_.assign(model.state_prices.begin(), model.state_prices.end());
   map_alive_states(grid_prices_, bid_grid_, grid_alive_);
   // One memoized solve per DISTINCT (state, alive) key: the grid is
-  // ascending so alive states are non-decreasing, uptime is a pure
-  // function of (current state, alive state), and bids sharing an alive
-  // state therefore share the answer. Every grid bid's uptime lands in
-  // warmed_uptime so lane queries are one array read.
+  // ascending so alive states are non-decreasing, and once the price is
+  // within the bid, uptime is a pure function of (current state, alive
+  // state), so bids sharing an alive state share the answer. Bids below
+  // the price are out of bid (uptime 0) whatever their alive state: the
+  // raw price may sit between two bids of one alive state. Every grid
+  // bid's uptime lands in warmed_uptime so lane queries are one array read.
   z.warmed_uptime.resize(bid_grid_.size());
   std::int32_t last_alive = INT32_MIN;
   Duration last_uptime = 0;
   for (std::size_t j = 0; j < bid_grid_.size(); ++j) {
+    if (price > bid_grid_[j]) {
+      z.warmed_uptime[j] = 0;
+      continue;
+    }
     if (grid_alive_[j] != last_alive) {
       last_alive = grid_alive_[j];
       last_uptime = z.model.expected_uptime(price, bid_grid_[j]);

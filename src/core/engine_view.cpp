@@ -23,7 +23,7 @@ PriceView Engine::history(std::size_t zone) const {
 
 Money Engine::min_observed_price(std::size_t zone) const {
   // min over the view — no window materialization. Batched runs answer
-  // from the shared sparse-table index instead of the O(window) scan;
+  // from the shared range-minimum index instead of the O(window) scan;
   // exact integer minimum either way, so the two paths are bit-identical.
   const PriceView h = history(zone);
   if (shared_trace_ != nullptr) return shared_trace_->min_over(zone, h);

@@ -10,17 +10,25 @@
 // / unique-mode and random-walk / quantile-binned windows) — plus the SoA
 // kernels the lockstep driver is built from, and a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
-// (meaningful under TSan).
+// (meaningful under TSan). The shared trace index's range-minimum
+// contract and the model pool's prewarm are checked on their own too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "core/batch/batch_state.hpp"
 #include "core/batch/batched_engine.hpp"
+#include "core/batch/model_pool.hpp"
+#include "core/batch/trace_index.hpp"
 #include "core/strategy.hpp"
+#include "markov/incremental.hpp"
 #include "markov/model.hpp"
 #include "test_util.hpp"
 
@@ -30,6 +38,8 @@ namespace {
 using batch::BatchConfig;
 using batch::BatchedSweepEngine;
 using batch::BatchState;
+using batch::RangeMinIndex;
+using batch::SharedTraceIndex;
 
 // --- SoA kernels -------------------------------------------------------------
 
@@ -112,6 +122,32 @@ TEST(BatchKernels, MapAliveStatesMatchesModelMaxAliveState) {
   }
 }
 
+// Two grid bids share an alive state (both sit between the window's two
+// prices) while the current price, absent from the window, falls between
+// them: the lower bid is out of bid, the higher one is not. The pool's
+// prewarm must not hand the lower bid's 0 to the higher one.
+TEST(ZoneModelPool, PrewarmKeepsBidsBelowThePriceApart) {
+  std::vector<Money> samples;
+  for (int i = 0; i < 48; ++i)
+    samples.push_back(Money::cents(i % 6 < 3 ? 30 : 50));
+  const PriceSeries history(0, kPriceStep, std::move(samples));
+  const Money price = Money::cents(38);
+  const std::vector<Money> grid = {Money::cents(35), Money::cents(45)};
+
+  IncrementalMarkovModel reference(64);
+  reference.observe(history.view());
+  ASSERT_EQ(reference.expected_uptime(price, grid[0]), 0);
+  ASSERT_GT(reference.expected_uptime(price, grid[1]), 0);
+
+  batch::ZoneModelPool pool;
+  pool.set_bid_grid(grid);
+  for (const Money bid : grid) {
+    EXPECT_EQ(pool.expected_uptime(0, 64, history.view(), price, bid),
+              reference.expected_uptime(price, bid))
+        << "bid " << bid;
+  }
+}
+
 // --- Batched vs scalar -------------------------------------------------------
 
 PriceSeries alphabet_series(Rng& rng, std::size_t samples) {
@@ -172,24 +208,38 @@ void expect_identical(const RunResult& batched, const RunResult& scalar,
   }
 }
 
-std::vector<BatchConfig> random_grid(Rng& rng, std::size_t num_zones,
-                                     std::size_t lanes) {
-  static const PolicyKind kPolicies[] = {
+/// What random_grid draws each lane's policy, compute size, start and
+/// history span from. The defaults are the mixed short-history grid.
+struct GridShape {
+  std::vector<PolicyKind> policies = {
       PolicyKind::kPeriodic, PolicyKind::kMarkovDaly, PolicyKind::kRisingEdge,
       PolicyKind::kThreshold};
+  std::vector<double> compute_hours = {1.0, 2.0, 3.0};
+  std::vector<SimTime> starts = {0, kHour, 2 * kHour, 3 * kHour};
+  Duration history_span = 2 * kHour;
+};
+
+std::vector<BatchConfig> random_grid(Rng& rng, std::size_t num_zones,
+                                     std::size_t lanes,
+                                     const GridShape& shape = {}) {
   // Bids spanning the interesting regimes: never-in-bid (forces the
   // deadline switch to on-demand), contested, and always-in-bid.
   static const double kBids[] = {0.01, 0.26, 0.60, 0.95, 3.50};
+  const auto pick = [&rng](const auto& options) {
+    return options[rng.uniform_index(options.size())];
+  };
 
   std::vector<BatchConfig> configs;
   for (std::size_t i = 0; i < lanes; ++i) {
     BatchConfig c;
-    c.experiment = testing::small_experiment(
-        /*compute_hours=*/1.0 + static_cast<double>(rng.uniform_index(3)),
-        /*slack_frac=*/0.5 + rng.uniform(0.0, 0.5),
-        /*tc=*/5 * kMinute,
-        /*start=*/static_cast<SimTime>(rng.uniform_index(4)) * kHour);
-    c.policy = kPolicies[rng.uniform_index(4)];
+    const double compute_hours = pick(shape.compute_hours);
+    const double slack_frac = 0.5 + rng.uniform(0.0, 0.5);
+    c.experiment = testing::small_experiment(compute_hours, slack_frac,
+                                             /*tc=*/5 * kMinute,
+                                             /*start=*/pick(shape.starts));
+    c.experiment.history_span = shape.history_span;
+    c.experiment.validate();
+    c.policy = pick(shape.policies);
     c.bid = Money::dollars(kBids[rng.uniform_index(5)]);
     c.zones.clear();
     const std::size_t first = rng.uniform_index(num_zones);
@@ -221,6 +271,45 @@ TEST(BatchedSweep, RandomGridsMatchScalarBitForBit) {
 
     const std::vector<BatchConfig> configs =
         random_grid(rng, num_zones, /*lanes=*/12);
+    const BatchedSweepEngine batcher(market, options);
+    const std::vector<RunResult> batched = batcher.run(configs);
+    ASSERT_EQ(batched.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_identical(batched[i], scalar_run(market, configs[i], options),
+                       "trial " + std::to_string(trial) + " lane " +
+                           std::to_string(i));
+    }
+  }
+}
+
+// Threshold lanes from the trace's first sample with the paper's 2-day
+// history: their first S_min windows are shorter than one index block (the
+// in-block scan), then grow across blocks (prefix/suffix minima plus the
+// block table). Lanes starting past two days query sliding windows whose
+// ends fall mid-block.
+TEST(BatchedSweep, ThresholdFromTraceStartMatchesScalarBitForBit) {
+  Rng rng(9004);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<PriceSeries> series;
+    for (std::size_t z = 0; z < 3; ++z) {
+      series.push_back((z + trial) % 2 == 0 ? alphabet_series(rng, 7 * 288)
+                                            : walk_series(rng, 7 * 288));
+    }
+    const SpotMarket market = testing::make_market(testing::zones(series));
+    const SimTime first = market.trace_start();
+
+    GridShape shape;
+    shape.policies = {PolicyKind::kThreshold};
+    shape.compute_hours = {6.0, 12.0, 18.0};
+    // Three in five lanes start at the trace's first sample.
+    shape.starts = {first, first, first, first + 2 * kDay + 35 * kMinute,
+                    first + 2 * kDay + 5 * kHour + 10 * kMinute};
+    shape.history_span = 2 * kDay;
+
+    EngineOptions options;
+    options.record_timeline = true;
+    const std::vector<BatchConfig> configs =
+        random_grid(rng, series.size(), /*lanes=*/24, shape);
     const BatchedSweepEngine batcher(market, options);
     const std::vector<RunResult> batched = batcher.run(configs);
     ASSERT_EQ(batched.size(), configs.size());
@@ -296,6 +385,127 @@ TEST(BatchedSweep, ConcurrentRunsShareOneEngine) {
                            std::to_string(i));
     }
   }
+}
+
+// --- Range-minimum index -----------------------------------------------------
+
+/// Prices in runs of equal values: half the runs from a small alphabet,
+/// half anywhere in the int64 micro-dollar range, a few at its extremes.
+std::vector<Money> index_prices(Rng& rng, std::size_t n) {
+  constexpr auto kLowest = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kHighest = std::numeric_limits<std::int64_t>::max();
+  std::vector<Money> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const double u = rng.uniform();
+    const std::int64_t micros =
+        u < 0.005  ? kLowest
+        : u < 0.01 ? kHighest
+        : u < 0.5  ? static_cast<std::int64_t>(rng.uniform_index(8)) * 10'000
+                   : static_cast<std::int64_t>(rng.next_u64());
+    const std::size_t run = 1 + rng.uniform_index(rng.bernoulli(0.1) ? 200 : 4);
+    for (std::size_t k = 0; k < run && out.size() < n; ++k)
+      out.push_back(Money::from_micros(micros));
+  }
+  return out;
+}
+
+std::int64_t reference_min(const std::vector<Money>& prices, std::size_t lo,
+                           std::size_t hi) {
+  return std::min_element(prices.begin() + static_cast<std::ptrdiff_t>(lo),
+                          prices.begin() + static_cast<std::ptrdiff_t>(hi))
+      ->micros();
+}
+
+// Every (lo, hi) on sizes on and around the block edges: one-block,
+// two-block and many-block queries, partial last blocks.
+TEST(RangeMinIndex, EveryRangeMatchesMinElementAroundBlockEdges) {
+  static_assert(RangeMinIndex::kBlock == 64, "the sizes below straddle 64");
+  Rng rng(7101);
+  for (const std::size_t n : {1, 2, 63, 64, 65, 127, 128, 129, 200}) {
+    const std::vector<Money> prices = index_prices(rng, n);
+    RangeMinIndex idx;
+    idx.build(prices);
+    ASSERT_EQ(idx.size(), n);
+    for (std::size_t lo = 0; lo < n; ++lo) {
+      for (std::size_t hi = lo + 1; hi <= n; ++hi) {
+        ASSERT_EQ(idx.min_in(lo, hi).micros(), reference_min(prices, lo, hi))
+            << "n=" << n << " [" << lo << ", " << hi << ")";
+      }
+    }
+  }
+}
+
+// A paper-length trace (14 months of 5-minute samples): mostly windows of
+// up to about two days, like S_min's, plus log-uniform lengths up to the
+// whole trace. The index stays linear in size.
+TEST(RangeMinIndex, RandomQueriesOnPaperLengthTrace) {
+  constexpr std::size_t kSamples = 122'976;
+  Rng rng(7102);
+  const std::vector<Money> prices = index_prices(rng, kSamples);
+  RangeMinIndex idx;
+  idx.build(prices);
+  ASSERT_EQ(idx.size(), kSamples);
+  EXPECT_LE(idx.memory_bytes(), 3 * kSamples * sizeof(std::int64_t));
+
+  const double log_n = std::log(static_cast<double>(kSamples));
+  std::size_t mismatches = 0;
+  for (int q = 0; q < 100'000; ++q) {
+    const std::size_t len =
+        rng.bernoulli(0.98) ? 1 + rng.uniform_index(640)
+                           : static_cast<std::size_t>(
+                                 std::exp(rng.uniform(0.0, log_n)));
+    const std::size_t lo = rng.uniform_index(kSamples - len + 1);
+    if (idx.min_in(lo, lo + len).micros() !=
+        reference_min(prices, lo, lo + len))
+      ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RangeMinIndex, RejectsEmptyAndOutOfRangeQueries) {
+  Rng rng(7103);
+  const std::vector<Money> prices = index_prices(rng, 100);
+  RangeMinIndex idx;
+  idx.build(prices);
+  EXPECT_THROW(idx.min_in(5, 5), CheckFailure);
+  EXPECT_THROW(idx.min_in(6, 5), CheckFailure);
+  EXPECT_THROW(idx.min_in(0, 101), CheckFailure);
+  EXPECT_THROW(idx.min_in(100, 101), CheckFailure);
+  EXPECT_EQ(idx.min_in(99, 100), prices[99]);
+
+  RangeMinIndex empty;
+  empty.build({});
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_THROW(empty.min_in(0, 0), CheckFailure);
+  EXPECT_THROW(empty.min_in(0, 1), CheckFailure);
+}
+
+TEST(SharedTraceIndex, MinOverMatchesViewMinAndChecksAliasing) {
+  Rng rng(7104);
+  std::vector<PriceSeries> series;
+  series.push_back(alphabet_series(rng, 700));
+  series.push_back(walk_series(rng, 700));
+  const ZoneTraceSet traces = testing::zones(series);
+  const SharedTraceIndex index(traces);
+  ASSERT_EQ(index.num_zones(), 2u);
+
+  for (int q = 0; q < 2000; ++q) {
+    const std::size_t zone = rng.uniform_index(2);
+    const PriceSeries& trace = traces.zone(zone);
+    const std::size_t len = 1 + rng.uniform_index(trace.size());
+    const std::size_t lo = rng.uniform_index(trace.size() - len + 1);
+    const SimTime from = trace.start() + static_cast<SimTime>(lo) * kPriceStep;
+    const PriceView view =
+        trace.view(from, from + static_cast<SimTime>(len) * kPriceStep);
+    ASSERT_EQ(index.min_over(zone, view), view.min_price());
+  }
+
+  // Views must be non-empty and alias the indexed trace of that zone.
+  EXPECT_THROW(index.min_over(0, PriceView()), CheckFailure);
+  EXPECT_THROW(index.min_over(0, traces.zone(1).view()), CheckFailure);
+  EXPECT_THROW(index.min_over(0, series[0].view()), CheckFailure);
+  EXPECT_THROW(index.min_over(2, traces.zone(0).view()), CheckFailure);
 }
 
 }  // namespace
