@@ -4,11 +4,12 @@
 //
 // Three suites pin the cost of the engine decomposition's calendar:
 //
-//   1. push/pop      — EventQueue schedule + dispatch throughput vs the
-//                      generic sim/Simulation calendar on the identical
-//                      workload. The typed queue carries EventKind + zone
-//                      per entry; its dispatch overhead over the untyped
-//                      core is gated by a hard ratio ceiling.
+//   1. push/pop      — EventQueue schedule + dispatch throughput vs a
+//                      plain std::priority_queue calendar (defined below)
+//                      on the identical workload. The typed queue carries
+//                      EventKind + zone per entry and supports cancel; its
+//                      dispatch overhead over the bare reference is gated
+//                      by a hard ratio ceiling.
 //   2. cancel churn  — the engine's deadline-trigger pattern: schedule,
 //                      cancel, reschedule under a live backlog; exercises
 //                      lazy deletion + heap compaction. The backlog bound
@@ -22,6 +23,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -32,7 +35,6 @@
 #include "core/events/trace_recorder.hpp"
 #include "core/strategy.hpp"
 #include "market/spot_market.hpp"
-#include "sim/simulation.hpp"
 #include "trace/zone_traces.hpp"
 
 namespace redspot {
@@ -60,6 +62,44 @@ double median_run_ns(int reps, F&& fn) {
   std::sort(ns.begin(), ns.end());
   return ns[ns.size() / 2];
 }
+
+/// The in-run reference for the push/pop ratio: the textbook calendar —
+/// a std::priority_queue of (time, seq) entries, FIFO among equal times,
+/// each holding its std::function callback. No kinds, no cancel.
+class ReferenceCalendar {
+ public:
+  SimTime now() const { return now_; }
+
+  void schedule_at(SimTime t, std::function<void()> cb) {
+    heap_.push(Entry{t, next_seq_++, std::move(cb)});
+  }
+
+  bool step() {
+    if (heap_.empty()) return false;
+    // top() is const; the entry is popped right after, so moving the
+    // callback out of it is safe.
+    Entry top = std::move(const_cast<Entry&>(heap_.top()));
+    heap_.pop();
+    now_ = top.time;
+    top.cb();
+    return true;
+  }
+
+ private:
+  struct Entry {
+    SimTime time;
+    std::uint64_t seq;
+    std::function<void()> cb;
+    // Earliest first, FIFO ties: "less" means later (max-heap).
+    bool operator<(const Entry& o) const {
+      return time != o.time ? time > o.time : seq > o.seq;
+    }
+  };
+
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Entry> heap_;
+};
 
 /// The shared calendar workload: a seed event chain (price-tick style)
 /// plus a fan of per-zone events, `n` dispatches total.
@@ -112,7 +152,7 @@ int main(int argc, char** argv) {
   const int reps = quick ? 5 : 9;
   const int n = quick ? 20000 : 100000;
 
-  // --- 1. push/pop: typed queue vs the generic calendar ---------------------
+  // --- 1. push/pop: typed queue vs the reference calendar -------------------
   {
     const double typed_ns = median_run_ns(reps, [&] {
       EventQueue queue(0);
@@ -124,11 +164,11 @@ int main(int argc, char** argv) {
           n);
     });
     const double generic_ns = median_run_ns(reps, [&] {
-      Simulation sim(0);
+      ReferenceCalendar reference;
       run_calendar(
-          sim,
-          [&sim](SimTime t, const std::function<void()>& cb) {
-            sim.schedule_at(t, cb);
+          reference,
+          [&reference](SimTime t, const std::function<void()>& cb) {
+            reference.schedule_at(t, cb);
           },
           n);
     });

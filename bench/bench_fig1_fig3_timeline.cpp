@@ -4,6 +4,8 @@
 // Edge policy.
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "exp/scenario.hpp"
@@ -15,6 +17,54 @@ using namespace redspot;
 
 namespace {
 
+/// Collects the figure's annotations as the run unfolds: zone state
+/// transitions, settled checkpoint writes and instance terminations.
+class PanelObserver final : public EngineObserver {
+ public:
+  struct Entry {
+    SimTime time;
+    std::string text;
+  };
+
+  void on_transition(SimTime t, std::size_t zone, ZoneState from,
+                     ZoneState to) override {
+    std::string text = zone_label(zone);
+    text += ' ';
+    text += to_string(from);
+    text += "->";
+    text += to_string(to);
+    add(t, std::move(text));
+  }
+  void on_checkpoint_commit(const CheckpointCommit& c) override {
+    add(c.at, std::string("checkpoint ") + to_string(c.outcome) +
+                  " progress=" + format_duration(c.progress));
+  }
+  void on_termination(SimTime t, std::size_t zone,
+                      TerminationCause cause) override {
+    std::string text = zone_label(zone);
+    text += cause == TerminationCause::kOutOfBid ? " out-of-bid"
+                                                 : " user-terminated";
+    add(t, std::move(text));
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  // Built with += (not "z" + to_string) to dodge a GCC 12 -Wrestrict
+  // false positive in the inlined operator+(const char*, string&&).
+  static std::string zone_label(std::size_t zone) {
+    std::string label("z");
+    label += std::to_string(zone);
+    return label;
+  }
+
+  void add(SimTime t, std::string text) {
+    entries_.push_back(Entry{t, std::move(text)});
+  }
+
+  std::vector<Entry> entries_;
+};
+
 void run_timeline(const SpotMarket& market, PolicyKind policy,
                   const char* title) {
   // A chunk of the high-volatility window gives the figure its
@@ -25,9 +75,9 @@ void run_timeline(const SpotMarket& market, PolicyKind policy,
   const Money bid = Money::cents(81);
 
   FixedStrategy strategy(bid, {zone}, make_policy(policy));
-  EngineOptions options;
-  options.record_timeline = true;
-  Engine engine(market, experiment, strategy, options);
+  Engine engine(market, experiment, strategy);
+  PanelObserver panel;
+  engine.add_observer(&panel);
   const RunResult result = engine.run();
 
   std::printf("== %s — policy %s, zone %zu, bid %s ==\n", title,
@@ -39,7 +89,7 @@ void run_timeline(const SpotMarket& market, PolicyKind policy,
 
   // Price movements around each event give the figure its (a) panel.
   SimTime last_price_print = 0;
-  for (const TimelineEvent& e : result.timeline) {
+  for (const PanelObserver::Entry& e : panel.entries()) {
     const Money s = market.spot_price(zone, std::min(
         e.time, market.trace_end() - 1));
     if (e.time != last_price_print) {
@@ -48,8 +98,7 @@ void run_timeline(const SpotMarket& market, PolicyKind policy,
     } else {
       std::printf("%s          ", std::string(18, ' ').c_str());
     }
-    std::printf("  %s%s%s\n", to_string(e.kind).c_str(),
-                e.detail.empty() ? "" : "  ", e.detail.c_str());
+    std::printf("  %s\n", e.text.c_str());
   }
   std::printf(
       "total=%s spot=%s od=%s ckpts=%d restarts=%d out-of-bid=%d %s\n\n",

@@ -11,11 +11,11 @@
 #include "common/parallel.hpp"
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/engine.hpp"
+#include "core/events/event_queue.hpp"
 #include "exp/scenario.hpp"
 #include "market/spot_market.hpp"
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
-#include "sim/simulation.hpp"
 #include "trace/calendar.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/var.hpp"
@@ -32,11 +32,13 @@ const SpotMarket& shared_market() {
 
 void BM_EventCalendar(benchmark::State& state) {
   for (auto _ : state) {
-    Simulation sim;
+    EventQueue queue(0);
     int fired = 0;
     for (int i = 0; i < 1000; ++i)
-      sim.schedule_at(i, [&fired] { ++fired; });
-    sim.run();
+      queue.schedule_at(EventKind::kPriceTick, kNoZone, i,
+                        [&fired] { ++fired; });
+    while (queue.step()) {
+    }
     benchmark::DoNotOptimize(fired);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
@@ -49,18 +51,20 @@ void BM_EventCalendarCancelChurn(benchmark::State& state) {
   // heap compaction the backlog grows with every cancel; with it the heap
   // stays near the live-event count.
   for (auto _ : state) {
-    Simulation sim;
+    EventQueue queue(0);
     int fired = 0;
     for (int i = 0; i < 100; ++i)
-      sim.schedule_at(1'000'000 + i, [&fired] { ++fired; });
+      queue.schedule_at(EventKind::kCycleBoundary, 0, 1'000'000 + i,
+                        [&fired] { ++fired; });
     for (int i = 0; i < 1000; ++i) {
-      const EventId id =
-          sim.schedule_at(2'000'000 + i, [&fired] { ++fired; });
-      sim.cancel(id);
+      EventId id = queue.schedule_at(EventKind::kDeadlineTrigger, kNoZone,
+                                     2'000'000 + i, [&fired] { ++fired; });
+      queue.cancel(id);
     }
-    sim.run();
+    while (queue.step()) {
+    }
     benchmark::DoNotOptimize(fired);
-    benchmark::DoNotOptimize(sim.backlog());
+    benchmark::DoNotOptimize(queue.backlog());
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -5,7 +5,7 @@
 // deadline is 7pm the next day (23 h away, i.e. 15% slack). This example
 // walks the whole decision the paper automates: what would on-demand cost,
 // what do the fixed policies do, and what does Adaptive choose — then
-// prints the winning run's timeline.
+// prints the adaptive run's reconfigurations and checkpoints.
 //
 //   $ ./examples/weather_deadline [chunk-index]
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include "app/application.hpp"
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/engine.hpp"
+#include "core/events/trace_recorder.hpp"
 #include "exp/scenario.hpp"
 #include "market/spot_market.hpp"
 #include "trace/synthetic.hpp"
@@ -64,9 +65,9 @@ int main(int argc, char** argv) {
   }
 
   AdaptiveStrategy adaptive;
-  EngineOptions options;
-  options.record_timeline = true;
-  Engine engine(market, experiment, adaptive, options);
+  Engine engine(market, experiment, adaptive);
+  EventTraceRecorder trace;
+  engine.add_observer(&trace);
   const RunResult r = engine.run();
   std::printf("%-28s %10s  finish %s before the newscast\n\n", "adaptive",
               r.total_cost.str().c_str(),
@@ -78,6 +79,10 @@ int main(int argc, char** argv) {
               100.0 * (r.total_cost.to_double() - best_fixed.to_double()) /
                   best_fixed.to_double());
 
-  std::printf("Adaptive's run, hour by hour:\n%s", r.timeline_str().c_str());
+  // The event trace's reconfiguration (K) and checkpoint (C) lines tell
+  // the story of the run; src/core/events/trace_recorder.hpp has the format.
+  std::printf("Adaptive's reconfigurations and checkpoints:\n");
+  for (const std::string& line : trace.lines())
+    if (line[0] == 'K' || line[0] == 'C') std::printf("%s\n", line.c_str());
   return 0;
 }

@@ -19,7 +19,6 @@ void Engine::on_cycle_boundary(std::size_t zone) {
     const bool had_active = any_zone_active();
     user_terminate(zone, /*at_boundary=*/true);
     z.stop();
-    record(now(), zone, TimelineKind::kUserTerminated, "manual-stop");
     if (had_active && !any_zone_active()) ++result_.full_outages;
     reconcile();
     return;

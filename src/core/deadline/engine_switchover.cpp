@@ -3,8 +3,6 @@
 // functions in deadline_monitor.hpp; this file owns their wiring into the
 // run: re-arming on commits, the final forced checkpoint, and the
 // switchover itself.
-#include <cstdio>
-
 #include "core/engine.hpp"
 
 namespace redspot {
@@ -50,7 +48,6 @@ void Engine::on_deadline_trigger() {
 void Engine::begin_switch_to_on_demand() {
   on_demand_phase_ = true;
   result_.switched_to_on_demand = true;
-  record(now(), 0, TimelineKind::kSwitchToOnDemand);
   queue_.cancel(scheduled_ckpt_event_);
   monitor_.disarm();
   REDSPOT_CHECK(!coord_.in_flight());
@@ -72,9 +69,6 @@ void Engine::complete_on_demand_switch() {
   billing_.on_demand_usage(now(), od, market_->on_demand_rate());
   result_.on_demand_seconds = od;
   const SimTime finish_at = now() + od;
-  if (finish_at > experiment_.deadline_time() && options_.record_timeline) {
-    std::fputs(result_.timeline_str().c_str(), stderr);  // debug aid
-  }
   REDSPOT_CHECK_MSG(finish_at <= experiment_.deadline_time(),
                     "deadline guarantee violated by " << format_duration(
                         finish_at - experiment_.deadline_time()));

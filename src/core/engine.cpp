@@ -121,10 +121,8 @@ void Engine::notify_commit(const CheckpointCommit& commit) {
   for (EngineObserver* o : observers_) o->on_checkpoint_commit(commit);
 }
 
-void Engine::record(SimTime t, std::size_t zone, TimelineKind kind,
-                    std::string detail) {
-  if (!options_.record_timeline) return;
-  result_.timeline.push_back(TimelineEvent{t, zone, kind, std::move(detail)});
+void Engine::notify_termination(std::size_t zone, TerminationCause cause) {
+  for (EngineObserver* o : observers_) o->on_termination(now(), zone, cause);
 }
 
 // ---------------------------------------------------------------------------
@@ -162,7 +160,6 @@ RunResult Engine::finalize() {
   result_.spot_instance_seconds = billing_.spot_seconds();
   result_.committed_progress = store_.latest_progress();
   result_.checkpoint_log = store_.all();
-  if (options_.record_line_items) result_.line_items = billing_.items();
   for (EngineObserver* o : observers_) o->on_finish(result_);
   return result_;
 }
@@ -219,8 +216,6 @@ RunResult run_on_demand_baseline(const Experiment& experiment, Money rate,
 }
 
 void hash_engine_options(HashStream& h, const EngineOptions& o) {
-  h.u64(o.record_timeline);
-  h.u64(o.record_line_items);
   h.i64(o.termination_notice);
   const FaultPlan& f = o.faults;
   h.f64(f.ckpt_write_failure_rate);

@@ -41,7 +41,6 @@
 // flight when the margin runs out — see DESIGN.md §7 for the argument.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -69,8 +68,6 @@ class SharedTraceIndex;
 }  // namespace batch
 
 struct EngineOptions {
-  bool record_timeline = false;
-  bool record_line_items = false;
   /// Appendix-A what-if: EC2 warns `termination_notice` seconds before an
   /// out-of-bid termination instead of killing abruptly. The doomed zone
   /// keeps computing through the notice (still free if cut mid-hour) and
@@ -105,8 +102,9 @@ class Engine final : public EngineView,
 
   /// Attaches an observer to the run: it sees every calendar event, zone
   /// transition, billing line item, checkpoint settlement, injected fault,
-  /// and the final result. Must be called before run(); the observer must
-  /// outlive it. Observers are notified in attachment order.
+  /// termination, reconfiguration, and the final result. Must be called
+  /// before run(); the observer must outlive it. Observers are notified in
+  /// attachment order. Observers are the only way to record a run.
   void add_observer(EngineObserver* observer);
 
   /// Runs the experiment to completion. Call once.
@@ -245,18 +243,6 @@ class Engine final : public EngineView,
     return false;
   }
   std::optional<std::size_t> leading_zone() const;  ///< best kRunning zone
-  void record(SimTime t, std::size_t zone, TimelineKind kind,
-              std::string detail = {});
-  /// Lazy-detail variant: `detail()` is evaluated only when the timeline
-  /// is actually recorded, keeping the string formatting (and its
-  /// allocations) off the hot path of timeline-less sweep runs.
-  template <typename DetailFn>
-    requires std::invocable<DetailFn>
-  void record(SimTime t, std::size_t zone, TimelineKind kind,
-              DetailFn&& detail) {
-    if (!options_.record_timeline) return;
-    record(t, zone, kind, std::string(detail()));
-  }
 
   // --- observer fan-out ----------------------------------------------------
   void on_zone_transition(std::size_t zone, ZoneState from,
@@ -264,6 +250,7 @@ class Engine final : public EngineView,
   void notify_fault(FaultEvent::Kind kind, std::size_t zone,
                     Duration backoff = 0);
   void notify_commit(const CheckpointCommit& commit);
+  void notify_termination(std::size_t zone, TerminationCause cause);
 
   const SpotMarket* market_;
   Experiment experiment_;

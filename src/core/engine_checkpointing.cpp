@@ -46,8 +46,6 @@ void Engine::start_checkpoint(std::optional<std::size_t> target) {
   coord_.begin(queue_, *target,
                iteration_aligned(experiment_.app, z.progress_base()),
                experiment_.costs.checkpoint, [this] { on_checkpoint_done(); });
-  record(now(), *target, TimelineKind::kCheckpointStart,
-         [&] { return "progress=" + format_duration(coord_.value()); });
 }
 
 bool Engine::commit_in_flight_checkpoint() {
@@ -62,18 +60,12 @@ bool Engine::commit_in_flight_checkpoint() {
   switch (outcome) {
     case CheckpointCommit::Outcome::kWriteFailed:
       notify_fault(FaultEvent::Kind::kCkptWriteFailure, zone);
-      record(now(), zone, TimelineKind::kCheckpointFailed,
-             injector_.store_unreachable(now()) ? "store-outage" : "io-error");
       break;
     case CheckpointCommit::Outcome::kCorrupt:
       notify_fault(FaultEvent::Kind::kCkptCorruption, zone);
-      record(now(), zone, TimelineKind::kCheckpointCorrupt,
-             [&] { return "progress=" + format_duration(value); });
       break;
     case CheckpointCommit::Outcome::kCommitted:
       ++result_.checkpoints_committed;
-      record(now(), zone, TimelineKind::kCheckpointDone,
-             [&] { return "progress=" + format_duration(value); });
       break;
   }
   notify_commit(CheckpointCommit{now(), zone, value, outcome});

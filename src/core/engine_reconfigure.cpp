@@ -73,11 +73,7 @@ void Engine::apply_config(const EngineConfig& next, bool at_boundary_of,
   config_ = next;
   pending_config_.reset();
   ++result_.config_changes;
-  record(now(), 0, TimelineKind::kConfigChange, [&] {
-    return "bid=" + config_.bid.str() +
-           " N=" + std::to_string(config_.zones.size()) + " policy=" +
-           config_.policy->name();
-  });
+  for (EngineObserver* o : observers_) o->on_config_change(now(), config_);
   if (had_active && !any_zone_active()) ++result_.full_outages;
 
   // Newly eligible zones become waiting immediately (their prices are

@@ -1,11 +1,9 @@
 // The engine's typed event calendar.
 //
-// Same calendar semantics as sim/Simulation (which remains the generic,
-// untyped core for micro-benchmarks and standalone models), plus the two
-// things the engine decomposition needs: every entry carries its EventKind
-// and zone for the observer layer, and cancel() takes the handle by
-// reference and zeroes it — the engine's universal "cancel and forget"
-// idiom, previously duplicated at every call site.
+// A (time, seq)-ordered calendar of callbacks with two additions the
+// engine needs: every entry carries its EventKind and zone for the
+// observer layer, and cancel() takes the handle by reference and zeroes
+// it — the engine's universal "cancel and forget" idiom.
 //
 // Determinism contract (the tie-break the whole engine is built on):
 // events at equal timestamps fire in scheduling order, strictly FIFO —
@@ -19,9 +17,15 @@
 // historical engine precisely because that relative order is
 // history-dependent.) event_core_test pins this contract.
 //
-// Cancellation is lazy with heap compaction once cancelled entries
-// outnumber live ones past a small floor — identical bounds to Simulation
-// (see sim/simulation.hpp for the amortized-cost argument).
+// Cancellation is lazy: cancelled entries stay in the heap and are skipped
+// when popped, keeping schedule() and cancel() O(log n) amortized. So that
+// cancel-heavy runs (the deadline trigger and per-zone events are
+// rescheduled constantly) cannot grow the heap without bound, the calendar
+// compacts — rebuilds the heap from the live entries — once cancelled
+// entries outnumber live ones past a small floor. Each compaction is
+// O(live) and removes at least half the backlog, so the amortized cost per
+// cancel stays O(1) and the heap never holds more than about twice the
+// live events (plus the floor).
 #pragma once
 
 #include <algorithm>

@@ -10,6 +10,8 @@
 //   on_billing           every LineItem the moment it is charged
 //   on_checkpoint_commit every settled checkpoint write (incl. failures)
 //   on_fault             every injected fault taking effect
+//   on_termination       every instance teardown, with its cause
+//   on_config_change     every reconfiguration, once it has applied
 //   on_finish            the final RunResult, once, after totals settle
 //
 // Observers are notified in attachment order, synchronously, and must not
@@ -26,6 +28,8 @@
 #include "market/billing.hpp"
 
 namespace redspot {
+
+struct EngineConfig;
 
 /// A settled checkpoint write, validated at completion. Progress publishes
 /// to the store only on kCommitted; the other outcomes leave committed
@@ -72,6 +76,17 @@ class EngineObserver {
     (void)commit;
   }
   virtual void on_fault(const FaultEvent& fault) { (void)fault; }
+  /// A zone's instance (or its pending request) went away at `t`: EC2 took
+  /// it (kOutOfBid) or the engine released it (kUser). Fires after the
+  /// teardown's line items and its transition to kDown.
+  virtual void on_termination(SimTime t, std::size_t zone,
+                              TerminationCause cause) {
+    (void)t, (void)zone, (void)cause;
+  }
+  /// A strategy reconfiguration applied at `t`; `config` is the new one.
+  virtual void on_config_change(SimTime t, const EngineConfig& config) {
+    (void)t, (void)config;
+  }
   virtual void on_finish(const RunResult& result) { (void)result; }
 };
 

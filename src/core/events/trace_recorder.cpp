@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "core/strategy.hpp"
+
 namespace redspot {
 
 namespace {
@@ -61,6 +63,21 @@ void EventTraceRecorder::on_fault(const FaultEvent& fault) {
                   fault.zone);
   }
   lines_.emplace_back(buf);
+}
+
+void EventTraceRecorder::on_config_change(SimTime t,
+                                          const EngineConfig& config) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "K %lld bid=%lld zones=",
+                static_cast<LL>(t), static_cast<LL>(config.bid.micros()));
+  std::string line = buf;
+  for (std::size_t i = 0; i < config.zones.size(); ++i) {
+    if (i > 0) line += ',';
+    line += std::to_string(config.zones[i]);
+  }
+  line += " policy=";
+  line += config.policy->name();
+  lines_.push_back(std::move(line));
 }
 
 void EventTraceRecorder::on_finish(const RunResult& result) {

@@ -10,7 +10,12 @@
 //   B <t> <item-kind> z<zone> <micros>    line item charged (micro-dollars)
 //   C <t> z<zone> <outcome> <progress>    checkpoint write settled
 //   F <t> <fault-kind> z<zone> [backoff=<s>]  injected fault took effect
+//   K <t> bid=<micros> zones=<z>[,<z>...] policy=<name>  reconfiguration
+//                                         applied (dynamic strategies only)
 //   R <t> cost=<micros> completed=<0|1> met=<0|1>  run finished
+//
+// Terminations have no line of their own: the zone's T line into kDown
+// marks the instant.
 #pragma once
 
 #include <string>
@@ -28,6 +33,7 @@ class EventTraceRecorder final : public EngineObserver {
   void on_billing(const LineItem& item) override;
   void on_checkpoint_commit(const CheckpointCommit& commit) override;
   void on_fault(const FaultEvent& fault) override;
+  void on_config_change(SimTime t, const EngineConfig& config) override;
   void on_finish(const RunResult& result) override;
 
   const std::vector<std::string>& lines() const { return lines_; }

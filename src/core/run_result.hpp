@@ -1,44 +1,13 @@
 // Result of one simulated experiment run.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ckpt/store.hpp"
 #include "common/money.hpp"
 #include "common/time.hpp"
-#include "market/billing.hpp"
 
 namespace redspot {
-
-/// Timeline entry kinds (for Figure 1/3-style renderings and debugging).
-enum class TimelineKind {
-  kInstanceRequested,
-  kInstanceRunning,
-  kOutOfBid,
-  kUserTerminated,
-  kCheckpointStart,
-  kCheckpointDone,
-  kCheckpointFailed,   ///< write reported failure (or store outage)
-  kCheckpointCorrupt,  ///< write "succeeded" but validation rolled it back
-  kRestartStart,
-  kRestartDone,
-  kRestartFailed,      ///< load failed; retried
-  kRequestRejected,    ///< spot request rejected (insufficient capacity)
-  kNoticeDropped,      ///< termination notice lost; abrupt kill
-  kSwitchToOnDemand,
-  kConfigChange,
-  kCompleted,
-};
-
-std::string to_string(TimelineKind kind);
-
-struct TimelineEvent {
-  SimTime time = 0;
-  std::size_t zone = 0;  ///< global zone index; unused for global events
-  TimelineKind kind = TimelineKind::kCompleted;
-  std::string detail;
-};
 
 /// Injected-fault events observed during one run (all zero when the
 /// FaultPlan is disabled).
@@ -86,13 +55,6 @@ struct RunResult {
   /// Full store sequence, including entries invalidated by validation —
   /// lets RunValidator audit progress monotonicity and rollbacks.
   std::vector<Checkpoint> checkpoint_log;
-
-  // --- optional detail (EngineConfig.record_*) -----------------------------
-  std::vector<TimelineEvent> timeline;
-  std::vector<LineItem> line_items;
-
-  /// Renders the timeline as one line per event.
-  std::string timeline_str() const;
 };
 
 }  // namespace redspot

@@ -91,8 +91,6 @@ void Engine::request_instance(std::size_t zone) {
   const Duration delay = market_->sample_queue_delay(queue_rng_);
   result_.queue_delay_total += delay;
   z.ready_event = queue_.schedule_in(EventKind::kInstanceReady, zone, delay);
-  record(now(), zone, TimelineKind::kInstanceRequested,
-         [&] { return "delay=" + format_duration(delay); });
 }
 
 void Engine::on_instance_ready(std::size_t zone) {
@@ -118,8 +116,6 @@ void Engine::on_instance_ready(std::size_t zone) {
     result_.queue_delay_total += requeue;
     z.ready_event =
         queue_.schedule_in(EventKind::kInstanceReady, zone, backoff + requeue);
-    record(now(), zone, TimelineKind::kRequestRejected,
-           [&] { return "retry-in=" + format_duration(backoff + requeue); });
     return;
   }
   billing_.spot_started(zone, now(), rate);
@@ -131,15 +127,12 @@ void Engine::on_instance_ready(std::size_t zone) {
     z.preboundary_event =
         queue_.schedule_at(EventKind::kPreBoundary, zone, pre);
   }
-  record(now(), zone, TimelineKind::kInstanceRunning,
-         [&] { return "rate=" + rate.str(); });
 
   const Duration target = store_.latest_progress();
   if (target > 0) {
     z.begin_restart(target);
     z.restart_event = queue_.schedule_in(EventKind::kRestartDone, zone,
                                          experiment_.costs.restart);
-    record(now(), zone, TimelineKind::kRestartStart);
   } else {
     // Nothing to load: the application starts from its initial state
     // (Figure 1 — no restart cost at T_b).
@@ -156,20 +149,17 @@ void Engine::on_restart_done(std::size_t zone) {
     // have advanced while this load was in flight), paying t_r again; a
     // store with nothing left to load degrades to a from-scratch start.
     notify_fault(FaultEvent::Kind::kRestartFailure, zone);
-    record(now(), zone, TimelineKind::kRestartFailed);
     const Duration target = store_.latest_progress();
     if (target > 0) {
       z.retry_restart(target);
       z.restart_event = queue_.schedule_in(EventKind::kRestartDone, zone,
                                            experiment_.costs.restart);
-      record(now(), zone, TimelineKind::kRestartStart, "retry");
       return;
     }
     start_computing(zone, 0);
     return;
   }
   ++result_.restarts;
-  record(now(), zone, TimelineKind::kRestartDone);
   start_computing(zone, z.restart_target());
 }
 
@@ -195,7 +185,6 @@ void Engine::deliver_termination_notice(std::size_t zone) {
       injector_.notice_delivery(options_.termination_notice);
   if (notice.dropped) {
     notify_fault(FaultEvent::Kind::kNoticeDropped, zone);
-    record(now(), zone, TimelineKind::kNoticeDropped);
     terminate_out_of_bid(zone);
     return;
   }
@@ -227,8 +216,6 @@ void Engine::on_termination_notice(std::size_t zone, Duration warning) {
   z.mark_doomed();
   const SimTime doom_at = now() + warning;
   z.doom_event = queue_.schedule_at(EventKind::kDoom, zone, doom_at);
-  record(now(), zone, TimelineKind::kOutOfBid,
-         [&] { return "notice=" + format_duration(warning); });
   const SimTime ckpt_start = doom_at - experiment_.costs.checkpoint;
   if (ckpt_start >= now() && policy_checkpoint_allowed()) {
     z.emergency_ckpt_event = queue_.schedule_at(
@@ -274,26 +261,24 @@ void Engine::terminate_out_of_bid(std::size_t zone) {
   z.cancel_events(queue_);
   z.terminate();
   ++result_.out_of_bid_terminations;
-  record(now(), zone, TimelineKind::kOutOfBid);
+  notify_termination(zone, TerminationCause::kOutOfBid);
 }
 
 void Engine::user_terminate(std::size_t zone, bool at_boundary) {
   ZoneMachine& z = zone_at(zone);
   if (!z.active()) return;
   settle_zone_checkpoint(zone);
-  if (z.state() == ZoneState::kQueued) {
-    record(now(), zone, TimelineKind::kUserTerminated, "request-cancelled");
-  } else {
+  if (z.state() != ZoneState::kQueued) {
+    // A request still queued is simply cancelled: nothing was billed.
     if (at_boundary) {
       billing_.spot_stopped_at_boundary(zone, now());
     } else {
       billing_.spot_terminated(zone, now(), TerminationCause::kUser);
     }
-    record(now(), zone, TimelineKind::kUserTerminated,
-           at_boundary ? "at-boundary" : "mid-cycle");
   }
   z.cancel_events(queue_);
   z.terminate();
+  notify_termination(zone, TerminationCause::kUser);
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +289,6 @@ void Engine::on_zone_completion(std::size_t zone) {
   z.completion_event = 0;
   REDSPOT_CHECK(z.computing());
   REDSPOT_CHECK(zone_progress(zone) >= experiment_.app.total_compute);
-  record(now(), zone, TimelineKind::kCompleted);
   for (std::size_t other : config_.zones) user_terminate(other, false);
   finish(now(), true);
 }

@@ -83,11 +83,15 @@ std::string ShardExecutor::compute(std::size_t s,
     const SpotMarket market(generate_traces(trace_spec), instance_,
                             QueueDelayModel());
     const Experiment experiment = make_experiment(r);
-    AuditObserver audit_obs(experiment, instance_.on_demand_rate,
-                            AuditMode::kFull, spec_.engine.regime);
+    // One auditor per config: the audit follows each run live, so lanes
+    // stepping in lockstep must not share one.
+    std::vector<AuditObserver> audits;
+    audits.reserve(spec_.configs.size());
+    for (std::size_t c = 0; c < spec_.configs.size(); ++c)
+      audits.emplace_back(experiment, instance_.on_demand_rate,
+                          AuditMode::kFull, spec_.engine.regime);
     // Fixed-policy lanes advance in lockstep over this replication's
-    // trace (bit-identical to the scalar runs below — the observer only
-    // acts per finished result, so lane interleaving is invisible to it).
+    // trace (bit-identical to the scalar runs below).
     if (!batchable_.empty()) {
       const batch::BatchedSweepEngine batcher(market, spec_.engine);
       for (std::size_t g = 0; g < batchable_.size(); g += batch_width_) {
@@ -98,7 +102,8 @@ std::string ShardExecutor::compute(std::size_t s,
         for (std::size_t k = g; k < end; ++k) {
           const EnsembleConfig& cfg = spec_.configs[batchable_[k]];
           lanes.push_back(batch::BatchConfig{experiment, cfg.policy, cfg.bid,
-                                             cfg.zones, &audit_obs});
+                                             cfg.zones,
+                                             &audits[batchable_[k]]});
         }
         const std::vector<RunResult> runs = batcher.run(lanes);
         for (std::size_t k = g; k < end; ++k)
@@ -111,7 +116,7 @@ std::string ShardExecutor::compute(std::size_t s,
       if (is_batched[c] == 0) {
         auto strategy = spec_.configs[c].make_strategy();
         Engine engine(market, experiment, *strategy, spec_.engine);
-        engine.add_observer(&audit_obs);
+        engine.add_observer(&audits[c]);
         results[c] = engine.run();
       }
       builder.add_run(results[c]);

@@ -140,78 +140,6 @@ std::vector<std::string> RunValidator::audit(const RunResult& r,
     v.add("committed_progress ", format_duration(r.committed_progress),
           " != best valid checkpoint ", format_duration(best_valid));
 
-  // --- line items (when recorded) ----------------------------------------
-  if (!r.line_items.empty()) {
-    Money spot, on_demand;
-    for (const LineItem& item : r.line_items) {
-      if (item.amount < Money())
-        v.add("negative line item of ", item.amount.str());
-      switch (item.kind) {
-        case LineItem::Kind::kSpotHour:
-          if (item.charged_at - item.cycle_start != kHour)
-            v.add("spot hour at ", format_time(item.cycle_start),
-                  " not charged at its boundary");
-          spot += item.amount;
-          break;
-        case LineItem::Kind::kSpotUserPartial: {
-          // used == 0 is legal: a termination landing exactly on the cycle
-          // boundary still pays the hour that just started.
-          const Duration used = item.charged_at - item.cycle_start;
-          if (used < 0 || used > kHour)
-            v.add("user-terminated cycle at ", format_time(item.cycle_start),
-                  " spans ", format_duration(used));
-          spot += item.amount;
-          break;
-        }
-        case LineItem::Kind::kSpotUsage: {
-          // Per-second partial-cycle charge (user stop or a charging
-          // refund rule); never spans more than the cycle.
-          const Duration used = item.charged_at - item.cycle_start;
-          if (used < 0 || used > kHour)
-            v.add("per-second spot usage at ", format_time(item.cycle_start),
-                  " spans ", format_duration(used));
-          spot += item.amount;
-          break;
-        }
-        case LineItem::Kind::kOnDemandHour:
-        case LineItem::Kind::kOnDemandUsage:
-          on_demand += item.amount;
-          break;
-      }
-    }
-    if (spot != r.spot_cost)
-      v.add("spot line items sum to ", spot.str(), " != spot_cost ",
-            r.spot_cost.str());
-    if (on_demand != r.on_demand_cost)
-      v.add("on-demand line items sum to ", on_demand.str(),
-            " != on_demand_cost ", r.on_demand_cost.str());
-  }
-
-  // --- timeline (when recorded) ------------------------------------------
-  if (!r.timeline.empty()) {
-    SimTime prev = start;
-    for (const TimelineEvent& e : r.timeline) {
-      if (e.time < prev)
-        v.add("timeline goes back in time at ", format_time(e.time));
-      prev = e.time;
-    }
-    // No charge for out-of-bid partial hours: an EC2 termination must not
-    // coincide with a full-hour user charge for the same zone. Only the
-    // classic refund rule promises this — charging refund rules bill
-    // exactly there by design.
-    if (regime_.billing.refund == RefundRule::kProviderForfeitsCycle) {
-      for (const TimelineEvent& e : r.timeline) {
-        if (e.kind != TimelineKind::kOutOfBid) continue;
-        for (const LineItem& item : r.line_items) {
-          if (item.kind == LineItem::Kind::kSpotUserPartial &&
-              item.zone == e.zone && item.charged_at == e.time)
-            v.add("zone ", e.zone, " charged a partial hour at its "
-                  "out-of-bid termination ", format_time(e.time));
-        }
-      }
-    }
-  }
-
   return v.take();
 }
 

@@ -3,11 +3,14 @@
 // Every RunResult — fault-free or fault-injected — must satisfy a set of
 // invariants that follow from the billing rules (Section 2.1) and the
 // deadline guarantee (Algorithm 1): the run completed by the deadline or
-// switched to on-demand, costs decompose exactly into their line items, no
-// out-of-bid partial hour was charged, and committed progress only ever
-// reflects verified checkpoints. RunValidator re-derives each invariant
-// from the recorded result; the exp/ sweeps audit every run so a broken
-// guarantee can never silently skew a table or figure.
+// switched to on-demand, costs decompose exactly into spot and on-demand
+// parts with on-demand billed at the regime's rate, and committed progress
+// only ever reflects verified checkpoints. RunValidator re-derives each
+// invariant from the result alone, so it also audits results replayed from
+// a journal. The invariants that need the run as it happens — line items,
+// time order, the out-of-bid refund — are AuditObserver's
+// (fault/audit_observer.hpp), which wraps a RunValidator; the exp/ sweeps
+// attach one to every run.
 #pragma once
 
 #include <string>

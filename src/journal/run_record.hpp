@@ -15,11 +15,10 @@
 //
 // Compact RunResults carry every scalar the summaries and the sweep
 // consumers read (costs in exact micro-dollars, counters, outcome flags,
-// fault stats) but not the per-run logs (checkpoint_log, timeline,
-// line_items) — RunValidator re-audits replayed records in
-// AuditMode::kReplay, which skips the log-derived cross-checks. Decoders
-// are total: any structurally malformed payload yields nullopt (the caller
-// recomputes), never UB.
+// fault stats) but not the checkpoint_log — RunValidator re-audits
+// replayed records in AuditMode::kReplay, which skips the log-derived
+// cross-checks. Decoders are total: any structurally malformed payload
+// yields nullopt (the caller recomputes), never UB.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Trace calendar.
 //
 // The paper's price history spans December 2012 through January 2014
-// (Section 5). Simulation time is seconds since the trace epoch,
+// (Section 5). Simulated time is seconds since the trace epoch,
 // 2012-12-01 00:00 UTC; this header maps calendar months of that span to
 // [start, end) windows so experiments can name "March 2013" (the
 // low-volatility window) or "January 2013" (the high-volatility window).

@@ -3,7 +3,8 @@
 // The BatchedSweepEngine's whole contract is that N lanes advanced in
 // lockstep over shared cache-resident state reproduce what N independent
 // scalar Engine::run() calls produce, bit-for-bit: costs, termination
-// outcome, accounting counters, and (when recorded) the full timeline.
+// outcome, accounting counters, and — through an EventTraceRecorder on
+// every lane — the full event trace.
 // These tests drive that contract over randomized config grids — mixed
 // policies, bids (including never-in-bid and always-in-bid), zone
 // subsets, start offsets, compute sizes, and both trace shapes (alphabet
@@ -27,6 +28,7 @@
 #include "core/batch/batched_engine.hpp"
 #include "core/batch/model_pool.hpp"
 #include "core/batch/trace_index.hpp"
+#include "core/events/trace_recorder.hpp"
 #include "core/strategy.hpp"
 #include "markov/incremental.hpp"
 #include "markov/model.hpp"
@@ -175,10 +177,12 @@ PriceSeries walk_series(Rng& rng, std::size_t samples) {
 }
 
 RunResult scalar_run(const SpotMarket& market, const BatchConfig& config,
-                     const EngineOptions& options) {
+                     const EngineOptions& options,
+                     EngineObserver* observer = nullptr) {
   FixedStrategy strategy(config.bid, config.zones,
                          make_policy(config.policy));
   Engine engine(market, config.experiment, strategy, options);
+  if (observer != nullptr) engine.add_observer(observer);
   return engine.run();
 }
 
@@ -199,12 +203,36 @@ void expect_identical(const RunResult& batched, const RunResult& scalar,
   EXPECT_EQ(batched.on_demand_seconds, scalar.on_demand_seconds);
   EXPECT_EQ(batched.switched_to_on_demand, scalar.switched_to_on_demand);
   EXPECT_EQ(batched.committed_progress, scalar.committed_progress);
-  ASSERT_EQ(batched.timeline.size(), scalar.timeline.size());
-  for (std::size_t i = 0; i < batched.timeline.size(); ++i) {
-    EXPECT_EQ(batched.timeline[i].time, scalar.timeline[i].time);
-    EXPECT_EQ(batched.timeline[i].zone, scalar.timeline[i].zone);
-    EXPECT_EQ(batched.timeline[i].kind, scalar.timeline[i].kind);
-    EXPECT_EQ(batched.timeline[i].detail, scalar.timeline[i].detail);
+}
+
+/// Runs `configs` batched and each one scalar, with an EventTraceRecorder
+/// on every run (attached to the lanes through BatchConfig::observer), and
+/// expects identical results and identical traces — the strictest
+/// equality the engine can express: calendar dispatch order, every zone
+/// transition, line item and checkpoint settlement.
+void expect_batched_matches_scalar(const SpotMarket& market,
+                                   std::vector<BatchConfig> configs,
+                                   const EngineOptions& options,
+                                   const std::string& label) {
+  std::vector<EventTraceRecorder> traces(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i)
+    configs[i].observer = &traces[i];
+  const BatchedSweepEngine batcher(market, options);
+  const std::vector<RunResult> batched = batcher.run(configs);
+  ASSERT_EQ(batched.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string lane = label + " lane " + std::to_string(i);
+    EventTraceRecorder scalar_trace;
+    expect_identical(batched[i],
+                     scalar_run(market, configs[i], options, &scalar_trace),
+                     lane);
+    const std::vector<std::string>& b = traces[i].lines();
+    const std::vector<std::string>& s = scalar_trace.lines();
+    const auto [bi, si] = std::mismatch(b.begin(), b.end(), s.begin(), s.end());
+    EXPECT_TRUE(bi == b.end() && si == s.end())
+        << lane << ": traces diverge at line " << (bi - b.begin())
+        << ": batched \"" << (bi == b.end() ? "<end>" : *bi)
+        << "\" vs scalar \"" << (si == s.end() ? "<end>" : *si) << '"';
   }
 }
 
@@ -265,20 +293,9 @@ TEST(BatchedSweep, RandomGridsMatchScalarBitForBit) {
     }
     const SpotMarket market = testing::make_market(testing::zones(series));
 
-    // Timelines on: the strictest equality the engine can express.
-    EngineOptions options;
-    options.record_timeline = true;
-
-    const std::vector<BatchConfig> configs =
-        random_grid(rng, num_zones, /*lanes=*/12);
-    const BatchedSweepEngine batcher(market, options);
-    const std::vector<RunResult> batched = batcher.run(configs);
-    ASSERT_EQ(batched.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      expect_identical(batched[i], scalar_run(market, configs[i], options),
-                       "trial " + std::to_string(trial) + " lane " +
-                           std::to_string(i));
-    }
+    expect_batched_matches_scalar(market,
+                                  random_grid(rng, num_zones, /*lanes=*/12),
+                                  {}, "trial " + std::to_string(trial));
   }
 }
 
@@ -306,18 +323,9 @@ TEST(BatchedSweep, ThresholdFromTraceStartMatchesScalarBitForBit) {
                     first + 2 * kDay + 5 * kHour + 10 * kMinute};
     shape.history_span = 2 * kDay;
 
-    EngineOptions options;
-    options.record_timeline = true;
-    const std::vector<BatchConfig> configs =
-        random_grid(rng, series.size(), /*lanes=*/24, shape);
-    const BatchedSweepEngine batcher(market, options);
-    const std::vector<RunResult> batched = batcher.run(configs);
-    ASSERT_EQ(batched.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      expect_identical(batched[i], scalar_run(market, configs[i], options),
-                       "trial " + std::to_string(trial) + " lane " +
-                           std::to_string(i));
-    }
+    expect_batched_matches_scalar(
+        market, random_grid(rng, series.size(), /*lanes=*/24, shape), {},
+        "trial " + std::to_string(trial));
   }
 }
 

@@ -49,13 +49,12 @@ TEST(EngineEdge, TerminationWhileQueuedIsFree) {
       single_zone(step_series({{0.30, 1}, {2.00, 6}, {0.30, 60 * 12}})),
       /*queue_delay=*/600);
   const Experiment e = small_experiment(1.0, 2.0, 300);
-  EngineOptions options;
-  options.record_line_items = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
+                                Money::cents(81), {0}, {}, &log);
   EXPECT_TRUE(r.met_deadline);
   // First charge only happens once the second request materializes.
-  for (const LineItem& item : r.line_items)
+  for (const LineItem& item : log.items)
     EXPECT_EQ(item.amount, Money::dollars(0.30));
 }
 
@@ -157,22 +156,18 @@ TEST(EngineEdge, IterationGranularityLimitsCheckpointValue) {
       step_series({{0.30, 13}, {2.00, 6}, {0.30, 60 * 12}})));
   Experiment e = small_experiment(2.0, 2.0, 300);
   e.app.iteration_time = 30 * kMinute;
-  EngineOptions options;
-  options.record_timeline = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
+                                Money::cents(81), {0}, {}, &log);
   EXPECT_TRUE(r.met_deadline);
   // Committed values land on 30-minute marks: the hour-boundary Periodic
   // checkpoint at 55 min of progress can only capture 30 min.
   bool saw_ckpt = false;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind != TimelineKind::kCheckpointDone) continue;
+  for (const CheckpointCommit& c : log.commits) {
+    if (c.outcome != CheckpointCommit::Outcome::kCommitted) continue;
     saw_ckpt = true;
-    EXPECT_TRUE(ev.detail == "progress=0s" ||
-                ev.detail == "progress=30m00s" ||
-                ev.detail.find("h00m") != std::string::npos ||
-                ev.detail.find("h30m") != std::string::npos)
-        << ev.detail;
+    EXPECT_EQ(c.progress % (30 * kMinute), 0)
+        << format_duration(c.progress);
   }
   EXPECT_TRUE(saw_ckpt);
 }
@@ -186,22 +181,21 @@ TEST(TerminationNoticeEdge, NoticeShorterThanCheckpointNeverStartsOne) {
   const Experiment e = small_experiment(2.0, 2.0, 300);
   EngineOptions options;
   options.termination_notice = 120;
-  options.record_timeline = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
+                                Money::cents(81), {0}, options, &log);
   EXPECT_TRUE(r.met_deadline);
   // Price crosses the bid at t = 30 min; death at 30 min + 120 s.
   const SimTime doom = 30 * kMinute + 120;
-  bool saw_doom = false;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.time > doom) break;  // recovery may legitimately checkpoint later
-    EXPECT_NE(ev.kind, TimelineKind::kCheckpointStart)
-        << "checkpoint started at " << format_time(ev.time)
+  for (const testing::RunLog::Transition& tr : log.transitions) {
+    if (tr.t > doom) break;  // recovery may legitimately checkpoint later
+    EXPECT_NE(tr.to, ZoneState::kCheckpointing)
+        << "checkpoint started at " << format_time(tr.t)
         << " despite notice < t_c";
-    if (ev.kind == TimelineKind::kOutOfBid && ev.time == doom)
-      saw_doom = true;
   }
-  EXPECT_TRUE(saw_doom);
+  ASSERT_FALSE(log.terminations.empty());
+  EXPECT_EQ(log.terminations[0].t, doom);
+  EXPECT_EQ(log.terminations[0].cause, TerminationCause::kOutOfBid);
   // The doomed 120 s still count as (free) billed up-time.
   EXPECT_EQ(r.out_of_bid_terminations, 1);
 }

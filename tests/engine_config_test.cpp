@@ -64,19 +64,15 @@ TEST(EngineConfig, PolicySwitchAppliesImmediatelyAtTick) {
       EngineConfig{Money::cents(81), {0}, periodic.get()},
       EngineConfig{Money::cents(81), {0}, markov.get()},
       /*switch_at=*/e.start + 30 * kMinute);
-  EngineOptions options;
-  options.record_timeline = true;
-  Engine engine(market, e, strategy, options);
+  Engine engine(market, e, strategy);
+  testing::RunLog log;
+  engine.add_observer(&log);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   ASSERT_GE(r.config_changes, 1);
-  SimTime change_at = kNever;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind == TimelineKind::kConfigChange) {
-      change_at = ev.time;
-      break;
-    }
-  }
+  ASSERT_EQ(log.config_changes.size(),
+            static_cast<std::size_t>(r.config_changes));
+  const SimTime change_at = log.config_changes.front();
   // Applied at the first decision point at/after 30 min — within the
   // first billing hour, because it is non-disruptive.
   EXPECT_EQ(change_at, e.start + 30 * kMinute);
@@ -96,22 +92,21 @@ TEST(EngineConfig, ZoneAdditionIsNonDisruptive) {
       EngineConfig{Money::cents(81), {0}, policy.get()},
       EngineConfig{Money::cents(81), {0, 1}, policy.get()},
       e.start + 30 * kMinute);
-  EngineOptions options;
-  options.record_timeline = true;
-  Engine engine(market, e, strategy, options);
+  Engine engine(market, e, strategy);
+  testing::RunLog log;
+  engine.add_observer(&log);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   // Zone 1 must have started (billed) at some point after the change.
   bool zone1_ran = false;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.zone == 1 && ev.kind == TimelineKind::kInstanceRunning)
-      zone1_ran = true;
+  for (const testing::RunLog::Transition& tr : log.transitions) {
+    if (tr.zone == 1 && tr.from == ZoneState::kQueued) zone1_ran = true;
   }
   EXPECT_TRUE(zone1_ran);
   // And zone 0 was never user-terminated mid-run (only at completion).
   int zone0_user_terms = 0;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.zone == 0 && ev.kind == TimelineKind::kUserTerminated)
+  for (const testing::RunLog::Termination& term : log.terminations) {
+    if (term.zone == 0 && term.cause == TerminationCause::kUser)
       ++zone0_user_terms;
   }
   EXPECT_EQ(zone0_user_terms, 1);  // the completion cleanup
@@ -129,28 +124,22 @@ TEST(EngineConfig, BidChangeWaitsForBoundaryWithProtectiveCheckpoint) {
       EngineConfig{Money::cents(81), {0}, policy.get()},
       EngineConfig{Money::dollars(1.21), {0}, policy.get()},
       e.start + 30 * kMinute);
-  EngineOptions options;
-  options.record_timeline = true;
-  options.record_line_items = true;
-  Engine engine(market, e, strategy, options);
+  Engine engine(market, e, strategy);
+  testing::RunLog log;
+  engine.add_observer(&log);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
 
-  SimTime change_at = kNever;
-  SimTime protective_ckpt = kNever;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind == TimelineKind::kConfigChange && change_at == kNever)
-      change_at = ev.time;
-    if (ev.kind == TimelineKind::kCheckpointStart &&
-        protective_ckpt == kNever)
-      protective_ckpt = ev.time;
-  }
-  ASSERT_NE(change_at, kNever);
+  ASSERT_FALSE(log.config_changes.empty());
+  const SimTime change_at = log.config_changes.front();
+  const SimTime protective_ckpt =
+      log.first_entry(ZoneState::kCheckpointing);
   EXPECT_EQ(change_at, e.start + kHour);            // at the boundary
   EXPECT_EQ(protective_ckpt, e.start + kHour - 300);  // t_c before it
   // The old instance stopped cleanly at the boundary: exactly one
   // completed hour charged for it, no mid-cycle user partial.
-  EXPECT_EQ(r.line_items[0].kind, LineItem::Kind::kSpotHour);
+  ASSERT_FALSE(log.items.empty());
+  EXPECT_EQ(log.items[0].kind, LineItem::Kind::kSpotHour);
   // After the switch the zone re-queues and restarts from the protective
   // checkpoint.
   EXPECT_GE(r.restarts, 1);
@@ -170,19 +159,14 @@ TEST(EngineConfig, TerminationIsADecisionPoint) {
       EngineConfig{Money::cents(81), {0}, policy.get()},
       EngineConfig{Money::cents(61), {1}, policy.get()},
       e.start + 30 * kMinute);
-  EngineOptions options;
-  options.record_timeline = true;
-  Engine engine(market, e, strategy, options);
+  Engine engine(market, e, strategy);
+  testing::RunLog log;
+  engine.add_observer(&log);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   EXPECT_EQ(r.out_of_bid_terminations, 1);
-  SimTime change_at = kNever;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind == TimelineKind::kConfigChange) {
-      change_at = ev.time;
-      break;
-    }
-  }
+  ASSERT_FALSE(log.config_changes.empty());
+  const SimTime change_at = log.config_changes.front();
   // The change applies at the very tick that killed zone 0.
   EXPECT_EQ(change_at, e.start + 30 * kMinute);
   EXPECT_FALSE(r.switched_to_on_demand);

@@ -71,15 +71,14 @@ TEST(Engine, HourBoundaryPricingLocksCycleStartRate) {
       make_market(single_zone(testing::step_series(
           {{0.30, 6}, {0.60, 30 * kStepsPerHour}})));
   const Experiment e = small_experiment(2.0, 0.5, 300);
-  EngineOptions opts;
-  opts.record_line_items = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, opts);
+                                Money::cents(81), {0}, {}, &log);
   EXPECT_TRUE(r.met_deadline);
   // Hour 1 at $0.30 (rate at start), hours 2-3 at $0.60.
   EXPECT_EQ(r.total_cost, Money::dollars(0.30 + 0.60 + 0.60));
-  ASSERT_GE(r.line_items.size(), 3u);
-  EXPECT_EQ(r.line_items[0].amount, Money::dollars(0.30));
+  ASSERT_GE(log.items.size(), 3u);
+  EXPECT_EQ(log.items[0].amount, Money::dollars(0.30));
 }
 
 TEST(Engine, OutOfBidPartialHourIsFree) {
@@ -207,23 +206,15 @@ TEST(Engine, WaitingZoneJoinsAtCheckpoint) {
       step_series({{2.0, 6}, {0.40, 24 * kStepsPerHour - 6}}),
   }));
   const Experiment e = small_experiment(3.0, 0.5, 300);
-  EngineOptions options;
-  options.record_timeline = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0, 1}, options);
+                                Money::cents(81), {0, 1}, {}, &log);
   EXPECT_TRUE(r.met_deadline);
-  // Find zone 1's instance start: it must be at/after the first ckpt
+  // Find zone 1's instance request: it must be at/after the first ckpt
   // commit (t ~ 1 h), not at its eligibility instant (30 min).
-  SimTime zone1_start = kNever;
-  SimTime first_commit = kNever;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind == TimelineKind::kCheckpointDone && first_commit == kNever)
-      first_commit = ev.time;
-    if (ev.zone == 1 && ev.kind == TimelineKind::kInstanceRequested &&
-        zone1_start == kNever)
-      zone1_start = ev.time;
-  }
-  ASSERT_NE(first_commit, kNever);
+  const SimTime zone1_start = log.first_entry(ZoneState::kQueued, 1);
+  ASSERT_FALSE(log.commits.empty());
+  const SimTime first_commit = log.commits.front().at;
   ASSERT_NE(zone1_start, kNever);
   EXPECT_GE(zone1_start, first_commit);
   EXPECT_GT(zone1_start, e.start + 30 * kMinute);
@@ -284,18 +275,11 @@ TEST(Engine, ThresholdIgnoresEdgesFarBelowBid) {
   })));
   Experiment e = small_experiment(2.0, 1.5, 300);
   e.history_span = kHour;  // S_min from the trace window
-  EngineOptions options;
-  options.record_timeline = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kThreshold,
-                                Money::dollars(2.40), {0}, options);
+                                Money::dollars(2.40), {0}, {}, &log);
   EXPECT_TRUE(r.met_deadline);
-  SimTime first_ckpt = kNever;
-  for (const TimelineEvent& ev : r.timeline) {
-    if (ev.kind == TimelineKind::kCheckpointStart) {
-      first_ckpt = ev.time;
-      break;
-    }
-  }
+  const SimTime first_ckpt = log.first_entry(ZoneState::kCheckpointing);
   ASSERT_NE(first_ckpt, kNever);
   EXPECT_EQ(first_ckpt, e.start + 12 * kPriceStep);  // at the 1.50 edge
 }
@@ -314,9 +298,9 @@ TEST(Engine, LargeBidManualStopAndResume) {
   const Experiment e = small_experiment(3.0, 1.0, 300);
   FixedStrategy strategy(LargeBidPolicy::large_bid(), {0},
                          std::make_unique<LargeBidPolicy>(Money::cents(81)));
-  EngineOptions options;
-  options.record_line_items = true;
-  Engine engine(market, e, strategy, options);
+  Engine engine(market, e, strategy);
+  testing::RunLog log;
+  engine.add_observer(&log);
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   EXPECT_EQ(r.out_of_bid_terminations, 0);  // B = $100: never out-of-bid
@@ -324,7 +308,7 @@ TEST(Engine, LargeBidManualStopAndResume) {
   // hour was still billed at its cheap start rate, the instance
   // checkpointed and stopped at the boundary — NO hour is ever billed at
   // the $1.50 rate.
-  for (const LineItem& item : r.line_items)
+  for (const LineItem& item : log.items)
     EXPECT_LE(item.amount, Money::dollars(1.0)) << to_string(item.kind);
   EXPECT_GE(r.checkpoints_committed, 1);
   // It sat out the expensive window instead of computing through it.
@@ -359,23 +343,37 @@ TEST(Engine, LineItemsSumToTotal) {
       {0.35, 40 * kStepsPerHour},
   })));
   const Experiment e = small_experiment(3.0, 0.5, 300);
-  EngineOptions options;
-  options.record_line_items = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
-  Money sum;
-  for (const LineItem& item : r.line_items) sum += item.amount;
-  EXPECT_EQ(sum, r.total_cost);
+                                Money::cents(81), {0}, {}, &log);
+  EXPECT_EQ(log.billed(), r.total_cost);
 }
 
-TEST(Engine, TimelineDisabledByDefault) {
-  const SpotMarket market =
-      make_market(single_zone(constant_series(0.30, 24 * kStepsPerHour)));
-  const RunResult r =
-      run_fixed(market, small_experiment(1.0, 0.5, 300),
-                PolicyKind::kPeriodic, Money::cents(81), {0});
-  EXPECT_TRUE(r.timeline.empty());
-  EXPECT_TRUE(r.line_items.empty());
+TEST(Engine, TerminationHookReportsEveryTeardownWithItsCause) {
+  // The OutOfBidPartialHourIsFree trace: EC2 kills the zone at 30 min,
+  // the recovery instance is released by the engine at completion.
+  const SpotMarket market = make_market(single_zone(step_series({
+      {0.30, 6},
+      {2.00, 6},
+      {0.30, 40 * kStepsPerHour},
+  })));
+  const Experiment e = small_experiment(2.0, 1.0, 300);
+  testing::RunLog log;
+  const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
+                                Money::cents(81), {0}, {}, &log);
+  ASSERT_EQ(log.terminations.size(), 2u);
+  EXPECT_EQ(log.terminations[0].t, e.start + 30 * kMinute);
+  EXPECT_EQ(log.terminations[0].cause, TerminationCause::kOutOfBid);
+  EXPECT_EQ(log.terminations[1].t, r.finish_time);
+  EXPECT_EQ(log.terminations[1].cause, TerminationCause::kUser);
+  for (const testing::RunLog::Termination& term : log.terminations)
+    EXPECT_EQ(term.zone, 0u);
+  // Each fires after its teardown: the zone's last transition is to kDown.
+  ASSERT_FALSE(log.transitions.empty());
+  EXPECT_EQ(log.transitions.back().to, ZoneState::kDown);
+  EXPECT_EQ(log.transitions.back().t, r.finish_time);
+  // Fixed strategies never reconfigure.
+  EXPECT_TRUE(log.config_changes.empty());
 }
 
 TEST(Engine, DeterministicAcrossRuns) {

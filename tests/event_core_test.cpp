@@ -6,7 +6,10 @@
 // depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -126,6 +129,120 @@ TEST(EventQueue, CompactionBoundsTheBacklogUnderCancelChurn) {
   std::size_t ran = 0;
   while (queue.step()) ++ran;
   EXPECT_EQ(ran, 50u);
+}
+
+TEST(EventQueue, CancelOfUnknownOrStaleHandlesIsANoOp) {
+  EventQueue queue(0);
+  int fired = 0;
+  EventId first = queue.schedule_at(EventKind::kDoom, 0, 10,
+                                    [&fired] { fired += 100; });
+  const EventId stale = first;  // a copy the cancel below cannot zero
+  queue.cancel(first);
+  // The freed slot is reused; the stale handle must not reach the new
+  // event living in it.
+  const EventId live = queue.schedule_at(EventKind::kPriceTick, kNoZone, 20,
+                                         [&fired] { ++fired; });
+  EventId again = stale;
+  queue.cancel(again);
+  EXPECT_EQ(again, 0u);
+  EventId unknown = 9999;
+  queue.cancel(unknown);
+  EXPECT_EQ(unknown, 0u);
+  EXPECT_TRUE(queue.pending(live));
+  EXPECT_EQ(queue.pending_count(), 1u);
+  while (queue.step()) {
+  }
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueue, RejectsAnEmptyCallback) {
+  EventQueue queue(0);
+  EXPECT_THROW(queue.schedule_at(EventKind::kPriceTick, kNoZone, 1,
+                                 EventQueue::Callback{}),
+               CheckFailure);
+}
+
+TEST(EventQueue, EventsMayScheduleAndCancelOtherEvents) {
+  EventQueue queue(0);
+  int chain = 0;
+  std::function<void()> next = [&] {
+    ++chain;
+    if (chain < 5) queue.schedule_in(EventKind::kPriceTick, kNoZone, 10, next);
+  };
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, 0, next);
+  bool victim_fired = false;
+  EventId victim = queue.schedule_at(EventKind::kDoom, 0, 25,
+                                     [&victim_fired] { victim_fired = true; });
+  queue.schedule_at(EventKind::kCycleBoundary, 0, 15,
+                    [&] { queue.cancel(victim); });
+  while (queue.step()) {
+  }
+  EXPECT_EQ(chain, 5);
+  EXPECT_EQ(queue.now(), 40);
+  EXPECT_FALSE(victim_fired);
+  EXPECT_EQ(victim, 0u);
+}
+
+TEST(EventQueue, SchedulingAtTheCurrentInstantFromAnEventRunsAfterIt) {
+  EventQueue queue(0);
+  std::vector<int> order;
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, 10, [&] {
+    order.push_back(1);
+    queue.schedule_at(EventKind::kDoom, 0, queue.now(),
+                      [&order] { order.push_back(2); });
+  });
+  while (queue.step()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(queue.now(), 10);
+}
+
+TEST(EventQueue, CompactionPreservesOrderAndPendingEvents) {
+  // Enough cancel churn to force several compactions; the survivors must
+  // still run in time order with FIFO ties.
+  EventQueue queue(0);
+  std::vector<int> order;
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, 500,
+                    [&order] { order.push_back(1); });
+  queue.schedule_at(EventKind::kDoom, 0, 500, [&order] { order.push_back(2); });
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, 600,
+                    [&order] { order.push_back(3); });
+  std::size_t max_backlog = 0;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<EventId> batch;
+    for (int i = 0; i < 100; ++i) {
+      batch.push_back(
+          queue.schedule_at(EventKind::kDeadlineTrigger, kNoZone, 1000 + i,
+                            [] {}));
+    }
+    for (EventId& id : batch) {
+      queue.cancel(id);
+      max_backlog = std::max(max_backlog, queue.backlog());
+    }
+  }
+  EXPECT_EQ(queue.pending_count(), 3u);
+  // Never the 5000 entries the churn pushed.
+  EXPECT_LE(max_backlog, 256u);
+  while (queue.step()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(queue.backlog(), 0u);
+}
+
+TEST(EventQueue, ManyInterleavedEventsFireInNonDecreasingTimeFifoOrder) {
+  EventQueue queue(0);
+  std::vector<std::pair<SimTime, int>> fired;
+  for (int i = 0; i < 1000; ++i) {
+    const SimTime t = (i * 7919) % 500;  // every instant twice
+    queue.schedule_at(EventKind::kPriceTick, kNoZone, t, [&fired, &queue, i] {
+      fired.emplace_back(queue.now(), i);
+    });
+  }
+  while (queue.step()) {
+  }
+  ASSERT_EQ(fired.size(), 1000u);
+  // (time, scheduling index) ascending: time order, FIFO among ties.
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
 }
 
 struct EventLog final : EngineObserver {

@@ -1,7 +1,7 @@
 // Fault-injection subsystem: plan validation, injector determinism and
 // stream independence, engine behaviour under each fault class (the
-// deadline guarantee must survive all of them), and the RunValidator
-// auditor.
+// deadline guarantee must survive all of them), and the RunValidator /
+// AuditObserver auditors.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/engine.hpp"
 #include "core/policies/large_bid.hpp"
+#include "fault/audit_observer.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/run_validator.hpp"
@@ -305,53 +306,70 @@ TEST(EngineFaults, AllSixPoliciesMeetTheDeadlineUnderModerateFaults) {
   const Experiment e = Experiment::paper(40 * kDay, 0.15, 300);
   EngineOptions options;
   options.termination_notice = 300;
-  options.record_timeline = true;
-  options.record_line_items = true;
   options.faults.ckpt_write_failure_rate = 0.2;
   options.faults.ckpt_corruption_rate = 0.1;
   options.faults.restart_failure_rate = 0.2;
   options.faults.request_rejection_rate = 0.3;
   options.faults.notice_drop_rate = 0.2;
   options.faults.notice_late_rate = 0.3;
-  const RunValidator validator(e, market.on_demand_rate());
+  // Every run is audited live (line items, time order, the out-of-bid
+  // refund) and at finish (RunValidator); a violation throws out of run().
+  AuditObserver audit(e, market.on_demand_rate());
 
   const PolicyKind kinds[] = {PolicyKind::kThreshold, PolicyKind::kRisingEdge,
                               PolicyKind::kPeriodic, PolicyKind::kMarkovDaly};
   for (PolicyKind kind : kinds) {
     FixedStrategy strategy(Money::cents(81), {0, 1, 2}, make_policy(kind));
     Engine engine(market, e, strategy, options);
+    engine.add_observer(&audit);
     const RunResult r = engine.run();
     EXPECT_TRUE(r.met_deadline) << to_string(kind);
-    validator.check(r);
   }
   {
     FixedStrategy strategy(LargeBidPolicy::large_bid(),
                            std::vector<std::size_t>{0},
                            std::make_unique<LargeBidPolicy>(Money::cents(30)));
     Engine engine(market, e, strategy, options);
+    engine.add_observer(&audit);
     const RunResult r = engine.run();
     EXPECT_TRUE(r.met_deadline) << "large-bid";
-    validator.check(r);
   }
   {
     AdaptiveStrategy strategy;
     Engine engine(market, e, strategy, options);
+    engine.add_observer(&audit);
     const RunResult r = engine.run();
     EXPECT_TRUE(r.met_deadline) << "adaptive";
-    validator.check(r);
   }
 }
 
 // --- RunValidator --------------------------------------------------------------
 
+/// Expects `fn` to throw a CheckFailure whose message names `check`.
+template <typename Fn>
+void expect_violation(Fn&& fn, const std::string& check) {
+  try {
+    fn();
+    ADD_FAILURE() << "no violation; expected one naming \"" << check << '"';
+  } catch (const CheckFailure& failure) {
+    EXPECT_NE(std::string(failure.what()).find(check), std::string::npos)
+        << failure.what();
+  }
+}
+
 TEST(RunValidator, PassesACleanRunAndCatchesTampering) {
   const SpotMarket market = make_market(single_zone(outage_trace()));
   const Experiment e = small_experiment(2.0, 0.5, 300);
-  EngineOptions options;
-  options.record_timeline = true;
-  options.record_line_items = true;
-  const RunResult clean = run_fixed(market, e, PolicyKind::kPeriodic,
-                                    Money::cents(81), {0}, options);
+  testing::RunLog log;
+  AuditObserver live(e, market.on_demand_rate());
+  FixedStrategy strategy(Money::cents(81), {0},
+                         make_policy(PolicyKind::kPeriodic));
+  Engine engine(market, e, strategy);
+  engine.add_observer(&log);
+  engine.add_observer(&live);
+  RunResult clean;
+  ASSERT_NO_THROW(clean = engine.run());
+  ASSERT_EQ(clean.out_of_bid_terminations, 1);
   const RunValidator validator(e, market.on_demand_rate());
   EXPECT_TRUE(validator.audit(clean).empty());
   EXPECT_NO_THROW(validator.check(clean));
@@ -378,19 +396,54 @@ TEST(RunValidator, PassesACleanRunAndCatchesTampering) {
     tampered.total_cost += Money::dollars(2.40);
     EXPECT_FALSE(validator.audit(tampered).empty());
   }
+
+  // The live audits, fed through AuditObserver's hooks directly.
+  const SimTime kill = 65 * kMinute;  // the out-of-bid instant in the trace
+  LineItem partial;
+  partial.kind = LineItem::Kind::kSpotUserPartial;
+  partial.zone = 0;
+  partial.cycle_start = hour_floor(kill);
+  partial.charged_at = kill;
+  partial.amount = Money::dollars(0.30);
   {
-    RunResult tampered = clean;  // an out-of-bid partial hour was charged
-    ASSERT_FALSE(tampered.timeline.empty());
-    LineItem bogus;
-    bogus.kind = LineItem::Kind::kSpotUserPartial;
-    bogus.zone = 0;
-    bogus.cycle_start = hour_floor(65 * kMinute);
-    bogus.charged_at = 65 * kMinute;  // the out-of-bid instant in the trace
-    bogus.amount = Money::dollars(0.30);
-    tampered.line_items.push_back(bogus);
-    tampered.spot_cost += bogus.amount;
-    tampered.total_cost += bogus.amount;
-    EXPECT_FALSE(validator.audit(tampered).empty());
+    // An out-of-bid partial hour was charged: classic 2012 forfeits it.
+    AuditObserver audit(e, market.on_demand_rate());
+    audit.on_billing(partial);
+    expect_violation(
+        [&] { audit.on_termination(kill, 0, TerminationCause::kOutOfBid); },
+        "charged a partial hour at its out-of-bid termination");
+  }
+  {
+    // The same coincidence is the rule under a charging refund.
+    MarketRegime charging = MarketRegime::classic_2012();
+    charging.billing.refund = RefundRule::kProviderChargesUsage;
+    AuditObserver audit(e, market.on_demand_rate(), AuditMode::kFull,
+                        charging);
+    audit.on_billing(partial);
+    EXPECT_NO_THROW(
+        audit.on_termination(kill, 0, TerminationCause::kOutOfBid));
+  }
+  {
+    // The clean run's own line items replayed: they sum to its costs...
+    AuditObserver audit(e, market.on_demand_rate());
+    for (const LineItem& item : log.items) audit.on_billing(item);
+    EXPECT_NO_THROW(audit.on_finish(clean));
+    // ...and one extra charge breaks the spot_cost sum.
+    for (const LineItem& item : log.items) audit.on_billing(item);
+    audit.on_billing(partial);
+    expect_violation([&] { audit.on_finish(clean); },
+                     "spot line items sum to");
+  }
+  {
+    // A transition earlier than the previous one.
+    AuditObserver audit(e, market.on_demand_rate());
+    audit.on_transition(kill, 0, ZoneState::kRunning, ZoneState::kDown);
+    expect_violation(
+        [&] {
+          audit.on_transition(kill - 1, 0, ZoneState::kDown,
+                              ZoneState::kWaiting);
+        },
+        "time goes back");
   }
 }
 

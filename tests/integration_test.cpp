@@ -42,20 +42,17 @@ TEST_P(PolicySweep, CompletesOnTimeWithConsistentBilling) {
   for (std::size_t chunk : {std::size_t{5}, std::size_t{40},
                             std::size_t{70}}) {
     const Experiment e = scenario.experiment(chunk);
-    EngineOptions options;
-    options.record_line_items = true;
+    testing::RunLog log;
     const RunResult r =
         testing::run_fixed(shared_market(), e, policy,
-                           Money::cents(bid_cents), zones, options);
+                           Money::cents(bid_cents), zones, {}, &log);
 
     EXPECT_TRUE(r.completed);
     EXPECT_TRUE(r.met_deadline);
     EXPECT_LE(r.finish_time, e.deadline_time());
 
     // Billing consistency: items sum to totals; spot + od = total.
-    Money sum;
-    for (const LineItem& item : r.line_items) sum += item.amount;
-    EXPECT_EQ(sum, r.total_cost);
+    EXPECT_EQ(log.billed(), r.total_cost);
     EXPECT_EQ(r.spot_cost + r.on_demand_cost, r.total_cost);
     EXPECT_GE(r.total_cost, Money());
 

@@ -1,4 +1,4 @@
-// Odds-and-ends coverage: RunResult rendering, file-based CSV round trips,
+// Odds-and-ends coverage: file-based CSV round trips,
 // engine accounting counters, and cross-checks between independent
 // implementations (billing ledger vs engine totals; availability vs
 // HistoryStats).
@@ -27,24 +27,6 @@ using testing::run_fixed;
 using testing::single_zone;
 using testing::small_experiment;
 using testing::step_series;
-
-TEST(RunResultRendering, TimelineStrContainsEvents) {
-  RunResult r;
-  r.timeline.push_back(
-      TimelineEvent{3600, 2, TimelineKind::kCheckpointStart, "progress=1h"});
-  r.timeline.push_back(
-      TimelineEvent{3900, 2, TimelineKind::kCheckpointDone, ""});
-  const std::string s = r.timeline_str();
-  EXPECT_NE(s.find("checkpoint-start"), std::string::npos);
-  EXPECT_NE(s.find("zone 2"), std::string::npos);
-  EXPECT_NE(s.find("progress=1h"), std::string::npos);
-}
-
-TEST(RunResultRendering, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(TimelineKind::kCompleted); ++k) {
-    EXPECT_NE(to_string(static_cast<TimelineKind>(k)), "?");
-  }
-}
 
 TEST(CsvFiles, WriteAndReadBack) {
   const auto path =
@@ -138,10 +120,8 @@ TEST(CrossCheck, EngineCostEqualsHandComputedBill) {
       {0.35, 40 * 12},
   })));
   const Experiment e = small_experiment(3.0, 1.0, 300);
-  EngineOptions options;
-  options.record_line_items = true;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
+                                Money::cents(81), {0});
   EXPECT_TRUE(r.met_deadline);
   // Committed at deaths: ckpts at 55min and 1h55m (cycle ends - tc).
   // Work lost: 2h25m(death) - ~1h50m committed = ~35 min.

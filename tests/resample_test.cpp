@@ -187,16 +187,15 @@ TEST(TerminationNotice, DoomedPartialHourStaysFree) {
   const Experiment e = small_experiment(1.0, 1.5, 300);
   EngineOptions notice;
   notice.termination_notice = 300;
-  EngineOptions both = notice;
-  both.record_line_items = true;
+  testing::RunLog log;
   const RunResult r = run_fixed(make_market(single_zone(trace)), e,
                                 PolicyKind::kMarkovDaly, Money::cents(81),
-                                {0}, both);
+                                {0}, notice, &log);
   EXPECT_TRUE(r.met_deadline);
   // The doomed hour's rate was locked at $0.30 before the spike and is
   // forfeited free on termination; no charge at the $2.00 spike rate can
   // ever appear.
-  for (const LineItem& item : r.line_items)
+  for (const LineItem& item : log.items)
     EXPECT_LE(item.amount, Money::dollars(0.30));
 }
 

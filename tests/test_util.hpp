@@ -1,6 +1,6 @@
 // Shared helpers for the redspot test suite: hand-built price traces with
-// exact shapes, markets with deterministic queue delays, and engine-run
-// shortcuts.
+// exact shapes, markets with deterministic queue delays, engine-run
+// shortcuts, and an observer logging what a run did.
 #pragma once
 
 #include <initializer_list>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/events/observer.hpp"
 #include "core/policy.hpp"
 #include "core/strategy.hpp"
 #include "market/spot_market.hpp"
@@ -61,13 +62,72 @@ inline SpotMarket make_market(ZoneTraceSet traces, Duration queue_delay = 0) {
                     QueueDelayModel(QueueDelayParams::fixed(queue_delay)));
 }
 
-/// Runs one fixed-config experiment and returns the result.
+/// Logs the observer hooks engine tests assert on, in firing order.
+struct RunLog final : EngineObserver {
+  struct Transition {
+    SimTime t;
+    std::size_t zone;
+    ZoneState from;
+    ZoneState to;
+  };
+  struct Termination {
+    SimTime t;
+    std::size_t zone;
+    TerminationCause cause;
+  };
+
+  std::vector<Transition> transitions;
+  std::vector<LineItem> items;
+  std::vector<CheckpointCommit> commits;
+  std::vector<Termination> terminations;
+  std::vector<SimTime> config_changes;
+
+  void on_transition(SimTime t, std::size_t zone, ZoneState from,
+                     ZoneState to) override {
+    transitions.push_back(Transition{t, zone, from, to});
+  }
+  void on_billing(const LineItem& item) override { items.push_back(item); }
+  void on_checkpoint_commit(const CheckpointCommit& commit) override {
+    commits.push_back(commit);
+  }
+  void on_termination(SimTime t, std::size_t zone,
+                      TerminationCause cause) override {
+    terminations.push_back(Termination{t, zone, cause});
+  }
+  void on_config_change(SimTime t, const EngineConfig&) override {
+    config_changes.push_back(t);
+  }
+
+  /// First instant any zone entered `to` (kNever when none did).
+  SimTime first_entry(ZoneState to) const {
+    for (const Transition& tr : transitions)
+      if (tr.to == to) return tr.t;
+    return kNever;
+  }
+  /// First instant `zone` entered `to` (kNever when it never did).
+  SimTime first_entry(ZoneState to, std::size_t zone) const {
+    for (const Transition& tr : transitions)
+      if (tr.to == to && tr.zone == zone) return tr.t;
+    return kNever;
+  }
+  /// Sum of every line item charged.
+  Money billed() const {
+    Money sum;
+    for (const LineItem& item : items) sum += item.amount;
+    return sum;
+  }
+};
+
+/// Runs one fixed-config experiment and returns the result; `observer`
+/// (when given) is attached for the run.
 inline RunResult run_fixed(const SpotMarket& market,
                            const Experiment& experiment, PolicyKind policy,
                            Money bid, std::vector<std::size_t> zone_ids,
-                           EngineOptions options = {}) {
+                           EngineOptions options = {},
+                           EngineObserver* observer = nullptr) {
   FixedStrategy strategy(bid, std::move(zone_ids), make_policy(policy));
   Engine engine(market, experiment, strategy, options);
+  if (observer != nullptr) engine.add_observer(observer);
   return engine.run();
 }
 

@@ -2,7 +2,7 @@
 //
 // Runs one policy configuration (or Adaptive, or Large-bid) over a
 // scenario sweep and prints the cost distribution, or a single run with
-// its full timeline.
+// its full event trace.
 //
 //   redspot_sim [options]
 //     --window low|high          volatility window        [high]
@@ -19,7 +19,13 @@
 //     --notice SECONDS           Appendix-A termination notice [0]
 //     --trace FILE.csv           fixed-grid trace instead of synthetic
 //     --events FILE.csv          raw change-event trace (resampled)
-//     --timeline                 print the run timeline (single run)
+//     --timeline                 print the run's event trace after the
+//                                summary (single run), one line per
+//                                calendar event, zone transition, line
+//                                item, checkpoint, fault and
+//                                reconfiguration, ending in the R line —
+//                                the EventTraceRecorder format of
+//                                src/core/events/trace_recorder.hpp
 //
 //   redspot_sim ensemble [options]
 //     Monte-Carlo mode: evaluates the configuration over N independently
@@ -50,6 +56,7 @@
 #include "common/parallel.hpp"
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/engine.hpp"
+#include "core/events/trace_recorder.hpp"
 #include "core/policies/large_bid.hpp"
 #include "ensemble/runner.hpp"
 #include "exp/report.hpp"
@@ -170,7 +177,7 @@ std::unique_ptr<Strategy> make_strategy(const Args& a) {
   usage(("unknown policy " + a.policy).c_str());
 }
 
-void print_run(const RunResult& r, bool timeline) {
+void print_run(const RunResult& r) {
   std::printf("cost %s (spot %s, on-demand %s)\n", r.total_cost.str().c_str(),
               r.spot_cost.str().c_str(), r.on_demand_cost.str().c_str());
   std::printf("checkpoints %d, restarts %d, out-of-bid %d, full outages %d, "
@@ -179,7 +186,6 @@ void print_run(const RunResult& r, bool timeline) {
               r.out_of_bid_terminations, r.full_outages, r.config_changes);
   std::printf("%s, %s\n", r.completed ? "completed" : "INCOMPLETE",
               r.met_deadline ? "met deadline" : "MISSED DEADLINE");
-  if (timeline) std::fputs(r.timeline_str().c_str(), stdout);
 }
 
 /// `redspot_sim ensemble`: one configuration over N seeded realizations.
@@ -264,10 +270,12 @@ int main(int argc, char** argv) {
     const Experiment e = scenario.experiment(args.chunk);
     auto strategy = make_strategy(args);
     EngineOptions options;
-    options.record_timeline = args.timeline;
     options.termination_notice = args.notice;
     Engine engine(market, e, *strategy, options);
-    print_run(engine.run(), args.timeline);
+    EventTraceRecorder trace;
+    if (args.timeline) engine.add_observer(&trace);
+    print_run(engine.run());
+    std::fputs(trace.str().c_str(), stdout);
     return 0;
   }
 
