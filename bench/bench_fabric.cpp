@@ -7,12 +7,14 @@
 //
 //   1. dispatch       — a one-replication-per-shard ensemble (compute is
 //                       negligible) run through a real coordinator plus
-//                       one forked worker over a unix socket, vs the same
-//                       spec through parallel_for_shards in-process. The
-//                       difference, spread over the shard count, is the
-//                       full per-shard fabric tax: lease grant, partial
-//                       frame, CRC, ack, poll loop. Gated by a hard
-//                       ceiling on fabric_dispatch_overhead_ratio.
+//                       one forked worker over a unix socket and over TCP
+//                       loopback, vs the same spec through
+//                       parallel_for_shards in-process. The difference,
+//                       spread over the shard count, is the full per-shard
+//                       fabric tax: lease grant, partial frame, CRC, ack,
+//                       poll loop. Gated by hard ceilings on
+//                       fabric_dispatch_overhead_ratio and
+//                       tcp_fabric_dispatch_overhead_ratio.
 //   2. codec          — encode+decode of a lease/partial/ack exchange per
 //                       shard, isolating serialization from the socket.
 //
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/ensemble_cli.hpp"
@@ -45,21 +48,28 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Wall time of one call of `fn`, in ns.
+template <typename F>
+double run_ns(F&& fn) {
+  const auto t0 = Clock::now();
+  fn();
+  const auto t1 = Clock::now();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
+double median(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  return runs[runs.size() / 2];
+}
+
 /// Median over `reps` timing runs of one call each, in ns.
 template <typename F>
 double median_run_ns(int reps, F&& fn) {
   std::vector<double> ns;
   ns.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    const auto t1 = Clock::now();
-    ns.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  }
-  std::sort(ns.begin(), ns.end());
-  return ns[ns.size() / 2];
+  for (int r = 0; r < reps; ++r) ns.push_back(run_ns(fn));
+  return median(std::move(ns));
 }
 
 /// One-replication-per-shard spec: compute cost per dispatch is one
@@ -96,9 +106,8 @@ double fabric_run_ns(const EnsembleSpec& spec, const std::string& endpoint) {
     const int rc = fabric::run_worker(spec, options, fabric::ChaosPlan{});
     ::_exit(rc);
   }
-  const auto t0 = Clock::now();
-  const fabric::CoordinatorReport report = coordinator.run();
-  const auto t1 = Clock::now();
+  fabric::CoordinatorReport report;
+  const double ns = run_ns([&] { report = coordinator.run(); });
   REDSPOT_CHECK_MSG(!report.used_fallback, "worker never joined the fleet");
   g_sink += static_cast<std::int64_t>(report.shards_from_fleet);
 
@@ -106,8 +115,7 @@ double fabric_run_ns(const EnsembleSpec& spec, const std::string& endpoint) {
   REDSPOT_CHECK_MSG(::waitpid(child, &status, 0) == child, "waitpid failed");
   REDSPOT_CHECK_MSG(WIFEXITED(status) && WEXITSTATUS(status) == 0,
                     "worker exited abnormally");
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+  return ns;
 }
 
 }  // namespace
@@ -139,34 +147,34 @@ int main(int argc, char** argv) {
 
   // --- 1. dispatch: coordinator + forked worker vs in-process ---------------
   // Run once per transport: the unix socket is the historical baseline,
-  // the TCP loopback shows what the off-box transport costs on top.
+  // the TCP loopback shows what the off-box transport costs on top. The
+  // three are interleaved per rep (inproc, unix, tcp, repeat) so their
+  // medians share host conditions: host drift must not skew the ratios.
   {
     const EnsembleSpec spec = dispatch_spec(shards);
 
     ThreadPool pool(1);  // the fabric side computes on one worker too
-    const double inproc_ns = median_run_ns(reps, [&] {
-      EnsembleRunner runner(spec);
-      g_sink += static_cast<std::int64_t>(runner.run(pool).configs.size());
-    });
+    std::vector<double> inproc_runs, unix_runs, tcp_runs;
+    for (int r = 0; r < reps; ++r) {
+      inproc_runs.push_back(run_ns([&] {
+        EnsembleRunner runner(spec);
+        g_sink += static_cast<std::int64_t>(runner.run(pool).configs.size());
+      }));
+      // fabric_run_ns times coordinator.run() only, so fork/exec setup of
+      // the worker process is excluded from the dispatch figure.
+      unix_runs.push_back(fabric_run_ns(spec, socket_path));
+      tcp_runs.push_back(fabric_run_ns(spec, "tcp:127.0.0.1:0"));
+    }
+    const double inproc_ns = median(inproc_runs);
     report.set("inproc_run_ms", inproc_ns / 1e6);
 
-    // fabric_run_ns times coordinator.run() only, so fork/exec setup of
-    // the worker process is excluded from the dispatch figure.
-    const auto fabric_median = [&](const std::string& endpoint) {
-      std::vector<double> runs;
-      for (int r = 0; r < reps; ++r)
-        runs.push_back(fabric_run_ns(spec, endpoint));
-      std::sort(runs.begin(), runs.end());
-      return runs[runs.size() / 2];
-    };
-
-    const double fabric_ns = fabric_median(socket_path);
+    const double fabric_ns = median(unix_runs);
     report.set("fabric_run_ms", fabric_ns / 1e6);
     report.set("fabric_dispatch_overhead_ratio", fabric_ns / inproc_ns);
     report.set("fabric_dispatch_us",
                (fabric_ns - inproc_ns) / static_cast<double>(shards) / 1e3);
 
-    const double tcp_ns = fabric_median("tcp:127.0.0.1:0");
+    const double tcp_ns = median(tcp_runs);
     report.set("tcp_fabric_run_ms", tcp_ns / 1e6);
     report.set("tcp_fabric_dispatch_overhead_ratio", tcp_ns / inproc_ns);
     report.set("tcp_fabric_dispatch_us",

@@ -50,6 +50,16 @@ void set_nonblocking(int fd, const std::string& what) {
   }
 }
 
+/// Latency tuning for a connected TCP socket, applied to both ends of
+/// every stream — dialed and accepted alike. Request/response frames are
+/// latency-bound, not throughput-bound: a side that writes two frames
+/// back to back and then reads (the coordinator's ack + lease) must not
+/// have Nagle hold the second frame until the peer's delayed ACK fires.
+void tune_tcp_stream(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// A connected socket: identical code for unix and TCP — the transport
 /// differences live entirely in address setup.
 class FdStream final : public Stream {
@@ -112,6 +122,7 @@ class FdListener final : public Listener {
     }
     // Accepted fds stay blocking (Linux does not inherit O_NONBLOCK),
     // which is what the frame send/read helpers expect.
+    if (bound_.kind == Endpoint::Kind::kTcp) tune_tcp_stream(fd);
     return std::make_unique<FdStream>(fd);
   }
 
@@ -224,12 +235,7 @@ std::unique_ptr<Stream> connect(const Endpoint& ep) {
     } while (rc < 0 && errno == EINTR);
   }
   if (rc == 0) {
-    if (ep.kind == Endpoint::Kind::kTcp) {
-      // Request/response frames are latency-bound, not throughput-bound:
-      // never let Nagle hold a 50-byte heartbeat hostage.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    if (ep.kind == Endpoint::Kind::kTcp) tune_tcp_stream(fd);
     return std::make_unique<FdStream>(fd);
   }
   const int saved = errno;

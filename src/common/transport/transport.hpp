@@ -24,6 +24,10 @@
 //   * connect() returns nullptr — errno preserved — when the peer is not
 //     there *yet* (ENOENT, ECONNREFUSED), which is a retry-with-backoff
 //     condition for callers, not an error.
+//   * Both ends of every TCP stream are TCP_NODELAY — the dialed one from
+//     connect() and the accepted one from Listener::accept() — so a
+//     write-write-read exchange never waits out the peer's delayed ACK.
+//     Unix streams have no Nagle and are left as they are.
 //
 // The network's failure modes (drops, stalls, torn frames, duplicate
 // deliveries, one-way partitions) are injected by wrapping a Stream in a
@@ -88,7 +92,8 @@ class Listener {
 
   /// Accepts one pending connection, or nullptr when none is pending (or
   /// the attempt was transiently interrupted). Throws on listener
-  /// breakage. Accepted streams are blocking.
+  /// breakage. Accepted streams are blocking, and TCP ones get the same
+  /// TCP_NODELAY tuning as a connect()ed stream.
   virtual std::unique_ptr<Stream> accept() = 0;
 
   /// The actual bound address — resolves port 0 to the kernel-assigned

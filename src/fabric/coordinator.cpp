@@ -219,6 +219,10 @@ struct Coordinator::Impl {
   /// journaled before it is sent: the attempt counter must be durable
   /// before any chaos kill it triggers, or a restarted coordinator would
   /// replay a different kill schedule.
+  ///
+  /// After handle_partial's ack this lease is the second of two
+  /// back-to-back writes before the next read (a write-write-read
+  /// exchange), which is why accepted TCP streams must be TCP_NODELAY.
   void grant_leases(std::int64_t now) {
     for (Conn& c : conns) {
       if (c.dead || c.worker == 0) continue;

@@ -1,13 +1,17 @@
 // The pluggable stream transport (common/transport): endpoint parsing,
 // unix + TCP listen/connect/accept round trips, the not-there-yet connect
-// contract, EOF semantics — and the deterministic fault layer: scripted
-// FaultyStream behavior for all five fault kinds, the purity of
-// fault_at(), NetFaultPlan parsing, and the injector's process-wide
-// budget and arming.
+// contract, EOF semantics, TCP_NODELAY on both ends of a TCP stream — and
+// the deterministic fault layer: scripted FaultyStream behavior for all
+// five fault kinds, the purity of fault_at(), NetFaultPlan parsing, and
+// the injector's process-wide budget and arming.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -147,6 +151,52 @@ TEST(Transport, TcpRoundTripResolvesEphemeralPort) {
   transport::send_frame(*client, "over tcp");
   FrameBuffer buf;
   EXPECT_EQ(read_frame(*server, buf), "over tcp");
+}
+
+int tcp_nodelay(const transport::Stream& s) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+TEST(Transport, TcpNoDelayOnBothEnds) {
+  auto [accepted, dialed] = make_pair_over("tcp:127.0.0.1:0");
+  EXPECT_EQ(tcp_nodelay(*dialed), 1) << "connect() side";
+  EXPECT_EQ(tcp_nodelay(*accepted), 1) << "accept() side";
+}
+
+TEST(Transport, TcpWriteWriteReadDoesNotWaitOutDelayedAck) {
+  // The coordinator's ack + lease shape: the accepting side writes two
+  // frames back to back, then blocks on the peer's reply. With Nagle on
+  // the accepted fd the second frame waits for the ACK of the first, and
+  // the peer — silent until it has both — only ACKs when its delayed-ACK
+  // timer fires (40 ms minimum on Linux).
+  constexpr int kRounds = 20;
+  auto [server, client] = make_pair_over("tcp:127.0.0.1:0");
+  std::thread peer([&client = client] {
+    FrameBuffer buf;
+    for (int r = 0; r < kRounds; ++r) {
+      if (!read_frame(*client, buf) || !read_frame(*client, buf)) return;
+      transport::send_frame(*client, "reply");
+    }
+  });
+  std::vector<double> round_ms;
+  FrameBuffer buf;
+  for (int r = 0; r < kRounds; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    transport::send_frame(*server, "ack");
+    transport::send_frame(*server, "lease");
+    if (read_frame(*server, buf) != "reply") break;
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  peer.join();
+  ASSERT_EQ(round_ms.size(), static_cast<std::size_t>(kRounds));
+  std::sort(round_ms.begin(), round_ms.end());
+  EXPECT_LT(round_ms[kRounds / 2], 10.0)
+      << "median write-write-read round stalls on the delayed-ACK timer";
 }
 
 TEST(Transport, ConnectToAbsentPeerIsNullptrNotThrow) {
