@@ -110,7 +110,7 @@ std::vector<PolicyCell> run_policies(const SpotMarket& market,
                                                     Money::cents(30), 0,
                                                     options)});
   cells.push_back(
-      {"adaptive", run_adaptive_sweep(market, scenario, {}, options)});
+      {"adaptive", run_adaptive_sweep(market, scenario, options)});
   return cells;
 }
 

@@ -98,6 +98,8 @@ EnsembleSpec make_ensemble_spec(const EnsembleCliArgs& args) {
   if (args.policy == "adaptive") {
     config.kind = EnsembleConfig::Kind::kAdaptive;
   } else if (args.policy == "large-bid") {
+    if (args.zones.size() != 1)
+      usage("large-bid is single-zone (Fig. 6): pass one --zones entry");
     config.kind = EnsembleConfig::Kind::kLargeBid;
     config.threshold = args.threshold;
     config.zones = args.zones;

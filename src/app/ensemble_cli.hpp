@@ -41,7 +41,7 @@ EnsembleCliArgs parse_ensemble_args(int argc, char** argv,
                                     std::vector<std::string>* extra);
 
 /// Builds the validated, fingerprintable spec the args describe.
-/// Exits with code 2 on an unknown policy name.
+/// Exits with code 2 on an unknown policy name or a multi-zone large-bid.
 EnsembleSpec make_ensemble_spec(const EnsembleCliArgs& args);
 
 }  // namespace redspot

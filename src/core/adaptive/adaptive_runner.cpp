@@ -15,32 +15,20 @@ std::vector<Money> paper_bid_grid() {
   return grid;
 }
 
-AdaptiveStrategy::AdaptiveStrategy() : AdaptiveStrategy(Options{}) {}
-
-AdaptiveStrategy::AdaptiveStrategy(Options options)
-    : options_(std::move(options)) {
-  REDSPOT_CHECK(!options_.bid_grid.empty());
-  REDSPOT_CHECK(!options_.candidate_policies.empty());
-  for (PolicyKind kind : options_.candidate_policies) {
-    REDSPOT_CHECK_MSG(kind == PolicyKind::kPeriodic ||
-                          kind == PolicyKind::kMarkovDaly,
-                      "Adaptive candidates are Periodic and Markov-Daly");
-  }
-  periodic_ = make_policy(PolicyKind::kPeriodic);
-  markov_daly_ = make_policy(PolicyKind::kMarkovDaly);
-}
+AdaptiveStrategy::AdaptiveStrategy()
+    : periodic_(make_policy(PolicyKind::kPeriodic)),
+      markov_daly_(make_policy(PolicyKind::kMarkovDaly)) {}
 
 namespace {
 
-EstimatorInputs make_inputs(const EngineView& view,
-                            Duration mean_queue_delay) {
+EstimatorInputs make_inputs(const EngineView& view) {
   const Experiment& exp = view.experiment();
   EstimatorInputs in;
   in.remaining_compute = exp.app.total_compute - view.leading_progress();
   in.remaining_time = exp.deadline_time() - view.now();
   in.checkpoint_cost = exp.costs.checkpoint;
   in.restart_cost = exp.costs.restart;
-  in.mean_queue_delay = mean_queue_delay;
+  in.mean_queue_delay = AdaptiveStrategy::kMeanQueueDelay;
   in.on_demand_rate = view.market().on_demand_rate();
   in.current_prices.reserve(view.market().num_zones());
   for (std::size_t z = 0; z < view.market().num_zones(); ++z)
@@ -55,7 +43,7 @@ const HistoryStats& AdaptiveStrategy::current_stats(const EngineView& view) {
   const SimTime from = view.now() - exp.history_span;
   if (!hist_) {
     hist_.emplace(view.market().traces(), from, view.now(),
-                  options_.bid_grid);
+                  paper_bid_grid());
   } else {
     hist_->advance(view.market().traces(), from, view.now());
   }
@@ -64,9 +52,9 @@ const HistoryStats& AdaptiveStrategy::current_stats(const EngineView& view) {
 
 PermutationEstimate AdaptiveStrategy::choose(const EngineView& view) {
   const HistoryStats& hist = current_stats(view);
-  const EstimatorInputs in = make_inputs(view, options_.mean_queue_delay);
-  std::vector<PermutationEstimate> ranked = evaluate_permutations(
-      hist, options_.max_zones, options_.candidate_policies, in);
+  const EstimatorInputs in = make_inputs(view);
+  std::vector<PermutationEstimate> ranked =
+      evaluate_permutations(hist, kMaxZones, kCandidatePolicies, in);
   REDSPOT_CHECK(!ranked.empty());
   return ranked.front();
 }
@@ -99,30 +87,33 @@ std::optional<EngineConfig> AdaptiveStrategy::reconsider(
   // stats choose() just slid to now() — and only move when the challenger
   // is clearly cheaper.
   const HistoryStats& hist = *hist_;
-  const EstimatorInputs in = make_inputs(view, options_.mean_queue_delay);
+  const EstimatorInputs in = make_inputs(view);
 
-  std::size_t incumbent_bid_idx = options_.bid_grid.size();
-  for (std::size_t b = 0; b < options_.bid_grid.size(); ++b) {
-    if (options_.bid_grid[b] == choice_->bid) {
+  const std::vector<Money>& grid = hist.bid_grid();
+  std::size_t incumbent_bid_idx = grid.size();
+  for (std::size_t b = 0; b < grid.size(); ++b) {
+    if (grid[b] == choice_->bid) {
       incumbent_bid_idx = b;
       break;
     }
   }
-  REDSPOT_CHECK(incumbent_bid_idx < options_.bid_grid.size());
+  REDSPOT_CHECK(incumbent_bid_idx < grid.size());
   const PermutationEstimate incumbent = estimate_permutation(
       hist, incumbent_bid_idx, choice_->zones, choice_->policy, in);
 
-  double challenger_cost = best.predicted_cost.to_double();
-  if (options_.charge_switch_penalty) {
-    const Experiment& exp = view.experiment();
-    const Duration lost = exp.costs.checkpoint + exp.costs.restart +
-                          options_.mean_queue_delay;
-    challenger_cost += in.on_demand_rate.to_double() *
-                       static_cast<double>(lost) /
-                       static_cast<double>(kHour);
-  }
+  // A disruptive switch (bid change) really costs: a protective
+  // checkpoint, instance termination, re-acquisition and restart. The
+  // challenger's prediction is charged that time at the on-demand rate so
+  // near-ties never trigger churn.
+  const Experiment& exp = view.experiment();
+  const Duration lost =
+      exp.costs.checkpoint + exp.costs.restart + kMeanQueueDelay;
+  const double challenger_cost =
+      best.predicted_cost.to_double() + in.on_demand_rate.to_double() *
+                                            static_cast<double>(lost) /
+                                            static_cast<double>(kHour);
   const double threshold =
-      incumbent.predicted_cost.to_double() * options_.switch_ratio;
+      incumbent.predicted_cost.to_double() * kSwitchRatio;
   if (challenger_cost >= threshold) {
     return std::nullopt;  // not clearly better: keep the incumbent
   }

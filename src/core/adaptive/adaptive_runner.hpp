@@ -14,6 +14,7 @@
 // Large-bid, which has no cost bound (Section 7.2.2).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -29,24 +30,18 @@ std::vector<Money> paper_bid_grid();
 
 class AdaptiveStrategy final : public Strategy {
  public:
-  struct Options {
-    std::vector<Money> bid_grid = paper_bid_grid();
-    std::vector<PolicyKind> candidate_policies = {PolicyKind::kPeriodic,
-                                                  PolicyKind::kMarkovDaly};
-    std::size_t max_zones = 3;
-    /// Adopt a different permutation only when its predicted cost is below
-    /// this fraction of the incumbent's prediction (hysteresis).
-    double switch_ratio = 0.93;
-    Duration mean_queue_delay = 300;
-    /// A disruptive switch (bid change) really costs: a protective
-    /// checkpoint, instance termination, re-acquisition and restart. The
-    /// challenger's prediction is charged that time at the on-demand rate
-    /// so near-ties never trigger churn.
-    bool charge_switch_penalty = true;
-  };
+  /// The fixed policies Adaptive chooses between (see file comment).
+  static constexpr std::array<PolicyKind, 2> kCandidatePolicies = {
+      PolicyKind::kPeriodic, PolicyKind::kMarkovDaly};
+  /// Largest zone set a permutation may use.
+  static constexpr std::size_t kMaxZones = 3;
+  /// Adopt a different permutation only when its predicted cost is below
+  /// this fraction of the incumbent's prediction (hysteresis).
+  static constexpr double kSwitchRatio = 0.93;
+  /// Expected wait to re-acquire an instance after an outage.
+  static constexpr Duration kMeanQueueDelay = 300;
 
-  AdaptiveStrategy();  // default Options
-  explicit AdaptiveStrategy(Options options);
+  AdaptiveStrategy();
 
   EngineConfig initial(const EngineView& view) override;
   std::optional<EngineConfig> reconsider(const EngineView& view,
@@ -64,7 +59,6 @@ class AdaptiveStrategy final : public Strategy {
   const HistoryStats& current_stats(const EngineView& view);
   EngineConfig to_config(const PermutationEstimate& e) const;
 
-  Options options_;
   std::unique_ptr<Policy> periodic_;
   std::unique_ptr<Policy> markov_daly_;
   std::optional<PermutationEstimate> choice_;

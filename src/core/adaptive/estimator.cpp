@@ -137,7 +137,7 @@ PermutationEstimate estimate_permutation(
 
 std::vector<PermutationEstimate> evaluate_permutations(
     const HistoryStats& hist, std::size_t max_zones,
-    const std::vector<PolicyKind>& policies, const EstimatorInputs& in) {
+    std::span<const PolicyKind> policies, const EstimatorInputs& in) {
   const std::size_t z_total = std::min(hist.num_zones(), max_zones);
   REDSPOT_CHECK(z_total > 0);
   // All non-empty subsets of the first z_total zones.

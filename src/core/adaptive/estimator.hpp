@@ -13,6 +13,7 @@
 // hours), and Adaptive adopts the cheapest permutation.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,6 @@ PermutationEstimate estimate_permutation(const HistoryStats& hist,
 /// ascending (ties: fewer zones, then lower bid).
 std::vector<PermutationEstimate> evaluate_permutations(
     const HistoryStats& hist, std::size_t max_zones,
-    const std::vector<PolicyKind>& policies, const EstimatorInputs& in);
+    std::span<const PolicyKind> policies, const EstimatorInputs& in);
 
 }  // namespace redspot

@@ -78,11 +78,11 @@ struct EngineOptions {
   /// default all-zero plan is a strict no-op: runs reproduce the
   /// fault-free engine bit-for-bit.
   FaultPlan faults;
-  /// The market rule set (market/regime.hpp): billing granularity and
-  /// refund rule, rebalance-notice lead time, instance-type universe. The
-  /// default classic-2012 regime reproduces the pre-regime engine
-  /// bit-for-bit. Mutually exclusive with `termination_notice` (the
-  /// Appendix-A ablation keeps its own notice path).
+  /// The market rule set (market/regime.hpp): billing granularity,
+  /// refund rule and rebalance-notice lead time. The default classic-2012
+  /// regime reproduces the pre-regime engine bit-for-bit. Mutually
+  /// exclusive with `termination_notice` (the Appendix-A ablation keeps
+  /// its own notice path).
   MarketRegime regime;
 };
 

@@ -1,29 +1,14 @@
 #include "core/policies/index_track.hpp"
 
-#include <algorithm>
-
-#include "common/check.hpp"
-
 namespace redspot {
-
-double IndexTrackPolicy::normalized(const EngineView& view,
-                                    std::size_t zone) const {
-  double scale = 1.0;
-  if (!lane_scale_.empty()) {
-    REDSPOT_CHECK(zone < lane_scale_.size());
-    scale = lane_scale_[zone];
-    REDSPOT_CHECK(scale > 0.0);
-  }
-  return view.price(zone).to_double() / scale;
-}
 
 bool IndexTrackPolicy::in_index(const EngineView& view,
                                 std::size_t zone) const {
-  const double mine = normalized(view, zone);
+  const Money mine = view.price(zone);
   std::size_t cheaper = 0;
   for (std::size_t other : view.zone_ids()) {
     if (other == zone) continue;
-    const double theirs = normalized(view, other);
+    const Money theirs = view.price(other);
     if (theirs < mine || (theirs == mine && other < zone)) ++cheaper;
   }
   return cheaper < target_active_;

@@ -1,21 +1,15 @@
 // Index-tracking policy (after Shastri & Irwin's Cloud Index Tracking,
 // PAPERS.md): treat the configured lanes as a market index and keep the
-// application on the `target_active` lanes whose *normalized* price
-// (price / lane scale) is currently lowest, rebalancing at hour
-// granularity.
+// application on the `target_active` lanes whose price is currently
+// lowest, rebalancing at hour granularity.
 //
 // The mechanics reuse the Large-bid manual-stop hooks: at each
 // pre-boundary check a running lane that has fallen out of the index is
 // checkpointed and user-terminated at its boundary; a stopped lane is
-// re-requested as soon as it re-enters the index. Multi-type regimes
-// supply per-lane scales (market/universe.hpp lane_scale) so a cheap
-// instance type is compared on equal footing with an expensive one; the
-// default all-ones scale makes the policy a plain cheapest-zones tracker
-// on classic single-type markets.
+// re-requested as soon as it re-enters the index.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/policy.hpp"
 
@@ -23,12 +17,9 @@ namespace redspot {
 
 class IndexTrackPolicy final : public Policy {
  public:
-  /// Keeps the `target_active` cheapest normalized lanes running.
-  /// `lane_scale[global zone index]` divides that lane's price; empty
-  /// means all lanes at scale 1.
-  explicit IndexTrackPolicy(std::size_t target_active = 1,
-                            std::vector<double> lane_scale = {})
-      : target_active_(target_active), lane_scale_(std::move(lane_scale)) {}
+  /// Keeps the `target_active` cheapest lanes running.
+  explicit IndexTrackPolicy(std::size_t target_active = 1)
+      : target_active_(target_active) {}
 
   std::string name() const override { return "index-track"; }
   bool checkpoint_condition(const EngineView&) override { return false; }
@@ -38,16 +29,13 @@ class IndexTrackPolicy final : public Policy {
   bool should_manual_stop(const EngineView& view, std::size_t zone) override;
   bool should_resume(const EngineView& view, std::size_t zone) override;
 
-  /// True when `zone` is among the target_active cheapest normalized
-  /// lanes of the view's zone set right now (ties break to the lower
-  /// zone index, so the index is always exactly determined).
+  /// True when `zone` is among the target_active cheapest lanes of the
+  /// view's zone set right now (ties break to the lower zone index, so
+  /// the index is always exactly determined).
   bool in_index(const EngineView& view, std::size_t zone) const;
 
  private:
-  double normalized(const EngineView& view, std::size_t zone) const;
-
   std::size_t target_active_;
-  std::vector<double> lane_scale_;
 };
 
 }  // namespace redspot

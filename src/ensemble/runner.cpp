@@ -48,6 +48,11 @@ double ConfigSummary::miss_rate() const {
 
 namespace {
 
+/// Extra attempts for a shard whose body throws (see ShardRunOptions); the
+/// shard accumulator and journal record are rebuilt from scratch on each
+/// attempt, so a retry cannot double-fold.
+constexpr std::size_t kShardRetryBudget = 1;
+
 CiRow ci_row(const ConfigSummary& s, double ci_level) {
   CiRow row;
   row.label = s.label();
@@ -99,7 +104,7 @@ EnsembleResult EnsembleRunner::run(ThreadPool& pool,
   // The executor owns shard semantics (compute, serialize, audit, fold).
   // This function only orchestrates: pick replay vs recompute per shard,
   // run shards on the pool, journal what was computed, reduce in order.
-  const ShardExecutor exec(spec_, run_options.batch_width);
+  const ShardExecutor exec(spec_);
 
   // Intact journal records addressing this exact spec and shard partition.
   // Anything that does not match — foreign spec_hash, stale shard bounds,
@@ -155,7 +160,7 @@ EnsembleResult EnsembleRunner::run(ThreadPool& pool,
           run_options.journal->append(payload);
         shard_state[shard].store(kRecomputed, std::memory_order_release);
       },
-      ShardRunOptions{run_options.shard_retry_budget, run_options.stop});
+      ShardRunOptions{kShardRetryBudget, run_options.stop});
 
   // Deterministic reduction: fold shards in shard (= replication) order.
   EnsembleResult result = exec.reduce(std::move(shards));

@@ -100,16 +100,6 @@ struct EnsembleRunOptions {
   /// shards are claimed; in-flight shards finish and are journaled, then
   /// run() returns with interrupted == true.
   const std::atomic<bool>* stop = nullptr;
-  /// Extra attempts for a shard whose body throws (see ShardRunOptions);
-  /// the shard accumulator and journal record are rebuilt from scratch on
-  /// each attempt, so a retry cannot double-fold.
-  std::size_t shard_retry_budget = 1;
-  /// Lockstep lanes per batched group for fixed-policy configs; < 2
-  /// forces the scalar path. Mirrors ShardExecutor::kDefaultBatchWidth
-  /// (shard_exec.hpp includes this header, so no cross-reference here).
-  /// Execution-only: results are bit-identical for every width, so it is
-  /// not part of spec_hash.
-  std::size_t batch_width = 8;
 };
 
 class EnsembleRunner {

@@ -12,11 +12,9 @@
 
 namespace redspot {
 
-ShardExecutor::ShardExecutor(const EnsembleSpec& spec,
-                             std::size_t batch_width)
+ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
     : spec_(spec),
       spec_hash_(spec.spec_hash()),
-      batch_width_(batch_width),
       trace_template_(
           trimmed_spec(paper_trace_spec(0), window_end(spec.window))),
       seeder_(spec.seed),
@@ -29,8 +27,7 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec,
   starts_ = scenario.starts();
   // Fixed-policy configs run through the batched lockstep engine when the
   // engine options qualify; adaptive / large-bid lanes stay scalar.
-  if (batch_width_ >= 2 &&
-      batch::BatchedSweepEngine::can_batch(spec_.engine)) {
+  if (batch::BatchedSweepEngine::can_batch(spec_.engine)) {
     for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
       if (spec_.configs[c].kind == EnsembleConfig::Kind::kFixedPolicy)
         batchable_.push_back(c);
@@ -94,9 +91,8 @@ std::string ShardExecutor::compute(std::size_t s,
     // trace (bit-identical to the scalar runs below).
     if (!batchable_.empty()) {
       const batch::BatchedSweepEngine batcher(market, spec_.engine);
-      for (std::size_t g = 0; g < batchable_.size(); g += batch_width_) {
-        const std::size_t end =
-            std::min(g + batch_width_, batchable_.size());
+      for (std::size_t g = 0; g < batchable_.size(); g += kBatchWidth) {
+        const std::size_t end = std::min(g + kBatchWidth, batchable_.size());
         std::vector<batch::BatchConfig> lanes;
         lanes.reserve(end - g);
         for (std::size_t k = g; k < end; ++k) {
@@ -110,8 +106,9 @@ std::string ShardExecutor::compute(std::size_t s,
           results[batchable_[k]] = runs[k - g];
       }
     }
-    // Scalar lanes (adaptive, large-bid, or batching disabled), then the
-    // canonical add_run order: configs in index order, per replication.
+    // Scalar lanes (adaptive, large-bid, or unbatchable engine options),
+    // then the canonical add_run order: configs in index order, per
+    // replication.
     for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
       if (is_batched[c] == 0) {
         auto strategy = spec_.configs[c].make_strategy();
@@ -140,7 +137,8 @@ bool ShardExecutor::audit(const EnsembleShardRecord& rec) const {
        r < static_cast<std::size_t>(rec.hi); ++r) {
     const RunResult* results =
         rec.runs.data() + (r - static_cast<std::size_t>(rec.lo)) * configs;
-    const RunValidator validator(make_experiment(r), instance_.on_demand_rate);
+    const RunValidator validator(make_experiment(r), instance_.on_demand_rate,
+                                 spec_.engine.regime);
     for (std::size_t c = 0; c < configs; ++c) {
       if (!validator.audit(results[c], AuditMode::kReplay).empty())
         return false;

@@ -38,16 +38,13 @@ namespace redspot {
 
 class ShardExecutor {
  public:
-  /// Default lanes per lockstep group when batching fixed-policy configs.
-  static constexpr std::size_t kDefaultBatchWidth = 8;
+  /// Lanes per lockstep group when batching fixed-policy configs
+  /// (core/batch). Execution-only: batched lanes are bit-identical to
+  /// scalar runs, so the width is not part of spec_hash.
+  static constexpr std::size_t kBatchWidth = 8;
 
-  /// `spec` must be validated and outlive the executor. `batch_width` is
-  /// the execution-only lockstep group size for the spec's fixed-policy
-  /// configs (core/batch): < 2 disables batching. It must never affect
-  /// results (batched lanes are bit-identical to scalar runs), so it is
-  /// deliberately NOT part of spec_hash.
-  explicit ShardExecutor(const EnsembleSpec& spec,
-                         std::size_t batch_width = kDefaultBatchWidth);
+  /// `spec` must be validated and outlive the executor.
+  explicit ShardExecutor(const EnsembleSpec& spec);
 
   const EnsembleSpec& spec() const { return spec_; }
   std::uint64_t spec_hash() const { return spec_hash_; }
@@ -99,7 +96,6 @@ class ShardExecutor {
 
   const EnsembleSpec& spec_;
   std::uint64_t spec_hash_;
-  std::size_t batch_width_;
   /// Indices into spec_.configs eligible for the batched path (fixed
   /// policies); empty when the engine options disqualify the spec.
   std::vector<std::size_t> batchable_;

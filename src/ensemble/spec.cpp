@@ -52,6 +52,9 @@ void EnsembleSpec::validate() const {
   for (const EnsembleConfig& c : configs) {
     if (c.kind != EnsembleConfig::Kind::kAdaptive)
       REDSPOT_CHECK(!c.zones.empty());
+    if (c.kind == EnsembleConfig::Kind::kLargeBid)
+      REDSPOT_CHECK_MSG(c.zones.size() == 1,
+                        "Large-bid is single-zone (see Fig. 6)");
   }
   for (const MinGroup& g : min_groups) {
     REDSPOT_CHECK_MSG(!g.members.empty(), "empty min-group");

@@ -80,7 +80,7 @@ struct EnsembleSpec {
   bool use_cache = true;
 
   /// Throws CheckFailure on malformed specs (no configs, out-of-range
-  /// group members, zero replications, ...).
+  /// group members, zero replications, a multi-zone Large-bid, ...).
   void validate() const;
 
   /// Fingerprint of every result-affecting field (not use_cache).

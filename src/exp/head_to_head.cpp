@@ -122,7 +122,7 @@ HeadToHeadResult run_head_to_head(const SpotMarket& market,
     {
       SweepDurability dur{options.journal};
       const std::vector<RunResult> results =
-          run_adaptive_sweep(market, scenario, {}, eo, &dur);
+          run_adaptive_sweep(market, scenario, eo, &dur);
       account(dur);
       out.cells.push_back(make_cell(regime, "adaptive", results, options));
     }

@@ -77,10 +77,8 @@ struct HeadToHeadResult {
 };
 
 /// Runs the full matrix. `market` supplies traces and the on-demand rate;
-/// regimes with an instance-type universe run on the same traces (the
-/// type metadata changes billing/notice semantics, not the lane set —
-/// market/universe.hpp generates multi-type lane sets for the trace-level
-/// analyses).
+/// every regime runs on the same traces (a regime changes billing and
+/// notice semantics, not the lane set).
 HeadToHeadResult run_head_to_head(const SpotMarket& market,
                                   const HeadToHeadOptions& options);
 

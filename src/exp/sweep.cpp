@@ -199,24 +199,14 @@ std::vector<RunResult> run_fixed_sweep(const SpotMarket& market,
 
 std::vector<RunResult> run_adaptive_sweep(
     const SpotMarket& market, const Scenario& scenario,
-    const AdaptiveStrategy::Options& options,
     const EngineOptions& engine_options,
     SweepDurability* durability) {
   HashStream h;
   h.u64(sweep_base_key(market, scenario, engine_options));
   h.u64(2);  // sweep kind: adaptive
-  h.u64(options.bid_grid.size());
-  for (const Money bid : options.bid_grid) h.i64(bid.micros());
-  h.u64(options.candidate_policies.size());
-  for (const PolicyKind p : options.candidate_policies)
-    h.u64(static_cast<std::uint64_t>(p));
-  h.u64(options.max_zones);
-  h.f64(options.switch_ratio);
-  h.i64(static_cast<std::int64_t>(options.mean_queue_delay));
-  h.u64(options.charge_switch_penalty ? 1 : 0);
   return run_sweep(market, scenario, engine_options, h.digest(), durability,
-                   nullptr, [&options](std::size_t) {
-    return std::make_unique<AdaptiveStrategy>(options);
+                   nullptr, [](std::size_t) {
+    return std::make_unique<AdaptiveStrategy>();
   });
 }
 

@@ -57,7 +57,6 @@ std::vector<RunResult> run_fixed_sweep(const SpotMarket& market,
 /// Adaptive (Section 7) over all chunks.
 std::vector<RunResult> run_adaptive_sweep(
     const SpotMarket& market, const Scenario& scenario,
-    const AdaptiveStrategy::Options& options = {},
     const EngineOptions& engine_options = {},
     SweepDurability* durability = nullptr);
 

@@ -48,7 +48,7 @@ struct Coordinator::Impl {
       : spec(s),
         opt(std::move(o)),
         journal(j),
-        exec(spec, opt.batch_width),
+        exec(spec),
         table(spec.num_shards, opt.lease),
         recs(spec.num_shards) {
     const auto ep = transport::parse_endpoint(opt.endpoint);

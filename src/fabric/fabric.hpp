@@ -39,10 +39,6 @@ struct FabricOptions {
   /// Worker: optional seeded network-fault injector; every connection the
   /// worker makes is wrapped. Test instrumentation — null in production.
   transport::NetFaultInjector* net_fault = nullptr;
-  /// Lockstep lanes per batched group when a shard runs its fixed-policy
-  /// configs (ShardExecutor); < 2 forces the scalar path. Execution-only:
-  /// shard records are bit-identical for every width.
-  std::size_t batch_width = 8;
 };
 
 /// Monotonic wall clock in milliseconds (CLOCK_MONOTONIC; immune to

@@ -144,7 +144,7 @@ int run_worker(const EnsembleSpec& spec, const FabricOptions& options,
     LOG_WARN << "fabric: bad endpoint: " << options.endpoint;
     return 1;
   }
-  const ShardExecutor exec(spec, options.batch_width);
+  const ShardExecutor exec(spec);
   // Jitter only desynchronizes reconnect stampedes; per-process seeding
   // is exactly what we want (shard results never depend on it).
   Rng rng(static_cast<std::uint64_t>(::getpid()), /*stream=*/0xFAB);

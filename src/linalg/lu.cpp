@@ -116,28 +116,4 @@ std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
   return LuDecomposition(a).solve(b);
 }
 
-Matrix cholesky_lower(const Matrix& a) {
-  REDSPOT_CHECK_MSG(a.square(), "Cholesky of a non-square matrix");
-  const std::size_t n = a.rows();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j)
-      REDSPOT_CHECK_MSG(std::fabs(a(i, j) - a(j, i)) <= 1e-9,
-                        "Cholesky of a non-symmetric matrix");
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      if (i == j) {
-        REDSPOT_CHECK_MSG(sum > 0.0,
-                          "Cholesky of a non-positive-definite matrix");
-        l(i, i) = std::sqrt(sum);
-      } else {
-        l(i, j) = sum / l(j, j);
-      }
-    }
-  }
-  return l;
-}
-
 }  // namespace redspot

@@ -47,12 +47,6 @@ class LuDecomposition {
 /// Convenience: solves A x = b directly. Throws CheckFailure when singular.
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b);
 
-/// Lower-triangular Cholesky factor L with A = L L^T. Requires a square,
-/// symmetric, positive-definite `a` (throws CheckFailure otherwise); used
-/// to color independent normals with a target correlation matrix in the
-/// multi-type price universe.
-Matrix cholesky_lower(const Matrix& a);
-
 namespace detail {
 
 /// Factors the row-major n x n matrix `lu` in place (PA = LU, partial

@@ -26,16 +26,6 @@ MarketRegime MarketRegime::modern_multi() {
   MarketRegime r = per_second();
   r.name = "modern-multi";
   r.rebalance_notice = 2 * kMinute;
-  // Three 2017-era compute-ish types at distinct price levels. The
-  // correlation matrix is symmetric positive definite with unit diagonal:
-  // large types co-move strongly (shared datacenter demand), the small
-  // type more loosely.
-  r.types = {{"c5.18xlarge", 1.0},
-             {"c5.9xlarge", 0.5},
-             {"c5.4xlarge", 0.25}};
-  r.type_correlation = {{1.0, 0.8, 0.5},
-                        {0.8, 1.0, 0.6},
-                        {0.5, 0.6, 1.0}};
   return r;
 }
 
@@ -64,16 +54,6 @@ void hash_regime(HashStream& h, const MarketRegime& regime) {
   h.i64(regime.billing.minimum);
   h.u64(static_cast<std::uint64_t>(regime.billing.refund));
   h.i64(regime.rebalance_notice);
-  h.u64(regime.types.size());
-  for (const InstanceTypeSpec& t : regime.types) {
-    h.str(t.api_name);
-    h.f64(t.price_scale);
-  }
-  h.u64(regime.type_correlation.size());
-  for (const auto& row : regime.type_correlation) {
-    h.u64(row.size());
-    for (double v : row) h.f64(v);
-  }
 }
 
 std::uint64_t regime_fingerprint(const MarketRegime& regime) {

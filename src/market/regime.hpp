@@ -1,13 +1,11 @@
 // Market regimes: the pluggable rule set for "which cloud are we on".
 //
 // The paper's evaluation assumes the EC2 of 2012: hourly billing with the
-// interrupted partial hour refunded, no warning before an out-of-bid
-// kill, and a single instance type whose zones move independently. None
-// of those survived: EC2 bills per second (60 s minimum) since 2017,
-// stopped refunding interrupted partials, sends a 2-minute capacity
-// rebalance / interruption notice, and modern fleets span many instance
-// types whose prices co-move. A MarketRegime bundles those axes so the
-// engine, the policies, and the sweep/ensemble cache keys can treat
+// interrupted partial hour refunded and no warning before an out-of-bid
+// kill. Neither survived: EC2 bills per second (60 s minimum) since 2017,
+// stopped refunding interrupted partials, and sends a 2-minute capacity
+// rebalance / interruption notice. A MarketRegime bundles those axes so
+// the engine, the policies, and the sweep/ensemble cache keys can treat
 // "which market" as configuration instead of a fork (DESIGN.md §15).
 //
 // The default-constructed regime is bit-identical to the classic engine:
@@ -27,18 +25,6 @@
 
 namespace redspot {
 
-/// One instance type in a regime's universe. `price_scale` is the type's
-/// price level relative to the paper's cc2.8xlarge baseline: a type at
-/// scale 0.5 trades at half the price (spot and on-demand) with the same
-/// dynamics. Normalized prices (price / scale) are what cross-type
-/// policies like index_track compare.
-struct InstanceTypeSpec {
-  std::string api_name;
-  double price_scale = 1.0;
-
-  bool operator==(const InstanceTypeSpec&) const = default;
-};
-
 /// The market rule set for one run. Value type; compare with == for the
 /// batching homogeneity gate.
 struct MarketRegime {
@@ -56,25 +42,13 @@ struct MarketRegime {
   /// EngineOptions::termination_notice ablation knob.
   Duration rebalance_notice = 0;
 
-  /// Instance-type universe. Empty means the paper's single-type market.
-  /// With k types, a k-zone trace set fans out to k x zones lanes whose
-  /// price processes share innovations per `type_correlation`
-  /// (market/universe.hpp builds the fan-out).
-  std::vector<InstanceTypeSpec> types;
-
-  /// Cross-type innovation correlation (k x k, symmetric positive
-  /// definite, unit diagonal). Row/column order matches `types`. Empty
-  /// with empty `types`.
-  std::vector<std::vector<double>> type_correlation;
-
   bool operator==(const MarketRegime&) const = default;
 
-  /// Named constructors — the three regimes of the head-to-head matrix
-  /// plus the multi-type showcase.
+  /// Named constructors — the regimes of the head-to-head matrix.
   static MarketRegime classic_2012();   ///< the paper's market (default)
   static MarketRegime per_second();     ///< per-second billing, no refund
   static MarketRegime rebalance();      ///< classic billing + 2-min notice
-  static MarketRegime modern_multi();   ///< per-second + notice + 3 types
+  static MarketRegime modern_multi();   ///< per-second + 2-min notice
 
   /// Shared immutable classic instance (for defaulted references).
   static const MarketRegime& classic();

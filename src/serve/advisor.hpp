@@ -34,15 +34,16 @@
 namespace redspot::serve {
 
 /// Identity of one shared model: tenants registering equal specs share one
-/// ModelEntry. The defaults mirror AdaptiveStrategy::Options and the
+/// ModelEntry. The defaults are AdaptiveStrategy's constants and the
 /// paper's 2-day history window.
 struct ModelSpec {
   Duration history_span = 2 * kDay;
   std::vector<Money> bid_grid = paper_bid_grid();
   std::size_t max_states = 32;  ///< Markov bins (quantile mode above this)
-  std::size_t max_zones = 3;
-  std::vector<PolicyKind> policies = {PolicyKind::kPeriodic,
-                                      PolicyKind::kMarkovDaly};
+  std::size_t max_zones = AdaptiveStrategy::kMaxZones;
+  std::vector<PolicyKind> policies =
+      std::vector<PolicyKind>(AdaptiveStrategy::kCandidatePolicies.begin(),
+                              AdaptiveStrategy::kCandidatePolicies.end());
   /// Fingerprint of the market regime the advice is computed for
   /// (market/regime.hpp regime_fingerprint). 0 = classic 2012; distinct
   /// regimes never share models or cached advice.
@@ -62,7 +63,7 @@ struct JobParams {
   Duration remaining_time = 0;      ///< T_r
   Duration checkpoint_cost = 300;   ///< t_c
   Duration restart_cost = 300;      ///< t_r
-  Duration mean_queue_delay = 300;
+  Duration mean_queue_delay = AdaptiveStrategy::kMeanQueueDelay;
   Money on_demand_rate = Money::dollars(2.40);
 };
 

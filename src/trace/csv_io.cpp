@@ -188,8 +188,8 @@ ZoneTraceSet read_csv(std::istream& is) {
                         blocks[0].type + "'");
   }
 
-  // Lanes are type-major in first-appearance order, named like the
-  // generated universes: "<type>/<zone>" (plain "<zone>" when untyped).
+  // Lanes are type-major in first-appearance order, named "<type>/<zone>"
+  // (plain "<zone>" when untyped).
   std::vector<std::string> lane_names;
   std::vector<PriceSeries> series;
   lane_names.reserve(blocks.size() * num_zones);

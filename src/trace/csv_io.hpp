@@ -8,17 +8,18 @@
 // step; prices are dollars. Real EC2 price histories resampled to a fixed
 // grid can be dropped in through this path.
 //
-// Multi-type markets (DESIGN.md §15) add an optional `instance_type`
-// column right after `time`; every data row then carries the type whose
-// prices it holds, and rows group into one lane block per type:
+// Price histories of several instance types add an optional
+// `instance_type` column right after `time`; every data row then carries
+// the type whose prices it holds, and rows group into one lane block per
+// type:
 //   time,instance_type,<zone-name>,...
 //   0,cc2.8xlarge,0.270,0.271
 //   0,m1.small,0.027,0.028
 //   300,cc2.8xlarge,0.275,0.270
-// Lanes come back named "<type>/<zone>" (the market/universe.hpp naming),
-// type-major in first-appearance order; all types must cover the same
-// time grid. A file may be typed or untyped, never both: a row with the
-// wrong arity for its header is rejected with a line-numbered error.
+// Lanes come back named "<type>/<zone>", type-major in first-appearance
+// order; all types must cover the same time grid. A file may be typed or
+// untyped, never both: a row with the wrong arity for its header is
+// rejected with a line-numbered error.
 #pragma once
 
 #include <iosfwd>

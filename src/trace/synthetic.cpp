@@ -63,22 +63,11 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
   }
   const auto num_steps = static_cast<std::size_t>(span / spec.step);
 
-  if (spec.innovation_override != nullptr) {
-    REDSPOT_CHECK_MSG(spec.innovation_override->size() == spec.num_zones,
-                      "innovation_override zone count mismatch");
-    for (const auto& row : *spec.innovation_override)
-      REDSPOT_CHECK_MSG(row.size() == num_steps,
-                        "innovation_override step count mismatch");
-  }
-
   // The shared innovation stream models the weak common demand factor that
-  // gives the real data its faint cross-zone dependence. An override
-  // supplies its own correlation structure and skips it entirely.
+  // gives the real data its faint cross-zone dependence.
   std::vector<double> shared(num_steps);
-  if (spec.innovation_override == nullptr) {
-    Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
-    for (double& x : shared) x = common_rng.normal();
-  }
+  Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
+  for (double& x : shared) x = common_rng.normal();
 
   std::vector<PriceSeries> series;
   std::vector<std::string> names;
@@ -116,14 +105,9 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
       }
 
       const RegimeParams& regime = st.in_high ? p.high : p.calm;
-      double innov;
-      if (spec.innovation_override != nullptr) {
-        innov = (*spec.innovation_override)[z][i];
-      } else {
-        const double own = rng.normal();
-        innov = (1.0 - spec.cross_coupling) * own +
-                spec.cross_coupling * shared[i];
-      }
+      const double own = rng.normal();
+      const double innov = (1.0 - spec.cross_coupling) * own +
+                           spec.cross_coupling * shared[i];
       st.deviation =
           regime.reversion * st.deviation + regime.innovation_sd * innov;
       const double latent = regime.level + st.deviation;
@@ -197,28 +181,6 @@ SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until) {
   spec.params.resize(months);
   std::erase_if(spec.forced_spikes,
                 [span](const ForcedSpike& fs) { return fs.start >= span; });
-  return spec;
-}
-
-SyntheticTraceSpec scaled_spec(SyntheticTraceSpec spec, double k) {
-  REDSPOT_CHECK(k > 0.0);
-  const auto scale_money = [k](Money m) {
-    return Money::from_micros(
-        std::llround(static_cast<double>(m.micros()) * k));
-  };
-  spec.floor = scale_money(spec.floor);
-  spec.cap = scale_money(spec.cap);
-  for (auto& month : spec.params) {
-    for (ZoneMonthParams& p : month) {
-      for (RegimeParams* r : {&p.calm, &p.high}) {
-        r->level *= k;
-        r->innovation_sd *= k;
-      }
-      p.spikes.mag_lo *= k;
-      p.spikes.mag_hi *= k;
-    }
-  }
-  for (ForcedSpike& fs : spec.forced_spikes) fs.price = scale_money(fs.price);
   return spec;
 }
 

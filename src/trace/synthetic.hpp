@@ -92,14 +92,6 @@ struct SyntheticTraceSpec {
   /// at the trace epoch.
   std::vector<std::vector<ZoneMonthParams>> params;
   std::vector<ForcedSpike> forced_spikes;
-  /// When non-null, [zone][step] supplies every per-step innovation normal
-  /// verbatim and the own/shared mixing is bypassed — callers bake whatever
-  /// correlation structure they want into the values (the multi-type
-  /// universe injects cross-type-correlated factors this way). Borrowed;
-  /// must outlive generate_traces, with dimensions [num_zones][steps of
-  /// the spec's span]. Null (the default) keeps the classic stream-for-
-  /// stream generator bit-identical.
-  const std::vector<std::vector<double>>* innovation_override = nullptr;
 };
 
 /// Generates the trace set described by `spec`.
@@ -112,14 +104,6 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec);
 /// bit-identical prices over the kept prefix — the ensemble layer uses this
 /// to synthesize only the evaluation window of each replication.
 SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until);
-
-/// Returns `spec` with every dollar quantity scaled by `k` > 0: floor,
-/// cap, regime levels and innovation std-devs, spike magnitudes, forced-
-/// spike prices. Probabilities, dwells, and the driving randomness are
-/// untouched, so the scaled spec replays the same sample path at k times
-/// the price level (up to the $0.001 quantization grid) — the multi-type
-/// universe derives cheaper instance types this way.
-SyntheticTraceSpec scaled_spec(SyntheticTraceSpec spec, double k);
 
 /// The calibrated 14-month, 3-zone specification reproducing the paper's
 /// published data statistics (see file comment). `seed` varies the sample

@@ -116,17 +116,4 @@ CrossZoneEffects cross_zone_effects(const VarFit& fit) {
   return e;
 }
 
-Matrix residual_correlation(const VarFit& fit) {
-  const Matrix& cov = fit.residual_cov;
-  const std::size_t k = cov.rows();
-  Matrix corr(k, k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const double denom = std::sqrt(cov(i, i) * cov(j, j));
-      corr(i, j) = i == j ? 1.0 : (denom > 0.0 ? cov(i, j) / denom : 0.0);
-    }
-  }
-  return corr;
-}
-
 }  // namespace redspot

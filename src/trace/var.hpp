@@ -52,11 +52,4 @@ struct CrossZoneEffects {
 
 CrossZoneEffects cross_zone_effects(const VarFit& fit);
 
-/// Residual correlation matrix of a fit: residual_cov normalized by its
-/// diagonal (unit diagonal; zero-variance series yield zero off-diagonals).
-/// The multi-type universe's cross-type coupling shows up here — lanes of
-/// correlated instance types have correlated VAR residuals even when the
-/// lagged cross coefficients stay small.
-Matrix residual_correlation(const VarFit& fit);
-
 }  // namespace redspot

@@ -165,8 +165,7 @@ TEST(Estimator, EvaluatesAllPermutationsSorted) {
   const HistoryStats hist(traces, 0, traces.end(),
                           {Money::cents(27), Money::cents(81)});
   const auto ranked = evaluate_permutations(
-      hist, 3, {PolicyKind::kPeriodic, PolicyKind::kMarkovDaly},
-      basic_inputs());
+      hist, 3, AdaptiveStrategy::kCandidatePolicies, basic_inputs());
   // 2 bids x 7 subsets x 2 policies.
   EXPECT_EQ(ranked.size(), 28u);
   for (std::size_t i = 1; i < ranked.size(); ++i)
@@ -244,18 +243,6 @@ TEST(Adaptive, BoundedEvenWhenEveryZoneIsHostile) {
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   EXPECT_LE(r.total_cost, Money::dollars(2.7 * 6));  // deadline-hours cap
-}
-
-TEST(Adaptive, RejectsInvalidCandidatePolicies) {
-  AdaptiveStrategy::Options options;
-  options.candidate_policies = {PolicyKind::kRisingEdge};
-  EXPECT_THROW(AdaptiveStrategy{options}, CheckFailure);
-}
-
-TEST(Adaptive, ValidatesOptions) {
-  AdaptiveStrategy::Options options;
-  options.bid_grid.clear();
-  EXPECT_THROW(AdaptiveStrategy{options}, CheckFailure);
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 // run summary above it: every trace line parses in the EventTraceRecorder
 // format (src/core/events/trace_recorder.hpp), the trace holds one K line
 // per reported config change, and its closing R line carries the printed
-// cost.
+// cost. Also pins the exit codes of the shared sweep/ensemble option
+// parsing: a flag of the other mode, or a multi-zone Large-bid, exits 2.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -39,6 +43,15 @@ std::vector<std::string> run_sim(const std::string& args) {
   std::istringstream in(out);
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
+}
+
+/// Runs redspot-sim with `args`, discarding its output; returns the exit
+/// status (-1 when it did not exit normally, e.g. an abort).
+int sim_exit_code(const std::string& args) {
+  const std::string command = std::string("'") + REDSPOT_SIM_BIN + "' " +
+                              args + " >/dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 /// True when `line` is one of the trace_recorder.hpp line formats.
@@ -92,6 +105,31 @@ TEST(CliTimeline, FixedPolicyTraceMatchesItsSummary) {
 
 TEST(CliTimeline, AdaptiveTraceHasOneKLinePerConfigChange) {
   check_timeline("--policy adaptive");
+}
+
+TEST(CliArgs, FlagsOfTheOtherModeExitTwo) {
+  EXPECT_EQ(sim_exit_code("--experiments 2 --replications 4"), 2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --shards 2"), 2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --threads 1"), 2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --no-cache"), 2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --journal unused-dir"), 2);
+  EXPECT_EQ(sim_exit_code("ensemble --replications 2 --timeline"), 2);
+  EXPECT_EQ(sim_exit_code("ensemble --replications 2 --experiments 3"), 2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --bogus"), 2);
+}
+
+TEST(CliArgs, LargeBidIsSingleZoneInBothModes) {
+  // Multi-zone Large-bid is rejected up front (Fig. 6 runs it in one zone)
+  // instead of aborting inside a shard.
+  EXPECT_EQ(sim_exit_code("ensemble --policy large-bid --zones 0,1 "
+                          "--replications 4 --shards 2"),
+            2);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --policy large-bid --zones 0,1"),
+            2);
+  EXPECT_EQ(sim_exit_code("ensemble --policy large-bid --zones 1 "
+                          "--replications 2 --shards 1"),
+            0);
+  EXPECT_EQ(sim_exit_code("--experiments 2 --policy large-bid --zones 1"), 0);
 }
 
 }  // namespace

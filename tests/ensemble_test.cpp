@@ -384,6 +384,13 @@ TEST(EnsembleSpecTest, ValidateRejectsMalformedSpecs) {
   s = small_spec();
   s.min_groups[0].members = {0, 5};  // out of range
   EXPECT_THROW(s.validate(), CheckFailure);
+
+  s = small_spec();
+  s.configs[0].kind = EnsembleConfig::Kind::kLargeBid;
+  s.configs[0].zones = {0, 1};  // Large-bid is single-zone
+  EXPECT_THROW(s.validate(), CheckFailure);
+  s.configs[0].zones = {1};
+  EXPECT_NO_THROW(s.validate());
 }
 
 TEST(EnsembleConfigTest, LabelsAreDerivedOrExplicit) {

@@ -29,6 +29,7 @@
 #include "fault/run_validator.hpp"
 #include "journal/journal.hpp"
 #include "journal/run_record.hpp"
+#include "market/regime.hpp"
 #include "market/spot_market.hpp"
 #include "trace/synthetic.hpp"
 
@@ -413,7 +414,8 @@ TEST(AuditModeTest, CompactRecordPassesReplayAuditAndCorruptionFails) {
 
 // --------------------------------------------------- ensemble replay ------
 
-EnsembleSpec journal_spec() {
+EnsembleSpec journal_spec(
+    const MarketRegime& regime = MarketRegime::classic()) {
   EnsembleSpec spec;
   spec.window = VolatilityWindow::kHigh;
   spec.slack_fraction = 0.15;
@@ -423,6 +425,7 @@ EnsembleSpec journal_spec() {
   spec.num_shards = 6;
   spec.bootstrap_replicates = 40;
   spec.use_cache = false;
+  spec.engine.regime = regime;
   EnsembleConfig periodic;
   periodic.policy = PolicyKind::kPeriodic;
   periodic.zones = {0};
@@ -435,46 +438,54 @@ EnsembleSpec journal_spec() {
 }
 
 TEST(EnsembleJournalTest, ReplayedRunIsBitIdenticalToCleanRun) {
-  const std::string path = tmp_path("ensemble_replay.journal");
-  const EnsembleSpec spec = journal_spec();
-  const EnsembleRunner runner(spec);
-  ThreadPool pool(4);
+  // Under every regime: the replay audit must judge journaled shards by
+  // the regime's billing rules, or it rejects them all and recomputes.
+  for (const MarketRegime& regime : regime_catalog()) {
+    SCOPED_TRACE(regime.name);
+    const std::string path =
+        tmp_path("ensemble_replay_" + regime.name + ".journal");
+    const EnsembleSpec spec = journal_spec(regime);
+    const EnsembleRunner runner(spec);
+    ThreadPool pool(4);
 
-  const EnsembleResult clean = runner.run(pool);
+    const EnsembleResult clean = runner.run(pool);
 
-  {
-    RunJournal journal(path);
-    EnsembleRunOptions options;
-    options.journal = &journal;
-    const EnsembleResult first = runner.run(pool, options);
-    EXPECT_EQ(first.shards_replayed, 0u);
-    EXPECT_EQ(first.shards_recomputed, spec.num_shards);
-    EXPECT_FALSE(first.interrupted);
-    EXPECT_EQ(first.table("t"), clean.table("t"));
-  }
-  {
-    RunJournal journal(path);
-    ASSERT_EQ(journal.records().size(), spec.num_shards);
-    EnsembleRunOptions options;
-    options.journal = &journal;
-    // Replay on a different pool size: still bit-identical.
-    ThreadPool one(1);
-    const EnsembleResult replayed = runner.run(one, options);
-    EXPECT_EQ(replayed.shards_replayed, spec.num_shards);
-    EXPECT_EQ(replayed.shards_recomputed, 0u);
-    EXPECT_EQ(replayed.table("t"), clean.table("t"));
-    ASSERT_EQ(replayed.configs.size(), clean.configs.size());
-    for (std::size_t c = 0; c < clean.configs.size(); ++c) {
-      // Bitwise, not approximate: the resume contract.
-      EXPECT_EQ(replayed.configs[c].cost().mean(), clean.configs[c].cost().mean());
-      EXPECT_EQ(replayed.configs[c].cost().variance(),
-                clean.configs[c].cost().variance());
-      EXPECT_EQ(replayed.configs[c].cost().mean_ci(),
-                clean.configs[c].cost().mean_ci());
-      EXPECT_EQ(replayed.configs[c].restarts().mean(),
-                clean.configs[c].restarts().mean());
+    {
+      RunJournal journal(path);
+      EnsembleRunOptions options;
+      options.journal = &journal;
+      const EnsembleResult first = runner.run(pool, options);
+      EXPECT_EQ(first.shards_replayed, 0u);
+      EXPECT_EQ(first.shards_recomputed, spec.num_shards);
+      EXPECT_FALSE(first.interrupted);
+      EXPECT_EQ(first.table("t"), clean.table("t"));
     }
-    EXPECT_EQ(replayed.groups[0].cost().mean(), clean.groups[0].cost().mean());
+    {
+      RunJournal journal(path);
+      ASSERT_EQ(journal.records().size(), spec.num_shards);
+      EnsembleRunOptions options;
+      options.journal = &journal;
+      // Replay on a different pool size: still bit-identical.
+      ThreadPool one(1);
+      const EnsembleResult replayed = runner.run(one, options);
+      EXPECT_EQ(replayed.shards_replayed, spec.num_shards);
+      EXPECT_EQ(replayed.shards_recomputed, 0u);
+      EXPECT_EQ(replayed.table("t"), clean.table("t"));
+      ASSERT_EQ(replayed.configs.size(), clean.configs.size());
+      for (std::size_t c = 0; c < clean.configs.size(); ++c) {
+        // Bitwise, not approximate: the resume contract.
+        EXPECT_EQ(replayed.configs[c].cost().mean(),
+                  clean.configs[c].cost().mean());
+        EXPECT_EQ(replayed.configs[c].cost().variance(),
+                  clean.configs[c].cost().variance());
+        EXPECT_EQ(replayed.configs[c].cost().mean_ci(),
+                  clean.configs[c].cost().mean_ci());
+        EXPECT_EQ(replayed.configs[c].restarts().mean(),
+                  clean.configs[c].restarts().mean());
+      }
+      EXPECT_EQ(replayed.groups[0].cost().mean(),
+                clean.groups[0].cost().mean());
+    }
   }
 }
 

@@ -333,20 +333,6 @@ TEST(IndexTrackPolicy, TracksTheCheapestLanesWithDeterministicTies) {
   EXPECT_FALSE(two.in_index(view, 2));
 }
 
-TEST(IndexTrackPolicy, LaneScaleNormalizesAcrossInstanceTypes) {
-  FakeView view;
-  view.zones_ = {0, 1};
-  view.prices_[0] = Money::dollars(0.30);  // scale 1.0 -> 0.30
-  view.prices_[1] = Money::dollars(0.20);  // scale 0.5 -> 0.40 normalized
-  IndexTrackPolicy policy(1, {1.0, 0.5});
-  EXPECT_TRUE(policy.in_index(view, 0));
-  EXPECT_FALSE(policy.in_index(view, 1));
-  // Without scales the nominally cheaper lane would win.
-  IndexTrackPolicy unscaled(1);
-  EXPECT_FALSE(unscaled.in_index(view, 0));
-  EXPECT_TRUE(unscaled.in_index(view, 1));
-}
-
 // --- Factory -------------------------------------------------------------------------
 
 TEST(PolicyFactory, MakesEveryKind) {

@@ -58,7 +58,6 @@ TEST(RegimeCatalog, DefaultConstructedRegimeIsClassic2012) {
   EXPECT_EQ(classic.billing.granularity, BillingGranularity::kHourly);
   EXPECT_EQ(classic.billing.refund, RefundRule::kProviderForfeitsCycle);
   EXPECT_EQ(classic.rebalance_notice, 0);
-  EXPECT_TRUE(classic.types.empty());
 }
 
 TEST(RegimeCatalog, FingerprintsAreDistinctAndStable) {

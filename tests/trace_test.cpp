@@ -252,7 +252,7 @@ TEST(CsvIo, TypedColumnGroupsRowsIntoPerTypeLanes) {
       "300,m1.small,0.027,0.029\n");
   const ZoneTraceSet parsed = read_csv(in);
   ASSERT_EQ(parsed.num_zones(), 4u);
-  // Type-major in first-appearance order, universe-style lane names.
+  // Type-major in first-appearance order, "<type>/<zone>" lane names.
   EXPECT_EQ(parsed.zone_name(0), "cc2.8xlarge/us-east-1a");
   EXPECT_EQ(parsed.zone_name(1), "cc2.8xlarge/us-east-1b");
   EXPECT_EQ(parsed.zone_name(2), "m1.small/us-east-1a");

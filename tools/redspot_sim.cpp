@@ -12,7 +12,8 @@
 //                                threshold|adaptive|large-bid  [adaptive]
 //     --bid DOLLARS              bid price (fixed policies)    [0.81]
 //     --threshold DOLLARS        L for large-bid               [0.81]
-//     --zones LIST               e.g. 0,1,2 (fixed policies)   [0]
+//     --zones LIST               e.g. 0,1,2 (fixed policies;
+//                                one zone for large-bid)       [0]
 //     --experiments N            sweep size; 1 = single run    [20]
 //     --chunk I                  chunk index for a single run  [0]
 //     --seed S                   trace generator seed          [42]
@@ -54,14 +55,11 @@
 #include "app/ensemble_cli.hpp"
 #include "common/interrupt.hpp"
 #include "common/parallel.hpp"
-#include "core/adaptive/adaptive_runner.hpp"
 #include "core/engine.hpp"
 #include "core/events/trace_recorder.hpp"
-#include "core/policies/large_bid.hpp"
 #include "ensemble/runner.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
-#include "exp/sweep.hpp"
 #include "journal/journal.hpp"
 #include "journal/run_record.hpp"
 #include "market/spot_market.hpp"
@@ -73,80 +71,39 @@ using namespace redspot;
 
 namespace {
 
-struct Args {
-  VolatilityWindow window = VolatilityWindow::kHigh;
-  double slack = 0.15;
-  Duration tc = 300;
-  std::string policy = "adaptive";
-  Money bid = Money::cents(81);
-  Money threshold = Money::cents(81);
-  std::vector<std::size_t> zones{0};
+/// Sweep / single-run options on top of the shared ensemble flags.
+struct SimArgs {
   std::size_t experiments = 20;
   std::size_t chunk = 0;
-  std::uint64_t seed = 42;
-  Duration notice = 0;
   std::string trace_file;
   std::string events_file;
   bool timeline = false;
 };
 
-[[noreturn]] void usage(const char* msg) {
+/// Flags that only `redspot_sim ensemble` accepts.
+constexpr const char* kEnsembleOnlyFlags[] = {
+    "--replications", "--shards", "--threads", "--no-cache", "--journal"};
+
+[[noreturn]] void usage(const std::string& msg) {
   std::fprintf(stderr, "redspot_sim: %s (see the header of "
                        "tools/redspot_sim.cpp for options)\n",
-               msg);
+               msg.c_str());
   std::exit(2);
 }
 
-std::vector<std::size_t> parse_zones(const std::string& s) {
-  std::vector<std::size_t> zones;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    zones.push_back(std::strtoull(s.c_str() + pos, nullptr, 10));
-    const std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (zones.empty()) usage("bad --zones");
-  return zones;
-}
-
-Args parse(int argc, char** argv) {
-  Args a;
-  auto need = [&](int i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[i + 1];
+/// Parses the options parse_ensemble_args handed back unrecognized.
+SimArgs parse_sim_args(const std::vector<std::string>& extra) {
+  SimArgs a;
+  auto need = [&](std::size_t i) -> const char* {
+    if (i + 1 >= extra.size()) usage("missing option value");
+    return extra[i + 1].c_str();
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string opt = argv[i];
-    if (opt == "--window") {
-      const std::string v = need(i++);
-      if (v == "low") {
-        a.window = VolatilityWindow::kLow;
-      } else if (v == "high") {
-        a.window = VolatilityWindow::kHigh;
-      } else {
-        usage("--window must be low or high");
-      }
-    } else if (opt == "--slack") {
-      a.slack = std::strtod(need(i++), nullptr);
-    } else if (opt == "--tc") {
-      a.tc = std::strtoll(need(i++), nullptr, 10);
-    } else if (opt == "--policy") {
-      a.policy = need(i++);
-    } else if (opt == "--bid") {
-      a.bid = Money::parse(need(i++));
-    } else if (opt == "--threshold") {
-      a.threshold = Money::parse(need(i++));
-    } else if (opt == "--zones") {
-      a.zones = parse_zones(need(i++));
-    } else if (opt == "--experiments") {
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    const std::string& opt = extra[i];
+    if (opt == "--experiments") {
       a.experiments = std::strtoull(need(i++), nullptr, 10);
     } else if (opt == "--chunk") {
       a.chunk = std::strtoull(need(i++), nullptr, 10);
-    } else if (opt == "--seed") {
-      a.seed = std::strtoull(need(i++), nullptr, 10);
-    } else if (opt == "--notice") {
-      a.notice = std::strtoll(need(i++), nullptr, 10);
     } else if (opt == "--trace") {
       a.trace_file = need(i++);
     } else if (opt == "--events") {
@@ -154,27 +111,10 @@ Args parse(int argc, char** argv) {
     } else if (opt == "--timeline") {
       a.timeline = true;
     } else {
-      usage(("unknown option " + opt).c_str());
+      usage("unknown option " + opt);
     }
   }
   return a;
-}
-
-std::unique_ptr<Strategy> make_strategy(const Args& a) {
-  if (a.policy == "adaptive") return std::make_unique<AdaptiveStrategy>();
-  if (a.policy == "large-bid") {
-    return std::make_unique<FixedStrategy>(
-        LargeBidPolicy::large_bid(), a.zones,
-        std::make_unique<LargeBidPolicy>(a.threshold));
-  }
-  for (PolicyKind kind :
-       {PolicyKind::kPeriodic, PolicyKind::kMarkovDaly,
-        PolicyKind::kRisingEdge, PolicyKind::kThreshold}) {
-    if (a.policy == to_string(kind))
-      return std::make_unique<FixedStrategy>(a.bid, a.zones,
-                                             make_policy(kind));
-  }
-  usage(("unknown policy " + a.policy).c_str());
 }
 
 void print_run(const RunResult& r) {
@@ -252,28 +192,37 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "ensemble") == 0) {
     return run_ensemble(parse_ensemble_args(argc - 1, argv + 1, nullptr));
   }
-  const Args args = parse(argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    for (const char* flag : kEnsembleOnlyFlags)
+      if (std::strcmp(argv[i], flag) == 0)
+        usage(std::string("unknown option ") + flag);
+  }
+  std::vector<std::string> extra;
+  const EnsembleCliArgs args = parse_ensemble_args(argc, argv, &extra);
+  const SimArgs sim = parse_sim_args(extra);
+  // The strategy and engine options come from the same mapping the
+  // ensemble mode uses, so both modes read a flag identically.
+  const EnsembleSpec spec = make_ensemble_spec(args);
+  const EnsembleConfig& config = spec.configs.front();
 
-  ZoneTraceSet traces = !args.trace_file.empty()
-                            ? read_csv_file(args.trace_file)
-                        : !args.events_file.empty()
-                            ? read_event_csv_file(args.events_file)
+  ZoneTraceSet traces = !sim.trace_file.empty()
+                            ? read_csv_file(sim.trace_file)
+                        : !sim.events_file.empty()
+                            ? read_event_csv_file(sim.events_file)
                             : paper_traces(args.seed);
   SpotMarket market(std::move(traces), cc2_instance(), QueueDelayModel());
 
   Scenario scenario{args.window, args.slack, args.tc,
-                    std::max<std::size_t>(args.experiments, 1)};
+                    std::max<std::size_t>(sim.experiments, 1)};
 
-  if (args.experiments <= 1) {
+  if (sim.experiments <= 1) {
     // Single-run mode: chunk indices address the paper's 80-chunk grid.
-    scenario.num_experiments = std::max<std::size_t>(args.chunk + 1, 80);
-    const Experiment e = scenario.experiment(args.chunk);
-    auto strategy = make_strategy(args);
-    EngineOptions options;
-    options.termination_notice = args.notice;
-    Engine engine(market, e, *strategy, options);
+    scenario.num_experiments = std::max<std::size_t>(sim.chunk + 1, 80);
+    const Experiment e = scenario.experiment(sim.chunk);
+    auto strategy = config.make_strategy();
+    Engine engine(market, e, *strategy, spec.engine);
     EventTraceRecorder trace;
-    if (args.timeline) engine.add_observer(&trace);
+    if (sim.timeline) engine.add_observer(&trace);
     print_run(engine.run());
     std::fputs(trace.str().c_str(), stdout);
     return 0;
@@ -282,10 +231,8 @@ int main(int argc, char** argv) {
   std::vector<double> costs(scenario.num_experiments);
   std::vector<RunResult> results(scenario.num_experiments);
   for (std::size_t i = 0; i < scenario.num_experiments; ++i) {
-    auto strategy = make_strategy(args);
-    EngineOptions options;
-    options.termination_notice = args.notice;
-    Engine engine(market, scenario.experiment(i), *strategy, options);
+    auto strategy = config.make_strategy();
+    Engine engine(market, scenario.experiment(i), *strategy, spec.engine);
     results[i] = engine.run();
     costs[i] = results[i].total_cost.to_double();
   }
