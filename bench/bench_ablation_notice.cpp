@@ -1,7 +1,8 @@
 // Ablation A4 (Appendix A what-if): what would a termination notice be
 // worth? The paper argues Amazon will not offer one; this sweep quantifies
 // what users would gain if it did — a notice >= t_c converts every
-// abrupt termination into a clean checkpoint.
+// abrupt termination into a clean checkpoint. The notice is the classic
+// regime's MarketRegime::rebalance_notice, the engine's one notice path.
 //
 // Usage: bench_ablation_notice [num_experiments]
 #include <cstdio>
@@ -26,7 +27,7 @@ double median_with_notice(const SpotMarket& market, const Scenario& scenario,
       FixedStrategy strategy(Money::cents(81), {zone},
                              make_policy(PolicyKind::kMarkovDaly));
       EngineOptions options;
-      options.termination_notice = notice;
+      options.regime.rebalance_notice = notice;
       Engine engine(market, scenario.experiment(i), strategy, options);
       const RunResult r = engine.run();
       REDSPOT_CHECK(r.met_deadline);

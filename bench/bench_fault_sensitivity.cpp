@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   for (const PlanRow& row : fault_grid()) {
     row.plan.validate();
     EngineOptions options;
-    options.termination_notice = 300;
+    options.regime.rebalance_notice = 300;
     options.faults = row.plan;
     for (const PolicyCell& cell : run_policies(market, scenario, options))
       print_cell(row.label, cell);

@@ -14,18 +14,20 @@ namespace {
 
 std::vector<std::size_t> parse_zones(const std::string& s) {
   std::vector<std::size_t> zones;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    zones.push_back(std::strtoull(s.c_str() + pos, nullptr, 10));
+  for (std::size_t pos = 0;;) {
     const std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) break;
+    const std::string zone = s.substr(pos, comma - pos);
+    zones.push_back(parse_number<std::size_t>("--zones", zone.c_str(), 0));
+    if (comma == std::string::npos) return zones;
     pos = comma + 1;
   }
-  if (zones.empty()) usage("bad --zones");
-  return zones;
 }
 
 }  // namespace
+
+void bad_option_value(const std::string& option, const char* text) {
+  usage("bad " + option + " value '" + text + "'");
+}
 
 EnsembleCliArgs parse_ensemble_args(int argc, char** argv,
                                     std::vector<std::string>* extra) {
@@ -46,9 +48,9 @@ EnsembleCliArgs parse_ensemble_args(int argc, char** argv,
         usage("--window must be low or high");
       }
     } else if (opt == "--slack") {
-      a.slack = std::strtod(need(i++), nullptr);
+      a.slack = parse_number(opt, need(i++), 0.0);
     } else if (opt == "--tc") {
-      a.tc = std::strtoll(need(i++), nullptr, 10);
+      a.tc = parse_number<Duration>(opt, need(i++), 1, kDay);
     } else if (opt == "--policy") {
       a.policy = need(i++);
     } else if (opt == "--bid") {
@@ -58,15 +60,16 @@ EnsembleCliArgs parse_ensemble_args(int argc, char** argv,
     } else if (opt == "--zones") {
       a.zones = parse_zones(need(i++));
     } else if (opt == "--seed") {
-      a.seed = std::strtoull(need(i++), nullptr, 10);
+      a.seed = parse_number<std::uint64_t>(opt, need(i++), 0);
     } else if (opt == "--notice") {
-      a.notice = std::strtoll(need(i++), nullptr, 10);
+      a.notice = parse_number<Duration>(opt, need(i++), 0, kDay);
     } else if (opt == "--replications") {
-      a.replications = std::strtoull(need(i++), nullptr, 10);
+      a.replications = parse_number<std::size_t>(opt, need(i++), 1);
     } else if (opt == "--shards") {
-      a.shards = std::strtoull(need(i++), nullptr, 10);
+      a.shards = parse_number<std::size_t>(opt, need(i++), 1);
     } else if (opt == "--threads") {
-      a.threads = std::strtoull(need(i++), nullptr, 10);
+      // More threads than this is a typo, not a machine.
+      a.threads = parse_number<std::size_t>(opt, need(i++), 0, 1024);
     } else if (opt == "--no-cache") {
       a.no_cache = true;
     } else if (opt == "--journal") {
@@ -92,7 +95,7 @@ EnsembleSpec make_ensemble_spec(const EnsembleCliArgs& args) {
   spec.replications = args.replications;
   spec.num_shards = args.shards;
   spec.use_cache = !args.no_cache;
-  spec.engine.termination_notice = args.notice;
+  spec.engine.regime.rebalance_notice = args.notice;
 
   EnsembleConfig config;
   if (args.policy == "adaptive") {

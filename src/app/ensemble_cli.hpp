@@ -6,8 +6,11 @@
 // here once instead of drifting per binary.
 #pragma once
 
-#include <optional>
+#include <charconv>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "ensemble/spec.hpp"
@@ -39,6 +42,24 @@ struct EnsembleCliArgs {
 /// Exits with code 2 and a usage message on malformed input.
 EnsembleCliArgs parse_ensemble_args(int argc, char** argv,
                                     std::vector<std::string>* extra);
+
+/// Exits with code 2 and a usage message naming `option` and `text`.
+[[noreturn]] void bad_option_value(const std::string& option,
+                                   const char* text);
+
+/// Parses the value of numeric `option`: all of `text` must be one base-10
+/// number in [lo, hi] (NaN and infinities are never in range). Exits with
+/// code 2 and a usage message otherwise.
+template <typename T>
+T parse_number(const std::string& option, const char* text, T lo,
+               T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc() || stop != end || !(value >= lo && value <= hi))
+    bad_option_value(option, text);
+  return value;
+}
 
 /// Builds the validated, fingerprintable spec the args describe.
 /// Exits with code 2 on an unknown policy name or a multi-zone large-bid.

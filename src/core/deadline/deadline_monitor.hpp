@@ -33,7 +33,7 @@ struct DeadlineParams {
   Duration checkpoint_cost = 0;  ///< t_c
   Duration restart_cost = 0;     ///< t_r
   SimTime deadline = 0;          ///< T: absolute deadline instant
-  /// Rebalance-notice lead time of the market regime (0 when kills land
+  /// Termination-notice lead time of the market regime (0 when kills land
   /// unannounced). It does NOT shrink the margin's t_c reserve — the
   /// reserve must still absorb a forced write that dies mid-flight and
   /// the wait for an in-flight write at the trigger — but it changes the
@@ -56,19 +56,19 @@ enum class DeadlineAction {
 };
 
 /// Decision at the trigger instant. `leader_progress` is the best live
-/// progress of any running zone, if one exists; `leader_doomed` is true
-/// when that zone's kill has been announced (rebalance-warned under a
-/// notice regime, or an Appendix-A doomed zone). With a notice regime
-/// (params.notice_lead > 0) the announcement changes the gamble's odds:
-/// a doomed leader can die before the forced write commits, so it never
-/// gambles; an undoomed leader's kill must be announced at least
+/// progress of any running zone, if one exists; `leader_doom_at` is that
+/// zone's announced kill instant (kNever when none is announced). The
+/// announcement changes the gamble's odds: a leader killed less than t_c
+/// from now dies before the forced write commits, so it never gambles; a
+/// leader with at least t_c of warning left is as safe as an unannounced
+/// one. An unannounced leader's kill must be announced at least
 /// notice_lead ahead, so when notice_lead >= t_c the forced write is
 /// guaranteed to finish and ANY unprotected progress is worth banking.
 DeadlineAction decide_at_trigger(const DeadlineParams& params,
                                  Duration committed, SimTime now,
                                  bool ckpt_in_flight,
                                  std::optional<Duration> leader_progress,
-                                 bool leader_doomed = false);
+                                 SimTime leader_doom_at = kNever);
 
 /// Owns the deadline-trigger calendar event: armed at switch_time (clamped
 /// to now) and re-armed on every checkpoint commit.

@@ -22,14 +22,14 @@ void Engine::on_deadline_trigger() {
   }
   std::optional<std::size_t> leader = leading_zone();
   std::optional<Duration> leader_progress;
-  bool leader_doomed = false;
+  SimTime leader_doom_at = kNever;
   if (leader) {
     leader_progress = zone_progress(*leader);
-    leader_doomed = zone_at(*leader).doomed();
+    leader_doom_at = zone_at(*leader).doom_at();
   }
   switch (decide_at_trigger(monitor_.params(), committed, now(),
                             coord_.in_flight(), leader_progress,
-                            leader_doomed)) {
+                            leader_doom_at)) {
     case DeadlineAction::kWait:
       // The in-flight commit (or its abort on an untimely failure)
       // re-arms this trigger.

@@ -39,10 +39,6 @@ Engine::Engine(const SpotMarket& market, Experiment experiment,
                [this] { on_deadline_trigger(); }),
       fault_recorder_(&result_.faults) {
   experiment_.validate();
-  REDSPOT_CHECK_MSG(options_.termination_notice == 0 ||
-                        options_.regime.rebalance_notice == 0,
-                    "the Appendix-A termination_notice ablation and the "
-                    "regime rebalance notice are mutually exclusive");
   billing_.set_rules(options_.regime.billing);
   REDSPOT_CHECK_MSG(market.trace_start() <= experiment_.start,
                     "trace starts after the experiment");
@@ -216,7 +212,6 @@ RunResult run_on_demand_baseline(const Experiment& experiment, Money rate,
 }
 
 void hash_engine_options(HashStream& h, const EngineOptions& o) {
-  h.i64(o.termination_notice);
   const FaultPlan& f = o.faults;
   h.f64(f.ckpt_write_failure_rate);
   h.f64(f.ckpt_corruption_rate);

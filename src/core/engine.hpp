@@ -68,21 +68,14 @@ class SharedTraceIndex;
 }  // namespace batch
 
 struct EngineOptions {
-  /// Appendix-A what-if: EC2 warns `termination_notice` seconds before an
-  /// out-of-bid termination instead of killing abruptly. The doomed zone
-  /// keeps computing through the notice (still free if cut mid-hour) and
-  /// the engine squeezes in an emergency checkpoint when the notice can
-  /// fit one (notice >= t_c). 0 = the real 2013 market (no warning).
-  Duration termination_notice = 0;
   /// Injected failure classes the paper assumes away (see fault/). The
   /// default all-zero plan is a strict no-op: runs reproduce the
   /// fault-free engine bit-for-bit.
   FaultPlan faults;
   /// The market rule set (market/regime.hpp): billing granularity,
-  /// refund rule and rebalance-notice lead time. The default classic-2012
-  /// regime reproduces the pre-regime engine bit-for-bit. Mutually
-  /// exclusive with `termination_notice` (the Appendix-A ablation keeps
-  /// its own notice path).
+  /// refund rule and termination-notice lead time. The default classic-2012
+  /// regime reproduces the pre-regime engine bit-for-bit; the Appendix-A
+  /// notice what-if is that regime with `rebalance_notice` set.
   MarketRegime regime;
 };
 
@@ -188,16 +181,15 @@ class Engine final : public EngineView,
   void on_pre_boundary(std::size_t zone);    // billing_ledger/engine_cycle_hooks.cpp
   void on_deadline_trigger();       // deadline/engine_switchover.cpp
   void on_zone_completion(std::size_t zone);
-  /// Handles a termination notice delivering `warning` seconds before the
-  /// kill (warning < termination_notice when the notice arrived late).
-  void on_termination_notice(std::size_t zone, Duration warning);
-  /// Regime rebalance warning: flips the zone to kRebalanceWarned and
-  /// reuses the notice machinery (doom + emergency checkpoint).
+  /// The termination notice arrives: flips the zone to kRebalanceWarned
+  /// and, when the remaining warning fits one, schedules the emergency
+  /// checkpoint.
   void on_rebalance_notice(std::size_t zone);
   void on_doom(std::size_t zone);
-  /// Dispatches the out-of-bid notice for `zone` at a price tick,
-  /// injecting dropped/late notices when the fault plan says so.
-  void deliver_termination_notice(std::size_t zone);
+  /// Announces `zone`'s out-of-bid kill at a price tick: fixes the kill
+  /// instant (kDoom) and schedules the notice, injecting dropped/late
+  /// notices when the fault plan says so.
+  void deliver_notice(std::size_t zone);
 
   // --- actions -------------------------------------------------------------
   void apply_initial_config();

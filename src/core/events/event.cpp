@@ -20,8 +20,6 @@ const char* to_string(EventKind kind) {
       return "cycle-boundary";
     case EventKind::kPreBoundary:
       return "pre-boundary";
-    case EventKind::kLateNotice:
-      return "late-notice";
     case EventKind::kRebalanceNotice:
       return "rebalance-notice";
     case EventKind::kDoom:

@@ -32,8 +32,7 @@ enum class EventKind : std::uint8_t {
   kEmergencyCheckpoint,  ///< notice-driven write timed to end at the kill
   kCycleBoundary,        ///< billing hour ends for one zone
   kPreBoundary,          ///< t_c before a cycle boundary (stop/reconfigure)
-  kLateNotice,           ///< delayed termination notice finally arrives
-  kRebalanceNotice,      ///< capacity-rebalance warning (regime notice)
+  kRebalanceNotice,      ///< termination notice (regime notice lead time)
   kDoom,                 ///< announced out-of-bid kill instant
   kDeadlineTrigger,      ///< committed-progress margin exhausted (global)
   kZoneCompletion,       ///< a zone's remaining compute reaches zero

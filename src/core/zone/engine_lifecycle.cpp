@@ -3,6 +3,7 @@
 // per-zone handlers, driving each ZoneMachine through its transitions.
 #include <algorithm>
 
+#include "app/application.hpp"
 #include "core/engine.hpp"
 
 namespace redspot {
@@ -23,17 +24,9 @@ void Engine::on_price_tick() {
       case ZoneState::kCheckpointing:
       case ZoneState::kRebalanceWarned:
         if (p > config_.bid && !zone.doomed()) {
-          if (options_.termination_notice > 0 && zone.running()) {
-            deliver_termination_notice(z);
+          if (options_.regime.rebalance_notice > 0 && zone.running()) {
+            deliver_notice(z);
             if (zone.state() == ZoneState::kDown) terminated_any = true;
-          } else if (options_.regime.rebalance_notice > 0 && zone.running()) {
-            // Regime notice: the kill is announced via a typed
-            // kRebalanceNotice event dispatched at this same instant
-            // (after the tick's own handling, in FIFO order), so
-            // observers see the warning as a first-class calendar event.
-            zone.mark_doomed();
-            zone.rebalance_event =
-                queue_.schedule_at(EventKind::kRebalanceNotice, z, now());
           } else {
             terminate_out_of_bid(z);
             terminated_any = true;
@@ -177,66 +170,52 @@ void Engine::start_computing(std::size_t zone, Duration progress_base) {
 // ---------------------------------------------------------------------------
 // Terminations
 
-// Appendix-A variant: the market warns before terminating. The fault plan
-// can drop the notice (abrupt 2013-style kill) or deliver it late, which
-// shrinks the usable warning; the kill instant itself never moves.
-void Engine::deliver_termination_notice(std::size_t zone) {
-  const FaultInjector::NoticeDelivery notice =
-      injector_.notice_delivery(options_.termination_notice);
+// Notice regimes: the market announces the kill `rebalance_notice` ahead.
+// The kill is scheduled here, at the tick, so a kill on the price grid
+// still precedes that instant's tick (which may wake the zone again). The
+// typed kRebalanceNotice event carries the warning (after the tick's own
+// handling, in FIFO order, when on time). The fault plan can drop the
+// notice (abrupt 2013-style kill) or deliver it late, which shrinks the
+// usable warning but never moves the kill.
+void Engine::deliver_notice(std::size_t zone) {
+  const Duration lead = options_.regime.rebalance_notice;
+  const FaultInjector::NoticeDelivery notice = injector_.notice_delivery(lead);
   if (notice.dropped) {
     notify_fault(FaultEvent::Kind::kNoticeDropped, zone);
     terminate_out_of_bid(zone);
     return;
   }
-  if (notice.lag <= 0) {
-    on_termination_notice(zone, options_.termination_notice);
-    return;
-  }
-  // Late notice: the zone is already doomed (the price crossed the bid
-  // now) but the engine only learns at now + lag, with the remaining
-  // warning shortened accordingly.
   ZoneMachine& z = zone_at(zone);
-  z.mark_doomed();
-  notify_fault(FaultEvent::Kind::kNoticeLate, zone);
-  const Duration warning = options_.termination_notice - notice.lag;
-  z.doom_event = queue_.schedule_in(
-      EventKind::kLateNotice, zone, notice.lag, [this, zone, warning] {
-        ZoneMachine& late = zone_at(zone);
-        late.doom_event = 0;
-        if (done_ || !late.active()) return;
-        on_termination_notice(zone, warning);
-      });
+  z.mark_doomed(now() + lead);
+  z.doom_event = queue_.schedule_at(EventKind::kDoom, zone, z.doom_at());
+  if (notice.lag > 0) notify_fault(FaultEvent::Kind::kNoticeLate, zone);
+  z.rebalance_event =
+      queue_.schedule_in(EventKind::kRebalanceNotice, zone, notice.lag);
 }
 
-// The doomed zone keeps computing through the notice; an emergency
-// checkpoint lands exactly at the termination instant when the remaining
-// warning can fit one (warning >= t_c).
-void Engine::on_termination_notice(std::size_t zone, Duration warning) {
+// The warned zone flips to kRebalanceWarned and keeps computing until the
+// kill; an emergency checkpoint lands exactly at the kill instant when the
+// remaining warning can fit one (warning >= t_c).
+void Engine::on_rebalance_notice(std::size_t zone) {
   ZoneMachine& z = zone_at(zone);
-  z.mark_doomed();
-  const SimTime doom_at = now() + warning;
-  z.doom_event = queue_.schedule_at(EventKind::kDoom, zone, doom_at);
-  const SimTime ckpt_start = doom_at - experiment_.costs.checkpoint;
+  z.rebalance_event = 0;
+  if (done_ || !z.running()) return;
+  z.warn_rebalance();
+  const SimTime ckpt_start = z.doom_at() - experiment_.costs.checkpoint;
   if (ckpt_start >= now() && policy_checkpoint_allowed()) {
     z.emergency_ckpt_event = queue_.schedule_at(
         EventKind::kEmergencyCheckpoint, zone, ckpt_start, [this, zone] {
           ZoneMachine& doomed_zone = zone_at(zone);
           doomed_zone.emergency_ckpt_event = 0;
           if (done_ || coord_.in_flight() || !doomed_zone.computing()) return;
+          // A policy write that landed since the notice may already hold
+          // everything this one would capture.
+          if (iteration_aligned(experiment_.app, zone_progress(zone)) <=
+              store_.latest_progress())
+            return;
           start_checkpoint(zone);
         });
   }
-}
-
-// Regime rebalance warning: the zone flips to kRebalanceWarned (progress
-// keeps accruing) and the notice machinery above schedules the doom and,
-// when the lead time fits one, the emergency checkpoint.
-void Engine::on_rebalance_notice(std::size_t zone) {
-  ZoneMachine& z = zone_at(zone);
-  z.rebalance_event = 0;
-  if (done_ || !z.running() || z.rebalance_warned()) return;
-  z.warn_rebalance();
-  on_termination_notice(zone, options_.regime.rebalance_notice);
 }
 
 void Engine::on_doom(std::size_t zone) {

@@ -105,7 +105,7 @@ void ZoneMachine::cancel_events(EventQueue& queue) {
   queue.cancel(doom_event);
   queue.cancel(emergency_ckpt_event);
   queue.cancel(rebalance_event);
-  doomed_ = false;
+  doom_at_ = kNever;
   rebalance_warned_ = false;
 }
 

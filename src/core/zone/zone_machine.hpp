@@ -131,8 +131,11 @@ class ZoneMachine {
 
   // --- flags ------------------------------------------------------------
 
-  bool doomed() const { return doomed_; }
-  void mark_doomed() { doomed_ = true; }
+  /// The announced out-of-bid kill instant of the current instance
+  /// (kNever when no kill is announced).
+  SimTime doom_at() const { return doom_at_; }
+  bool doomed() const { return doom_at_ != kNever; }
+  void mark_doomed(SimTime kill_at) { doom_at_ = kill_at; }
 
   /// A rebalance warning has been received for the current instance.
   bool rebalance_warned() const { return rebalance_warned_; }
@@ -154,7 +157,7 @@ class ZoneMachine {
   EventId emergency_ckpt_event = 0;  ///< kEmergencyCheckpoint
   EventId rebalance_event = 0;    ///< kRebalanceNotice
 
-  /// Cancels every pending event of this zone and clears the doomed flag.
+  /// Cancels every pending event of this zone and clears the doom.
   void cancel_events(EventQueue& queue);
 
  private:
@@ -168,7 +171,7 @@ class ZoneMachine {
   Duration restart_target_ = 0;
   int request_attempts_ = 0;
   bool manual_stop_pending_ = false;
-  bool doomed_ = false;
+  SimTime doom_at_ = kNever;
   bool rebalance_warned_ = false;
 };
 

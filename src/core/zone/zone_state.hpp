@@ -14,11 +14,13 @@
 // (The manual stop reaches kStopped via kDown: the boundary termination
 // first tears the instance down, then the policy parks the zone.)
 //
-// Regimes with a rebalance notice (market/regime.hpp) add kRebalanceWarned:
-// a kRunning zone whose kill was announced keeps computing there until the
-// doom instant; kCheckpointing <-> kRebalanceWarned covers the emergency
-// write and the compute resumed after it commits. Classic regimes never
-// enter the state, keeping the 16-entry 2012 table intact as a subset.
+// Regimes with a termination notice (MarketRegime::rebalance_notice > 0,
+// including the classic regime given an Appendix-A notice) add
+// kRebalanceWarned: a kRunning zone whose kill was announced keeps
+// computing there until the doom instant; kCheckpointing <-> kRebalanceWarned
+// covers the emergency write and the compute resumed after it commits.
+// Regimes without a notice never enter the state, keeping the 16-entry 2012
+// table intact as a subset.
 #pragma once
 
 #include <cstddef>

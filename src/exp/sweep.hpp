@@ -46,8 +46,8 @@ struct SweepDurability {
 
 /// Runs `spec` over all chunks of `scenario`. Results are indexed by chunk.
 /// Every run is audited by RunValidator (see fault/run_validator.hpp)
-/// before it is returned; `engine_options` carries the termination-notice
-/// and fault-injection configuration.
+/// before it is returned; `engine_options` carries the market regime (with
+/// its termination notice) and the fault-injection configuration.
 std::vector<RunResult> run_fixed_sweep(const SpotMarket& market,
                                        const Scenario& scenario,
                                        const PolicyRunSpec& spec,

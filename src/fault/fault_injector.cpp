@@ -57,24 +57,18 @@ bool FaultInjector::request_rejected() {
   return request_rng_.bernoulli(plan_.request_rejection_rate);
 }
 
-bool FaultInjector::notice_dropped() {
-  if (plan_.notice_drop_rate <= 0.0) return false;
-  return notice_rng_.bernoulli(plan_.notice_drop_rate);
-}
-
-Duration FaultInjector::notice_lag(Duration notice) {
-  REDSPOT_CHECK(notice > 0);
-  if (plan_.notice_late_rate <= 0.0 || plan_.notice_max_lag <= 0) return 0;
-  if (!notice_rng_.bernoulli(plan_.notice_late_rate)) return 0;
-  const Duration max_lag = std::min(plan_.notice_max_lag, notice);
-  return 1 + static_cast<Duration>(notice_rng_.uniform_index(
-                 static_cast<std::uint64_t>(max_lag)));
-}
-
 FaultInjector::NoticeDelivery FaultInjector::notice_delivery(
     Duration notice) {
-  if (notice_dropped()) return {true, 0};
-  return {false, notice_lag(notice)};
+  REDSPOT_CHECK(notice > 0);
+  if (plan_.notice_drop_rate > 0.0 &&
+      notice_rng_.bernoulli(plan_.notice_drop_rate))
+    return {true, 0};
+  if (plan_.notice_late_rate <= 0.0 || plan_.notice_max_lag <= 0 ||
+      !notice_rng_.bernoulli(plan_.notice_late_rate))
+    return {false, 0};
+  const Duration max_lag = std::min(plan_.notice_max_lag, notice);
+  return {false, 1 + static_cast<Duration>(notice_rng_.uniform_index(
+                         static_cast<std::uint64_t>(max_lag)))};
 }
 
 Duration FaultInjector::backoff_delay(int attempt) {

@@ -40,16 +40,9 @@ class FaultInjector {
   /// Decides whether a spot request is rejected at fulfilment time.
   bool request_rejected();
 
-  /// Decides whether a termination notice is dropped entirely.
-  bool notice_dropped();
-
-  /// Delivery lag of a termination notice with `notice` seconds of nominal
-  /// warning: 0 when on time, otherwise in [1, min(notice, max_lag)].
-  Duration notice_lag(Duration notice);
-
   /// Fate of a termination notice with `notice` seconds of nominal
-  /// warning. A dropped notice never draws a lag (lag stays 0), so the
-  /// notice stream advances exactly as the separate queries would.
+  /// warning: dropped entirely, or delivered `lag` late — 0 when on time,
+  /// otherwise in [1, min(notice, max_lag)]. A dropped notice draws no lag.
   struct NoticeDelivery {
     bool dropped = false;
     Duration lag = 0;

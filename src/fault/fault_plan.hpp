@@ -61,10 +61,11 @@ struct FaultPlan {
   /// A spot request reaching the front of the queue is rejected (EC2
   /// "insufficient capacity"); retried with exponential backoff.
   double request_rejection_rate = 0.0;
-  /// A termination notice (EngineOptions::termination_notice > 0) never
+  /// A termination notice (MarketRegime::rebalance_notice > 0) never
   /// arrives: the instance dies abruptly, as in the 2013 market.
   double notice_drop_rate = 0.0;
-  /// A termination notice arrives late, shrinking the usable warning.
+  /// A termination notice arrives late, shrinking the usable warning; the
+  /// kill instant does not move.
   double notice_late_rate = 0.0;
   /// Maximum notice delivery lag when a notice is late.
   Duration notice_max_lag = 2 * kMinute;

@@ -34,12 +34,14 @@ struct MarketRegime {
 
   BillingRules billing;
 
-  /// Lead time of the capacity-rebalance warning before a provider kill
-  /// (EC2: 120 s). Zero means kills land unannounced, as in 2012. When
-  /// positive, an out-of-bid price tick delivers a kRebalanceNotice event
-  /// and moves the zone to kRebalanceWarned for the lead time instead of
-  /// terminating on the spot. Mutually exclusive with the Appendix-A
-  /// EngineOptions::termination_notice ablation knob.
+  /// Lead time of the termination notice before a provider kill (EC2's
+  /// capacity-rebalance / interruption warning: 120 s). Zero means kills
+  /// land unannounced, as in 2012. When positive, an out-of-bid price tick
+  /// fixes the kill instant `rebalance_notice` ahead and delivers a
+  /// kRebalanceNotice event that moves the zone to kRebalanceWarned until
+  /// then instead of terminating on the spot. This is the engine's only
+  /// notice path: the Appendix-A what-if is the classic regime with this
+  /// field set.
   Duration rebalance_notice = 0;
 
   bool operator==(const MarketRegime&) const = default;

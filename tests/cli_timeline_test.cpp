@@ -6,7 +6,8 @@
 // format (src/core/events/trace_recorder.hpp), the trace holds one K line
 // per reported config change, and its closing R line carries the printed
 // cost. Also pins the exit codes of the shared sweep/ensemble option
-// parsing: a flag of the other mode, or a multi-zone Large-bid, exits 2.
+// parsing: a flag of the other mode, a multi-zone Large-bid, or a
+// malformed or out-of-range number exits 2.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -116,6 +117,30 @@ TEST(CliArgs, FlagsOfTheOtherModeExitTwo) {
   EXPECT_EQ(sim_exit_code("ensemble --replications 2 --timeline"), 2);
   EXPECT_EQ(sim_exit_code("ensemble --replications 2 --experiments 3"), 2);
   EXPECT_EQ(sim_exit_code("--experiments 2 --bogus"), 2);
+}
+
+TEST(CliArgs, MalformedOrOutOfRangeNumbersExitTwo) {
+  for (const char* bad :
+       {"--notice abc", "--notice -5", "--notice 5s", "--slack x",
+        "--slack -1", "--slack nan", "--slack inf", "--tc -5", "--tc 0",
+        "--seed -1", "--zones 0,x", "--zones 0,", "--experiments 0",
+        "--experiments 2x", "--chunk -1"}) {
+    EXPECT_EQ(sim_exit_code(std::string("--experiments 2 ") + bad), 2)
+        << bad;
+  }
+  for (const char* bad :
+       {"--replications 0", "--replications -3", "--shards abc",
+        "--shards 0", "--threads -2", "--threads 1e3", "--notice abc"}) {
+    EXPECT_EQ(sim_exit_code(std::string("ensemble --replications 2 "
+                                        "--shards 1 ") +
+                            bad),
+              2)
+        << bad;
+  }
+  // Well-formed values still run.
+  EXPECT_EQ(sim_exit_code("--experiments 2 --notice 300 --slack 0.5 "
+                          "--tc 900 --zones 0,1"),
+            0);
 }
 
 TEST(CliArgs, LargeBidIsSingleZoneInBothModes) {

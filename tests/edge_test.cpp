@@ -180,7 +180,7 @@ TEST(TerminationNoticeEdge, NoticeShorterThanCheckpointNeverStartsOne) {
       step_series({{0.30, 6}, {2.00, 6}, {0.30, 60 * 12}})));
   const Experiment e = small_experiment(2.0, 2.0, 300);
   EngineOptions options;
-  options.termination_notice = 120;
+  options.regime.rebalance_notice = 120;
   testing::RunLog log;
   const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
                                 Money::cents(81), {0}, options, &log);
@@ -209,7 +209,7 @@ TEST(TerminationNoticeEdge, NoticeArrivingMidCheckpointLetsTheWriteFinish) {
       step_series({{0.30, 11}, {2.00, 6}, {0.30, 60 * 12}})));
   const Experiment e = small_experiment(2.0, 2.0, 300);
   EngineOptions options;
-  options.termination_notice = 300;
+  options.regime.rebalance_notice = 300;
   const RunResult with = run_fixed(market, e, PolicyKind::kPeriodic,
                                    Money::cents(81), {0}, options);
   EXPECT_TRUE(with.met_deadline);

@@ -122,8 +122,8 @@ std::string run_config(int i, bool explicit_classic_regime = false) {
   const Money bid = grid[rng.uniform_index(grid.size())];
 
   EngineOptions options;
-  options.termination_notice = notice;
   if (explicit_classic_regime) options.regime = MarketRegime::classic_2012();
+  options.regime.rebalance_notice = notice;
   if (with_faults) {
     options.faults.ckpt_write_failure_rate = 0.15;
     options.faults.ckpt_corruption_rate = 0.10;
@@ -201,9 +201,9 @@ TEST(EngineOracle, MatchesPreRefactorResults) {
 // The regime refactor's safety net: selecting kClassic2012 explicitly is
 // bit-identical to the seed engine (whose results the golden file pins
 // through the test above), across every strategy / fault / notice shape
-// in the rotation. Also pins that the classic regime does not perturb the
-// engine-options hash — journal and ensemble keys written before the
-// regime layer existed must keep resolving.
+// in the rotation. Also pins that selecting the classic regime explicitly
+// does not perturb the engine-options hash, so the two spellings share
+// journal and ensemble keys.
 TEST(EngineOracle, Classic2012RegimeIsBitIdenticalToDefault) {
   for (const int i : {0, 5, 10, 16, 23, 35, 47}) {
     EXPECT_EQ(run_config(i, /*explicit_classic_regime=*/true), run_config(i))

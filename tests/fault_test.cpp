@@ -4,6 +4,7 @@
 // AuditObserver auditors.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "common/check.hpp"
@@ -110,8 +111,10 @@ TEST(FaultInjector, ZeroRateQueriesNeverFire) {
     EXPECT_FALSE(injector.checkpoint_corrupts());
     EXPECT_FALSE(injector.restart_fails());
     EXPECT_FALSE(injector.request_rejected());
-    EXPECT_FALSE(injector.notice_dropped());
-    EXPECT_EQ(injector.notice_lag(300), 0);
+    const FaultInjector::NoticeDelivery notice =
+        injector.notice_delivery(300);
+    EXPECT_FALSE(notice.dropped);
+    EXPECT_EQ(notice.lag, 0);
   }
 }
 
@@ -266,38 +269,153 @@ TEST(EngineFaults, StoreOutageWindowFailsOnlyWritesInsideIt) {
   RunValidator(e, market.on_demand_rate()).check(r);
 }
 
+// Every market with a termination notice: the catalog's notice regimes and
+// the Appendix-A what-if (the classic market given a 300 s notice). All of
+// them announce kills through the same path, so the notice faults must act
+// on each.
+std::vector<MarketRegime> notice_regimes() {
+  MarketRegime appendix_a;
+  appendix_a.rebalance_notice = 300;
+  return {appendix_a, MarketRegime::rebalance(), MarketRegime::modern_multi()};
+}
+
 TEST(EngineFaults, DroppedNoticeKillsAbruptly) {
   const SpotMarket market = make_market(single_zone(outage_trace()));
   const Experiment e = small_experiment(2.0, 2.0, 300);
-  EngineOptions with_notice;
-  with_notice.termination_notice = 300;
-  const RunResult clean = run_fixed(market, e, PolicyKind::kPeriodic,
-                                    Money::cents(81), {0}, with_notice);
-  EngineOptions dropped = with_notice;
-  dropped.faults.notice_drop_rate = 1.0;
-  const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, dropped);
-  EXPECT_TRUE(r.met_deadline);
-  EXPECT_GT(r.faults.notices_dropped, 0);
-  // The dropped notice forfeits the emergency checkpoint the clean run
-  // gets, so recovery starts from scratch and finishes later.
-  EXPECT_LE(r.restarts, clean.restarts);
-  EXPECT_GE(r.finish_time, clean.finish_time);
-  RunValidator(e, market.on_demand_rate()).check(r);
+  for (const MarketRegime& regime : notice_regimes()) {
+    SCOPED_TRACE(regime.name + " notice " +
+                 format_duration(regime.rebalance_notice));
+    EngineOptions with_notice;
+    with_notice.regime = regime;
+    const RunResult clean = run_fixed(market, e, PolicyKind::kPeriodic,
+                                      Money::cents(81), {0}, with_notice);
+    EngineOptions dropped = with_notice;
+    dropped.faults.notice_drop_rate = 1.0;
+    const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
+                                  Money::cents(81), {0}, dropped);
+    EXPECT_TRUE(r.met_deadline);
+    EXPECT_GT(r.faults.notices_dropped, 0);
+    // The dropped notice forfeits any emergency checkpoint the clean run
+    // gets (a notice >= t_c fits one), so recovery starts from scratch and
+    // finishes no earlier.
+    EXPECT_LE(r.restarts, clean.restarts);
+    EXPECT_GE(r.finish_time, clean.finish_time);
+    RunValidator(e, market.on_demand_rate(), regime).check(r);
+  }
 }
 
 TEST(EngineFaults, LateNoticeShrinksTheWarningButNotTheGuarantee) {
   const SpotMarket market = make_market(single_zone(outage_trace()));
   const Experiment e = small_experiment(2.0, 2.0, 300);
-  EngineOptions options;
-  options.termination_notice = 300;
-  options.faults.notice_late_rate = 1.0;
-  options.faults.notice_max_lag = 2 * kMinute;
-  const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
-                                Money::cents(81), {0}, options);
-  EXPECT_TRUE(r.met_deadline);
-  EXPECT_GT(r.faults.notices_late, 0);
-  RunValidator(e, market.on_demand_rate()).check(r);
+  for (const MarketRegime& regime : notice_regimes()) {
+    SCOPED_TRACE(regime.name + " notice " +
+                 format_duration(regime.rebalance_notice));
+    EngineOptions options;
+    options.regime = regime;
+    options.faults.notice_late_rate = 1.0;
+    options.faults.notice_max_lag = 2 * kMinute;
+    const RunResult r = run_fixed(market, e, PolicyKind::kPeriodic,
+                                  Money::cents(81), {0}, options);
+    EXPECT_TRUE(r.met_deadline);
+    EXPECT_GT(r.faults.notices_late, 0);
+    RunValidator(e, market.on_demand_rate(), regime).check(r);
+  }
+}
+
+// The kill-instant contract of the one notice path: the out-of-bid tick
+// fixes the kill `rebalance_notice` ahead, and a late notice only shrinks
+// the warning — every kRebalanceNotice lands in [tick, kill] and every
+// kDoom exactly at the kill.
+class NoticeContractObserver final : public EngineObserver {
+ public:
+  explicit NoticeContractObserver(Duration lead) : lead_(lead) {}
+
+  void on_event(const Event& event) override {
+    switch (event.kind) {
+      case EventKind::kPriceTick:
+        last_tick_ = event.time;
+        return;
+      case EventKind::kRebalanceNotice: {
+        ++notices;
+        const auto tick = doom_tick_.find(event.zone);
+        ASSERT_NE(tick, doom_tick_.end()) << "notice without a doom tick";
+        EXPECT_GE(event.time, tick->second);
+        EXPECT_LE(event.time, tick->second + lead_);
+        return;
+      }
+      case EventKind::kDoom: {
+        ++dooms;
+        const auto tick = doom_tick_.find(event.zone);
+        ASSERT_NE(tick, doom_tick_.end()) << "doom without a doom tick";
+        EXPECT_EQ(event.time, tick->second + lead_);
+        return;
+      }
+      default:
+        return;
+    }
+  }
+
+  // With every notice late, each doom reports a kNoticeLate fault from
+  // inside the price tick that crossed the bid.
+  void on_fault(const FaultEvent& fault) override {
+    if (fault.kind != FaultEvent::Kind::kNoticeLate) return;
+    EXPECT_EQ(fault.at, last_tick_);
+    doom_tick_[fault.zone] = fault.at;
+  }
+
+  int notices = 0;
+  int dooms = 0;
+
+ private:
+  Duration lead_;
+  SimTime last_tick_ = -1;
+  std::map<std::size_t, SimTime> doom_tick_;
+};
+
+TEST(EngineFaults, LateNoticesKeepTheKillInstant) {
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Experiment e = Experiment::paper(40 * kDay, 0.15, 300);
+  for (const MarketRegime& regime : notice_regimes()) {
+    SCOPED_TRACE(regime.name + " notice " +
+                 format_duration(regime.rebalance_notice));
+    EngineOptions options;
+    options.regime = regime;
+    options.faults.notice_late_rate = 1.0;
+    FixedStrategy strategy(Money::cents(81), {0, 1, 2},
+                           make_policy(PolicyKind::kMarkovDaly));
+    Engine engine(market, e, strategy, options);
+    NoticeContractObserver contract(regime.rebalance_notice);
+    engine.add_observer(&contract);
+    const RunResult r = engine.run();
+    EXPECT_TRUE(r.met_deadline);
+    EXPECT_GT(r.faults.notices_late, 0);
+    EXPECT_GT(contract.notices, 0);
+    EXPECT_GT(contract.dooms, 0);
+  }
+}
+
+TEST(EngineFaults, DroppedNoticesScheduleNoNoticeOrDoom) {
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Experiment e = Experiment::paper(40 * kDay, 0.15, 300);
+  for (const MarketRegime& regime : notice_regimes()) {
+    SCOPED_TRACE(regime.name + " notice " +
+                 format_duration(regime.rebalance_notice));
+    EngineOptions options;
+    options.regime = regime;
+    options.faults.notice_drop_rate = 1.0;
+    FixedStrategy strategy(Money::cents(81), {0, 1, 2},
+                           make_policy(PolicyKind::kMarkovDaly));
+    Engine engine(market, e, strategy, options);
+    NoticeContractObserver contract(regime.rebalance_notice);
+    engine.add_observer(&contract);
+    const RunResult r = engine.run();
+    EXPECT_TRUE(r.met_deadline);
+    EXPECT_GT(r.faults.notices_dropped, 0);
+    EXPECT_EQ(contract.notices, 0);
+    EXPECT_EQ(contract.dooms, 0);
+  }
 }
 
 TEST(EngineFaults, AllSixPoliciesMeetTheDeadlineUnderModerateFaults) {
@@ -305,7 +423,7 @@ TEST(EngineFaults, AllSixPoliciesMeetTheDeadlineUnderModerateFaults) {
                           QueueDelayModel());
   const Experiment e = Experiment::paper(40 * kDay, 0.15, 300);
   EngineOptions options;
-  options.termination_notice = 300;
+  options.regime.rebalance_notice = 300;
   options.faults.ckpt_write_failure_rate = 0.2;
   options.faults.ckpt_corruption_rate = 0.1;
   options.faults.restart_failure_rate = 0.2;

@@ -645,7 +645,7 @@ TEST(SweepJournalTest, DifferentConfigurationsGetDistinctKeys) {
   // And the base key separates scenarios and engine options too.
   const Scenario other{VolatilityWindow::kHigh, 0.15, 300, 4};
   EngineOptions notice;
-  notice.termination_notice = 120;
+  notice.regime.rebalance_notice = 120;
   EXPECT_NE(sweep_base_key(market, scenario, {}),
             sweep_base_key(market, other, {}));
   EXPECT_NE(sweep_base_key(market, scenario, {}),

@@ -282,9 +282,10 @@ TEST(DeadlineNotice, NoticeLeadChangesTheForcedCheckpointOdds) {
             DeadlineAction::kSwitchToOnDemand);
   EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed + 301),
             DeadlineAction::kForceCheckpoint);
-  // ...but an announced kill means the write may not commit: never gamble.
+  // ...but an announced kill inside t_c means the write may not commit:
+  // never gamble.
   EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed + 5000,
-                              /*leader_doomed=*/true),
+                              /*leader_doom_at=*/due + 120),
             DeadlineAction::kSwitchToOnDemand);
 
   // A notice covering t_c guarantees an unannounced leader's write lands:
@@ -294,12 +295,48 @@ TEST(DeadlineNotice, NoticeLeadChangesTheForcedCheckpointOdds) {
             DeadlineAction::kForceCheckpoint);
   EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed),
             DeadlineAction::kSwitchToOnDemand);  // nothing to bank
+  // A doomed leader is judged by the warning it has left: exactly t_c
+  // still fits the forced write, t_c - 1 does not.
   EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed + 1,
-                              /*leader_doomed=*/true),
+                              /*leader_doom_at=*/due + 300),
+            DeadlineAction::kForceCheckpoint);
+  EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed + 1,
+                              /*leader_doom_at=*/due + 299),
+            DeadlineAction::kSwitchToOnDemand);
+  EXPECT_EQ(decide_at_trigger(p, committed, due, false, committed + 1,
+                              /*leader_doom_at=*/due),
+            DeadlineAction::kSwitchToOnDemand);
+  // From nothing committed, the first commit makes the switch owe t_r:
+  // the write must bank more than t_r even when it is sure to land.
+  const SimTime first_due = deadline_switch_time(p, 0);
+  EXPECT_EQ(decide_at_trigger(p, 0, first_due, false, 300),
+            DeadlineAction::kSwitchToOnDemand);
+  EXPECT_EQ(decide_at_trigger(p, 0, first_due, false, 301),
+            DeadlineAction::kForceCheckpoint);
+  p.restart_cost = 900;
+  EXPECT_EQ(decide_at_trigger(p, 0, deadline_switch_time(p, 0), false, 900),
             DeadlineAction::kSwitchToOnDemand);
   // An in-flight write always wins the trigger.
   EXPECT_EQ(decide_at_trigger(p, committed, due, true, committed + 1),
             DeadlineAction::kWait);
+}
+
+TEST(DeadlineNotice, FirstForcedCommitUnderALongNoticeKeepsTheDeadline) {
+  // A 900 s notice covers t_c = 900 s, so the trigger forces a write even
+  // for a small gain. In this run nothing is committed when the trigger
+  // fires, and a forced write banking less than t_r would leave the
+  // on-demand finish past the deadline (the engine's guarantee CHECK).
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 900, 80};
+  EngineOptions options;
+  options.regime.rebalance_notice = 900;
+  FixedStrategy strategy(Money::cents(81), {1},
+                         make_policy(PolicyKind::kMarkovDaly));
+  Engine engine(market, scenario.experiment(56), strategy, options);
+  const RunResult r = engine.run();
+  EXPECT_TRUE(r.met_deadline);
+  EXPECT_TRUE(r.switched_to_on_demand);
 }
 
 // --- batching gate -----------------------------------------------------------------

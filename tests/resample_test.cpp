@@ -143,7 +143,7 @@ TEST(TerminationNotice, NoticeAtLeastTcSavesProgress) {
                                       PolicyKind::kMarkovDaly,
                                       Money::cents(81), {0});
   EngineOptions notice;
-  notice.termination_notice = 300;
+  notice.regime.rebalance_notice = 300;
   const RunResult with = run_fixed(make_market(single_zone(trace)), e,
                                    PolicyKind::kMarkovDaly,
                                    Money::cents(81), {0}, notice);
@@ -169,7 +169,7 @@ TEST(TerminationNotice, ShortNoticeCannotFitACheckpoint) {
                                        PolicyKind::kMarkovDaly,
                                        Money::cents(81), {0});
   EngineOptions notice;
-  notice.termination_notice = 120;  // < t_c: useless, as Appendix A argues
+  notice.regime.rebalance_notice = 120;  // < t_c: useless, as Appendix A argues
   const RunResult r = run_fixed(make_market(single_zone(trace)), e,
                                 PolicyKind::kMarkovDaly, Money::cents(81),
                                 {0}, notice);
@@ -186,7 +186,7 @@ TEST(TerminationNotice, DoomedPartialHourStaysFree) {
                                   {0.30, 40 * 12}});
   const Experiment e = small_experiment(1.0, 1.5, 300);
   EngineOptions notice;
-  notice.termination_notice = 300;
+  notice.regime.rebalance_notice = 300;
   testing::RunLog log;
   const RunResult r = run_fixed(make_market(single_zone(trace)), e,
                                 PolicyKind::kMarkovDaly, Money::cents(81),
@@ -204,7 +204,7 @@ TEST(TerminationNotice, DeadlineStillGuaranteedUnderNotice) {
                           QueueDelayModel());
   for (Duration notice : {Duration{120}, Duration{300}, Duration{900}}) {
     EngineOptions options;
-    options.termination_notice = notice;
+    options.regime.rebalance_notice = notice;
     FixedStrategy strategy(Money::cents(81), {0, 1, 2},
                            make_policy(PolicyKind::kMarkovDaly));
     const Experiment e = Experiment::paper(40 * kDay, 0.15, 300);

@@ -241,7 +241,9 @@ TEST(ZoneMachine, CancelEventsClearsHandlesAndDoom) {
   z.ready_event = queue.schedule_at(EventKind::kInstanceReady, 0, 10, [] {});
   z.cycle_event = queue.schedule_at(EventKind::kCycleBoundary, 0, 20, [] {});
   z.doom_event = queue.schedule_at(EventKind::kDoom, 0, 30, [] {});
-  z.mark_doomed();
+  z.mark_doomed(30);
+  EXPECT_TRUE(z.doomed());
+  EXPECT_EQ(z.doom_at(), 30);
   EXPECT_EQ(queue.pending_count(), 3u);
 
   z.cancel_events(queue);
@@ -250,6 +252,7 @@ TEST(ZoneMachine, CancelEventsClearsHandlesAndDoom) {
   EXPECT_EQ(z.cycle_event, 0u);
   EXPECT_EQ(z.doom_event, 0u);
   EXPECT_FALSE(z.doomed());
+  EXPECT_EQ(z.doom_at(), kNever);
 }
 
 }  // namespace

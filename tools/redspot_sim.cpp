@@ -17,7 +17,10 @@
 //     --experiments N            sweep size; 1 = single run    [20]
 //     --chunk I                  chunk index for a single run  [0]
 //     --seed S                   trace generator seed          [42]
-//     --notice SECONDS           Appendix-A termination notice [0]
+//     --notice SECONDS           Appendix-A what-if: warn this long
+//                                before each out-of-bid kill
+//                                (MarketRegime::rebalance_notice
+//                                on the classic market)        [0]
 //     --trace FILE.csv           fixed-grid trace instead of synthetic
 //     --events FILE.csv          raw change-event trace (resampled)
 //     --timeline                 print the run's event trace after the
@@ -27,6 +30,9 @@
 //                                reconfiguration, ending in the R line —
 //                                the EventTraceRecorder format of
 //                                src/core/events/trace_recorder.hpp
+//
+//   A numeric value that is malformed or out of range (--tc and --notice
+//   at most a day, --experiments at least 1) exits 2 with a usage message.
 //
 //   redspot_sim ensemble [options]
 //     Monte-Carlo mode: evaluates the configuration over N independently
@@ -80,6 +86,9 @@ struct SimArgs {
   bool timeline = false;
 };
 
+/// Bound on --experiments and --chunk (one sweep holds every result).
+constexpr std::size_t kMaxExperiments = 1'000'000;
+
 /// Flags that only `redspot_sim ensemble` accepts.
 constexpr const char* kEnsembleOnlyFlags[] = {
     "--replications", "--shards", "--threads", "--no-cache", "--journal"};
@@ -101,9 +110,10 @@ SimArgs parse_sim_args(const std::vector<std::string>& extra) {
   for (std::size_t i = 0; i < extra.size(); ++i) {
     const std::string& opt = extra[i];
     if (opt == "--experiments") {
-      a.experiments = std::strtoull(need(i++), nullptr, 10);
+      a.experiments =
+          parse_number<std::size_t>(opt, need(i++), 1, kMaxExperiments);
     } else if (opt == "--chunk") {
-      a.chunk = std::strtoull(need(i++), nullptr, 10);
+      a.chunk = parse_number<std::size_t>(opt, need(i++), 0, kMaxExperiments);
     } else if (opt == "--trace") {
       a.trace_file = need(i++);
     } else if (opt == "--events") {
