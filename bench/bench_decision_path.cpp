@@ -47,6 +47,7 @@
 #include "common/random.hpp"
 #include "core/adaptive/history_stats.hpp"
 #include "core/batch/batched_engine.hpp"
+#include "core/batch/model_pool.hpp"
 #include "core/engine.hpp"
 #include "core/policies/rising_edge.hpp"
 #include "core/strategy.hpp"
@@ -190,12 +191,13 @@ PriceSeries walk_series(std::uint64_t seed, std::size_t samples) {
 // expected up-time with the allocating free function — at EVERY decision.
 // Decision results are bit-identical to the real policies (property-tested
 // in tests/decision_path_test.cpp), so both sweeps compute the same runs.
-
-constexpr std::size_t kPolicyMaxStates = 64;  // matches the real policies
+// Every fit uses the engine's state bound, ZoneModelPool::kMaxStates, so
+// the reference cannot drift from the engine.
 
 Duration legacy_zone_uptime(const EngineView& view, std::size_t zone) {
   const PriceSeries hist = view.history(zone).materialize();
-  const MarkovModel model = build_markov_model(hist.view(), kPolicyMaxStates);
+  const MarkovModel model =
+      build_markov_model(hist.view(), batch::ZoneModelPool::kMaxStates);
   return expected_uptime(model, view.price(zone), view.bid());
 }
 
@@ -386,7 +388,7 @@ int main(int argc, char** argv) {
       const SimTime from = s.start() + static_cast<SimTime>(lo) * kPriceStep;
       return s.view(from, from + static_cast<SimTime>(kWindow) * kPriceStep);
     };
-    IncrementalMarkovModel inc(kPolicyMaxStates);
+    IncrementalMarkovModel inc(batch::ZoneModelPool::kMaxStates);
     const int inc_iters = quick ? 400 : 2000;
     const double inc_ns = median_ns(reps, inc_iters, [&](int i) {
       const PriceView w = window_at(i);
@@ -396,7 +398,8 @@ int main(int argc, char** argv) {
     const int scratch_iters = quick ? 60 : 300;
     const double scratch_ns = median_ns(reps, scratch_iters, [&](int i) {
       const PriceView w = window_at(i);
-      const MarkovModel m = build_markov_model(w, kPolicyMaxStates);
+      const MarkovModel m =
+          build_markov_model(w, batch::ZoneModelPool::kMaxStates);
       g_sink += expected_uptime(m, w.sample(w.size() - 1), kBid);
     });
     report.set(inc_key, inc_ns);
@@ -540,7 +543,7 @@ int main(int argc, char** argv) {
       return flat.view(from,
                        from + static_cast<SimTime>(kWindow) * kPriceStep);
     };
-    IncrementalMarkovModel inc(kPolicyMaxStates);
+    IncrementalMarkovModel inc(batch::ZoneModelPool::kMaxStates);
     inc.observe(window_at(0));
     g_sink += inc.expected_uptime(Money::cents(30), kBid);
     inc.observe(window_at(1));  // warm the slide scratch

@@ -159,13 +159,17 @@ std::vector<PermutationEstimate> evaluate_permutations(
       }
     }
   }
+  // A total order: the ranking (and Adaptive's pick) never depends on the
+  // sort algorithm or the input order.
   std::sort(all.begin(), all.end(),
             [](const PermutationEstimate& a, const PermutationEstimate& b) {
               if (a.predicted_cost != b.predicted_cost)
                 return a.predicted_cost < b.predicted_cost;
               if (a.zones.size() != b.zones.size())
                 return a.zones.size() < b.zones.size();
-              return a.bid < b.bid;
+              if (a.bid != b.bid) return a.bid < b.bid;
+              if (a.zones != b.zones) return a.zones < b.zones;
+              return a.policy < b.policy;
             });
   return all;
 }

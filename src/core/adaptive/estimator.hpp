@@ -64,7 +64,8 @@ PermutationEstimate estimate_permutation(const HistoryStats& hist,
 
 /// Evaluates every permutation of (bid grid) x (non-empty zone subsets up
 /// to max_zones) x (policies) and returns them sorted by predicted cost
-/// ascending (ties: fewer zones, then lower bid).
+/// ascending (ties: fewer zones, lower bid, lexicographically smaller zone
+/// set, then lower PolicyKind — a total order).
 std::vector<PermutationEstimate> evaluate_permutations(
     const HistoryStats& hist, std::size_t max_zones,
     std::span<const PolicyKind> policies, const EstimatorInputs& in);

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/check.hpp"
 #include "core/batch/batch_state.hpp"
 #include "core/batch/model_pool.hpp"
 #include "core/strategy.hpp"
@@ -13,22 +12,11 @@ BatchedSweepEngine::BatchedSweepEngine(const SpotMarket& market,
                                        EngineOptions options)
     : market_(&market), options_(options), index_(market.traces()) {}
 
-bool BatchedSweepEngine::can_batch(const EngineOptions& options) {
-  return !options.faults.enabled();
-}
-
-bool BatchedSweepEngine::can_batch(const EngineOptions& a,
-                                   const EngineOptions& b) {
-  return can_batch(a) && can_batch(b) && a.regime == b.regime;
-}
-
 std::vector<RunResult> BatchedSweepEngine::run(
     std::span<const BatchConfig> configs) const {
   const std::size_t n = configs.size();
   std::vector<RunResult> results(n);
   if (n == 0) return results;
-  REDSPOT_CHECK_MSG(can_batch(options_),
-                    "batched sweep with non-batchable engine options");
 
   // Shared state of the group: one model pool, its bid grid spanning
   // every lane so the prewarm kernel covers the whole group.
@@ -43,13 +31,11 @@ std::vector<RunResult> BatchedSweepEngine::run(
   strategies.reserve(n);
   engines.reserve(n);
   for (const BatchConfig& c : configs) {
-    std::unique_ptr<Policy> policy = make_policy(c.policy);
-    policy->use_model_pool(&pool);
-    strategies.push_back(
-        std::make_unique<FixedStrategy>(c.bid, c.zones, std::move(policy)));
+    strategies.push_back(std::make_unique<FixedStrategy>(
+        c.bid, c.zones, make_policy(c.policy)));
     engines.push_back(std::make_unique<Engine>(*market_, c.experiment,
                                                *strategies.back(), options_));
-    engines.back()->set_shared_trace(&index_);
+    engines.back()->join_group(index_, pool);
     if (c.observer != nullptr) engines.back()->add_observer(c.observer);
   }
 

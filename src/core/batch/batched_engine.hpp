@@ -16,6 +16,9 @@
 //     (state, alive) memo dedupes the closed-form solves across lanes and
 //     bids, prewarmed grid-wide through the branchless alive-state kernel.
 //
+// Lanes attach to both through Engine::join_group; policies are stateless
+// and see the shared state only through EngineView.
+//
 // Each lane is still a full scalar Engine stepped incrementally
 // (begin/step_one/finalize), so billing anchors, zone-machine
 // transitions, checkpoint coordination, and observers behave exactly as
@@ -27,10 +30,14 @@
 // interleaving. The time-ordered interleaving is a performance choice
 // (models only slide forward), not a correctness requirement.
 //
-// Dispatch rule (the homogeneous-group contract): lanes must be fixed
-// policies (PolicyKind) with can_batch() options — the all-zero fault
-// plan. Adaptive and large-bid strategies, and faulted runs, take the
-// scalar path; exp/sweep.cpp and ensemble/shard_exec.cpp enforce this.
+// Everything else a lane owns stays private to its Engine: the calendar,
+// the queue-delay RNG and the FaultInjector are seeded from the lane's
+// experiment, and no fault touches the prices the shared state reads, so
+// faulted lanes batch like any other and any EngineOptions qualify.
+//
+// Dispatch rule: lanes are fixed policies (PolicyKind). Adaptive and
+// large-bid are Strategies and run on the scalar Engine; exp/sweep.cpp and
+// ensemble/shard_exec.cpp route by that alone.
 #pragma once
 
 #include <span>
@@ -55,23 +62,11 @@ struct BatchConfig {
 class BatchedSweepEngine {
  public:
   /// Builds the shared trace index once; `market` must outlive the
-  /// engine. The engine is immutable after construction, so one instance
+  /// engine. Every lane runs under `options` (any fault plan and regime),
+  /// so a group is regime-homogeneous by construction. The engine is immutable after construction, so one instance
   /// serves many concurrent run() calls (one per sweep task).
   explicit BatchedSweepEngine(const SpotMarket& market,
                               EngineOptions options = {});
-
-  /// True when `options` qualify for the batched path: the all-zero fault
-  /// plan (fault injection draws per-engine randomness on divergent
-  /// control flow; those runs keep the scalar path). Any regime qualifies
-  /// on its own — one engine's lanes all share options_, so a group is
-  /// regime-homogeneous by construction.
-  static bool can_batch(const EngineOptions& options);
-
-  /// True when two option sets may share one lockstep group: both
-  /// batchable AND the same market regime. Callers batching lanes across
-  /// option sets (the head-to-head harness) gate on this; mixed regimes
-  /// fall back to scalar runs.
-  static bool can_batch(const EngineOptions& a, const EngineOptions& b);
 
   /// Runs every lane to completion in lockstep. Returns one RunResult per
   /// lane, in lane order — each bit-identical to what a scalar

@@ -2,15 +2,9 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
 #include "core/batch/batch_state.hpp"
 
 namespace redspot::batch {
-
-ZoneModelPool::ZoneModelPool(std::size_t max_states)
-    : max_states_(max_states) {
-  REDSPOT_CHECK(max_states_ >= 2);
-}
 
 void ZoneModelPool::set_bid_grid(std::span<const Money> bids) {
   bid_grid_.assign(bids.begin(), bids.end());
@@ -23,7 +17,7 @@ void ZoneModelPool::set_bid_grid(std::span<const Money> bids) {
 ZoneModelPool::ZoneSlot& ZoneModelPool::slot(std::size_t zone) {
   if (zones_.size() <= zone) zones_.resize(zone + 1);
   if (zones_[zone] == nullptr)
-    zones_[zone] = std::make_unique<ZoneSlot>(max_states_);
+    zones_[zone] = std::make_unique<ZoneSlot>();
   return *zones_[zone];
 }
 
@@ -55,13 +49,8 @@ void ZoneModelPool::prewarm(ZoneSlot& z, Money price) {
 }
 
 Duration ZoneModelPool::expected_uptime(std::size_t zone,
-                                        std::size_t max_states,
                                         const PriceView& history, Money price,
                                         Money bid) {
-  REDSPOT_CHECK_MSG(max_states == max_states_,
-                    "pooled policy max_states mismatch: " << max_states
-                                                          << " vs pool "
-                                                          << max_states_);
   ZoneSlot& z = slot(zone);
   z.model.observe(history);
   if (!bid_grid_.empty()) {

@@ -1,7 +1,9 @@
-// Per-zone Markov models shared across a lockstep batch group
-// (DESIGN.md §14).
+// Per-zone Markov models: the one owner of the decision path's Markov
+// state (DESIGN.md §10, §14).
 //
-// Every engine in a batch group sees the same trace, and the history
+// Every engine answers EngineView::expected_uptime from a pool: its own
+// by default, or its batch group's after Engine::join_group. Every engine
+// in a batch group sees the same trace, and the history
 // window a policy fits is a pure function of (zone, now): it does not
 // depend on which engine asks. Because the group advances in global time
 // order, the shared per-zone IncrementalMarkovModel only ever slides
@@ -12,11 +14,11 @@
 // Bit-identity: IncrementalMarkovModel::observe(w) equals
 // build_markov_model(w) bit-for-bit regardless of slide history (the §10
 // property), and the memoized uptime equals the free-function solve
-// bit-for-bit, so a pooled policy computes exactly the doubles a private
-// per-engine model would — for ANY interleaving of the group's engines.
+// bit-for-bit, so a shared pool answers exactly the doubles a private
+// per-engine pool would — for ANY interleaving of the group's engines.
 //
-// The pool is single-threaded by construction (one pool per batch group,
-// one group per sweep task), like the per-run policy models it replaces.
+// The pool is single-threaded by construction (one pool per engine or per
+// batch group, one group per sweep task).
 #pragma once
 
 #include <cstddef>
@@ -32,11 +34,8 @@ namespace redspot::batch {
 
 class ZoneModelPool {
  public:
-  /// `max_states` must match the policies routed through the pool (both
-  /// Markov policies default to 64); checked on every query.
-  explicit ZoneModelPool(std::size_t max_states = 64);
-
-  std::size_t max_states() const { return max_states_; }
+  /// Markov state bound of every pooled model (see markov/model.hpp).
+  static constexpr std::size_t kMaxStates = 64;
 
   /// Registers the group's bid grid (any order; deduped ascending). With
   /// two or more distinct bids, each model refresh prewarms the uptime
@@ -44,16 +43,15 @@ class ZoneModelPool {
   /// so per-lane queries hit warm slots.
   void set_bid_grid(std::span<const Money> bids);
 
-  /// observe(history) on the shared model of `zone`, then the memoized
-  /// expected uptime — the pooled equivalent of the two calls a private
-  /// policy model makes, bit-identical to them.
-  Duration expected_uptime(std::size_t zone, std::size_t max_states,
-                           const PriceView& history, Money price, Money bid);
+  /// observe(history) on the model of `zone`, then its memoized expected
+  /// uptime. Without a bid grid these are exactly those two calls; with
+  /// one, grid bids read the prewarmed answer, bit-identical to them.
+  Duration expected_uptime(std::size_t zone, const PriceView& history,
+                           Money price, Money bid);
 
  private:
   struct ZoneSlot {
-    explicit ZoneSlot(std::size_t max_states) : model(max_states) {}
-    IncrementalMarkovModel model;
+    IncrementalMarkovModel model{kMaxStates};
     /// Refresh counter + price the grid was last prewarmed for; a stale
     /// pair means the model moved (or the price did) and the warmed
     /// answers below no longer apply.
@@ -70,7 +68,6 @@ class ZoneModelPool {
   ZoneSlot& slot(std::size_t zone);
   void prewarm(ZoneSlot& z, Money price);
 
-  std::size_t max_states_;
   std::vector<Money> bid_grid_;
   /// SoA scratch for the prewarm kernel: flat state prices and per-bid
   /// alive states (see batch_state.hpp).

@@ -30,6 +30,12 @@
 // (fault/audit_observer.hpp), the event-trace recorder — attaches through
 // EngineObserver rather than bespoke hooks.
 //
+// The engine is also the one owner of decision-path state. Policies read
+// S_min (min_observed_price) and E[Tu] (expected_uptime) through
+// EngineView and keep no models: every zone's Markov model lives in one
+// batch::ZoneModelPool, the engine's own or its batch group's
+// (join_group).
+//
 // Reserving t_c in the margin lets the engine take one final checkpoint of
 // the leading zone at the switch instant, capturing speculative progress
 // without risking the deadline even if that zone dies mid-checkpoint.
@@ -48,6 +54,7 @@
 #include "ckpt/store.hpp"
 #include "common/check.hpp"
 #include "common/random.hpp"
+#include "core/batch/model_pool.hpp"
 #include "core/billing_ledger/zone_billing.hpp"
 #include "core/ckpt_coordinator.hpp"
 #include "core/deadline/deadline_monitor.hpp"
@@ -92,6 +99,9 @@ class Engine final : public EngineView,
   /// `market` and `strategy` must outlive the engine.
   Engine(const SpotMarket& market, Experiment experiment, Strategy& strategy,
          EngineOptions options = {});
+  /// Handlers and pool_ point into the engine itself.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
   /// Attaches an observer to the run: it sees every calendar event, zone
   /// transition, billing line item, checkpoint settlement, injected fault,
@@ -120,12 +130,17 @@ class Engine final : public EngineView,
   /// Seals and returns the result; requires finished(). Call once.
   RunResult finalize();
 
-  /// Routes min_observed_price() through a shared O(1) range-min index
-  /// over the market traces (bit-identical to the linear scan — see
-  /// core/batch/trace_index.hpp). The index must be built over this
-  /// engine's market and outlive the run. Call before begin()/run().
-  void set_shared_trace(const batch::SharedTraceIndex* index) {
-    shared_trace_ = index;
+  /// Joins a lockstep batch group: min_observed_price() reads the group's
+  /// range-min index over the market traces, and expected_uptime() its
+  /// per-zone models, instead of the linear scan and this engine's own
+  /// pool. Both answers are bit-identical either way (see
+  /// core/batch/trace_index.hpp, model_pool.hpp). `index` must be built
+  /// over this engine's market; both must outlive the run. Call before
+  /// begin()/run().
+  void join_group(const batch::SharedTraceIndex& index,
+                  batch::ZoneModelPool& pool) {
+    shared_trace_ = &index;
+    pool_ = &pool;
   }
 
   // --- EngineView ----------------------------------------------------------
@@ -152,6 +167,9 @@ class Engine final : public EngineView,
   Money previous_price(std::size_t zone) const override;
   PriceView history(std::size_t zone) const override;
   Money min_observed_price(std::size_t zone) const override;
+  Duration expected_uptime(std::size_t zone) const override {
+    return pool_->expected_uptime(zone, history(zone), price(zone), bid());
+  }
   Duration committed_progress() const override {
     return store_.latest_progress();
   }
@@ -249,6 +267,11 @@ class Engine final : public EngineView,
   Strategy* strategy_;
   EngineOptions options_;
   const batch::SharedTraceIndex* shared_trace_ = nullptr;
+  /// The decision path's Markov models: own_pool_ unless join_group()
+  /// points this at the group's. Mutable state behind a const view; the
+  /// answers are pure functions of (zone, now, bid).
+  batch::ZoneModelPool own_pool_;
+  batch::ZoneModelPool* pool_ = &own_pool_;
 
   EventQueue queue_;
   Rng queue_rng_;

@@ -1,7 +1,6 @@
 #include "core/policies/markov_daly.hpp"
 
 #include "ckpt/daly.hpp"
-#include "core/batch/model_pool.hpp"
 
 namespace redspot {
 
@@ -9,21 +8,10 @@ bool MarkovDalyPolicy::checkpoint_condition(const EngineView&) {
   return false;  // schedule-driven, like Periodic
 }
 
-Duration MarkovDalyPolicy::combined_uptime(const EngineView& view) const {
+Duration MarkovDalyPolicy::combined_uptime(const EngineView& view) {
   Duration total = 0;
-  for (std::size_t zone : view.zone_ids()) {
-    if (!view.zone_running(zone)) continue;
-    if (pool_ != nullptr) {
-      total += pool_->expected_uptime(zone, max_states_, view.history(zone),
-                                      view.price(zone), view.bid());
-      continue;
-    }
-    if (models_.size() <= zone)
-      models_.resize(zone + 1, IncrementalMarkovModel(max_states_));
-    IncrementalMarkovModel& model = models_[zone];
-    model.observe(view.history(zone));
-    total += model.expected_uptime(view.price(zone), view.bid());
-  }
+  for (std::size_t zone : view.zone_ids())
+    if (view.zone_running(zone)) total += view.expected_uptime(zone);
   return total;
 }
 

@@ -5,39 +5,24 @@
 //      fitted to the trailing 2-day price history;
 //   2. combined E[Tu] = sum over executing zones (independent zones);
 //   3. next checkpoint after daly_interval(E[Tu], t_c) of compute.
+//
+// Stateless: step 1 is EngineView::expected_uptime, whose models the
+// engine owns.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "core/policy.hpp"
-#include "markov/incremental.hpp"
 
 namespace redspot {
 
 class MarkovDalyPolicy final : public Policy {
  public:
-  /// `max_states` bounds the Markov state space (see markov/model.hpp).
-  explicit MarkovDalyPolicy(std::size_t max_states = 64)
-      : max_states_(max_states) {}
-
   std::string name() const override { return "markov-daly"; }
   bool checkpoint_condition(const EngineView& view) override;
   SimTime schedule_next_checkpoint(const EngineView& view) override;
-  void use_model_pool(batch::ZoneModelPool* pool) override { pool_ = pool; }
 
   /// Combined expected up-time at the view's bid over its executing zones
-  /// (exposed for tests and the Threshold policy).
-  Duration combined_uptime(const EngineView& view) const;
-
- private:
-  std::size_t max_states_;
-  /// Batched runs share per-zone models group-wide through the pool
-  /// (bit-identical to the private models below).
-  batch::ZoneModelPool* pool_ = nullptr;
-  /// Per-zone sliding models (global zone id). Policies are per-run objects
-  /// (see exp/sweep), so this cache is single-threaded by construction.
-  mutable std::vector<IncrementalMarkovModel> models_;
+  /// (exposed for tests).
+  static Duration combined_uptime(const EngineView& view);
 };
 
 }  // namespace redspot

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/batch/model_pool.hpp"
 #include "core/policies/rising_edge.hpp"
 
 namespace redspot {
@@ -24,20 +23,8 @@ SimTime ThresholdPolicy::schedule_next_checkpoint(const EngineView& view) {
   // TimeThresh: probabilistic average up-time of the leading zone at B.
   Duration best_uptime = 0;
   for (std::size_t zone : view.zone_ids()) {
-    if (!view.zone_running(zone)) continue;
-    if (pool_ != nullptr) {
-      best_uptime = std::max(
-          best_uptime,
-          pool_->expected_uptime(zone, max_states_, view.history(zone),
-                                 view.price(zone), view.bid()));
-      continue;
-    }
-    if (models_.size() <= zone)
-      models_.resize(zone + 1, IncrementalMarkovModel(max_states_));
-    IncrementalMarkovModel& model = models_[zone];
-    model.observe(view.history(zone));
-    best_uptime = std::max(
-        best_uptime, model.expected_uptime(view.price(zone), view.bid()));
+    if (view.zone_running(zone))
+      best_uptime = std::max(best_uptime, view.expected_uptime(zone));
   }
   if (best_uptime <= 0) return kNever;
   // "execution time at B" exceeds TimeThresh at since + TimeThresh.

@@ -13,33 +13,20 @@
 // scheduled deadline measured from the last restart/checkpoint
 // (schedule_next_checkpoint), which evaluates it exactly rather than at
 // 5-minute polls.
+//
+// Stateless: E[Tu] comes from EngineView::expected_uptime, whose models
+// the engine owns.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "core/policy.hpp"
-#include "markov/incremental.hpp"
 
 namespace redspot {
 
 class ThresholdPolicy final : public Policy {
  public:
-  explicit ThresholdPolicy(std::size_t max_states = 64)
-      : max_states_(max_states) {}
-
   std::string name() const override { return "threshold"; }
   bool checkpoint_condition(const EngineView& view) override;
   SimTime schedule_next_checkpoint(const EngineView& view) override;
-  void use_model_pool(batch::ZoneModelPool* pool) override { pool_ = pool; }
-
- private:
-  std::size_t max_states_;
-  /// Batched runs share per-zone models group-wide (bit-identical).
-  batch::ZoneModelPool* pool_ = nullptr;
-  /// Per-zone sliding models (global zone id); per-run object, so
-  /// single-threaded by construction.
-  std::vector<IncrementalMarkovModel> models_;
 };
 
 }  // namespace redspot

@@ -25,10 +25,6 @@
 
 namespace redspot {
 
-namespace batch {
-class ZoneModelPool;
-}  // namespace batch
-
 /// Read-only view of the engine state, as seen by a policy.
 class EngineView {
  public:
@@ -64,6 +60,13 @@ class EngineView {
   /// Minimum spot price of `zone` over the trailing history (S_min in the
   /// Threshold policy).
   virtual Money min_observed_price(std::size_t zone) const = 0;
+
+  /// E[Tu]: expected up-time of `zone` at its current price under the
+  /// current bid, from a Markov chain fitted to history(zone) (Markov-Daly
+  /// and Threshold). Equals expected_uptime(build_markov_model(history,
+  /// ZoneModelPool::kMaxStates), price, bid) bit-for-bit; the engine
+  /// answers it from incrementally slid models it owns.
+  virtual Duration expected_uptime(std::size_t zone) const = 0;
 
   /// Committed (checkpointed) progress.
   virtual Duration committed_progress() const = 0;
@@ -124,13 +127,6 @@ class Policy {
     (void)zone;
     return true;
   }
-
-  /// Batched sweeps: route Markov fits through per-zone models shared
-  /// across the batch group's engines instead of private ones. Pooled
-  /// answers are bit-identical to private-model answers (see
-  /// core/batch/model_pool.hpp), so this is purely a sharing knob. The
-  /// pool must outlive the run; no-op for policies without models.
-  virtual void use_model_pool(batch::ZoneModelPool* pool) { (void)pool; }
 };
 
 /// The fixed policies of the evaluation (Adaptive is a Strategy, not a

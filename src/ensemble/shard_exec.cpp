@@ -25,15 +25,13 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
   const Scenario scenario{spec_.window, spec_.slack_fraction,
                           spec_.checkpoint_cost, spec_.starts_grid};
   starts_ = scenario.starts();
-  // Fixed-policy configs run through the batched lockstep engine when the
-  // engine options qualify; adaptive / large-bid lanes stay scalar.
-  if (batch::BatchedSweepEngine::can_batch(spec_.engine)) {
-    for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
-      if (spec_.configs[c].kind == EnsembleConfig::Kind::kFixedPolicy)
-        batchable_.push_back(c);
-    }
-    if (batchable_.size() < 2) batchable_.clear();
+  // Fixed-policy configs run through the batched lockstep engine under any
+  // engine options; adaptive / large-bid lanes stay scalar.
+  for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
+    if (spec_.configs[c].kind == EnsembleConfig::Kind::kFixedPolicy)
+      batchable_.push_back(c);
   }
+  if (batchable_.size() < 2) batchable_.clear();
 }
 
 std::pair<std::size_t, std::size_t> ShardExecutor::bounds(
@@ -106,8 +104,8 @@ std::string ShardExecutor::compute(std::size_t s,
           results[batchable_[k]] = runs[k - g];
       }
     }
-    // Scalar lanes (adaptive, large-bid, or unbatchable engine options),
-    // then the canonical add_run order: configs in index order, per
+    // Scalar lanes (adaptive, large-bid, or a lone fixed policy), then
+    // the canonical add_run order: configs in index order, per
     // replication.
     for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
       if (is_batched[c] == 0) {

@@ -96,8 +96,8 @@ class ShardExecutor {
 
   const EnsembleSpec& spec_;
   std::uint64_t spec_hash_;
-  /// Indices into spec_.configs eligible for the batched path (fixed
-  /// policies); empty when the engine options disqualify the spec.
+  /// Indices into spec_.configs on the batched path: the fixed policies,
+  /// whatever the engine options; empty when fewer than two.
   std::vector<std::size_t> batchable_;
   std::vector<SimTime> starts_;
   SyntheticTraceSpec trace_template_;

@@ -73,10 +73,10 @@ void run_chunks_batched(const SpotMarket& market, const Scenario& scenario,
 /// the kReplay audit) are taken from the journal, and computed chunks are
 /// appended under `key` once they pass the full audit.
 ///
-/// `batch_spec` non-null marks a homogeneous fixed-policy sweep: chunk
-/// groups dispatch to the batched lockstep engine when the options
-/// qualify (no faults); everything else — adaptive, large-bid, faulted —
-/// keeps the scalar per-chunk path.
+/// `batch_spec` non-null marks a fixed-policy sweep: its chunk groups
+/// dispatch to the batched lockstep engine under any engine options,
+/// faulted ones included; adaptive and large-bid strategies keep the
+/// scalar per-chunk path.
 template <typename MakeStrategy>
 std::vector<RunResult> run_sweep(const SpotMarket& market,
                                  const Scenario& scenario,
@@ -113,8 +113,7 @@ std::vector<RunResult> run_sweep(const SpotMarket& market,
   pending.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     if (replayed[i] == 0) pending.push_back(i);
-  if (batch_spec != nullptr && pending.size() > 1 &&
-      batch::BatchedSweepEngine::can_batch(engine_options)) {
+  if (batch_spec != nullptr && pending.size() > 1) {
     run_chunks_batched(market, scenario, engine_options, *batch_spec, key,
                        journal, pending, results);
   } else {

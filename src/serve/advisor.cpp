@@ -55,12 +55,7 @@ EstimatorInputs make_inputs(const ZoneTraceSet& traces, SimTime now,
 
 }  // namespace
 
-Advice compute_advice(ModelEntry& entry, const ZoneTraceSet& traces,
-                      const JobParams& job) {
-  // Decision time mirrors the engine exactly: when the tick effective at T
-  // arrives, the engine reconsiders at now = T with the trailing history
-  // [T - span, T) — the new sample is the "current price", not yet part of
-  // the history window.
+SlideWindow slide_history(ModelEntry& entry, const ZoneTraceSet& traces) {
   REDSPOT_CHECK(!traces.zone(0).empty());
   const SimTime now = traces.end() - traces.step();
   const SimTime from = now - entry.spec.history_span;
@@ -69,7 +64,14 @@ Advice compute_advice(ModelEntry& entry, const ZoneTraceSet& traces,
   } else {
     entry.hist->advance(traces, from, now);
   }
+  while (entry.zone_models.size() < traces.num_zones())
+    entry.zone_models.emplace_back(entry.spec.max_states);
+  return {from, now};
+}
 
+Advice compute_advice(ModelEntry& entry, const ZoneTraceSet& traces,
+                      const JobParams& job) {
+  const auto [from, now] = slide_history(entry, traces);
   const EstimatorInputs in = make_inputs(traces, now, job);
   const std::vector<PermutationEstimate> ranked = evaluate_permutations(
       *entry.hist, entry.spec.max_zones, entry.spec.policies, in);
@@ -87,8 +89,6 @@ Advice compute_advice(ModelEntry& entry, const ZoneTraceSet& traces,
   // way MarkovDalyPolicy::schedule_next_checkpoint computes them: per-zone
   // expected up-time at the current price under the adopted bid, summed
   // over the zones that would run.
-  while (entry.zone_models.size() < traces.num_zones())
-    entry.zone_models.emplace_back(entry.spec.max_states);
   Duration uptime = 0;
   for (std::size_t zone : adv.zones) {
     IncrementalMarkovModel& model = entry.zone_models[zone];

@@ -98,6 +98,21 @@ struct ModelEntry {
   std::uint64_t advises = 0;
 };
 
+/// The trailing history window [from, now) an entry was slid to.
+struct SlideWindow {
+  SimTime from = 0;
+  SimTime now = 0;  ///< decision time: the newest sample's timestamp
+};
+
+/// Slides `entry`'s history stats to the trailing window ending at the
+/// newest sample of `traces` and sizes its per-zone models to the traces.
+/// Decision time mirrors the engine: when the tick effective at T arrives,
+/// the engine reconsiders at now = T with history [T - span, T), so the
+/// new sample is the current price, not yet history. Both the advise path
+/// (compute_advice) and the tick path start here, then observe their own
+/// zones over the returned window.
+SlideWindow slide_history(ModelEntry& entry, const ZoneTraceSet& traces);
+
 /// Slides `entry` to the trailing window of `traces` ending at
 /// traces.end() and answers `job`. Mutates the entry (see file comment);
 /// the traces must be the same live storage across calls for the slides

@@ -323,20 +323,12 @@ class Server {
   }
 
   /// Advances the entry's history window and per-zone models to the
-  /// current trace end without computing advice (the tick path). Same
-  /// window arithmetic as compute_advice, so a later advise finds the
-  /// state already slid; observe() is idempotent, so re-observing there
-  /// stays bit-identical. Requires >= 2 samples (caller checks).
+  /// current trace end without computing advice (the tick path). The
+  /// window is compute_advice's (slide_history), so a later advise finds
+  /// the state already slid; observe() is idempotent, so re-observing
+  /// there stays bit-identical. Requires >= 2 samples (caller checks).
   static void slide_entry(ModelEntry& entry, const ZoneTraceSet& traces) {
-    const SimTime now = traces.end() - traces.step();
-    const SimTime from = now - entry.spec.history_span;
-    if (!entry.hist) {
-      entry.hist.emplace(traces, from, now, entry.spec.bid_grid);
-    } else {
-      entry.hist->advance(traces, from, now);
-    }
-    while (entry.zone_models.size() < traces.num_zones())
-      entry.zone_models.emplace_back(entry.spec.max_states);
+    const auto [from, now] = slide_history(entry, traces);
     for (std::size_t z = 0; z < traces.num_zones(); ++z)
       entry.zone_models[z].observe(traces.zone(z).view(from, now));
   }

@@ -2,6 +2,9 @@
 // estimator, and the AdaptiveStrategy end-to-end on scripted markets.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/adaptive/estimator.hpp"
 #include "core/adaptive/history_stats.hpp"
@@ -173,6 +176,51 @@ TEST(Estimator, EvaluatesAllPermutationsSorted) {
   // Cheapest: single zone 0 (always up, cheapest) at some bid.
   EXPECT_EQ(ranked.front().zones, (std::vector<std::size_t>{0}));
   EXPECT_FALSE(ranked.front().str().empty());
+}
+
+// Three identical zones and three policies the estimator prices alike:
+// every same-size subset at a bid ties on cost with every policy. The
+// ranking must be the same total order whatever the policy input order —
+// zone sets lexicographic, then PolicyKind — not whatever the sort
+// algorithm leaves.
+TEST(Estimator, TiedPermutationsHaveOneOrder) {
+  const ZoneTraceSet traces = testing::zones({
+      constant_series(0.30, 48),
+      constant_series(0.30, 48),
+      constant_series(0.30, 48),
+  });
+  const HistoryStats hist(traces, 0, traces.end(),
+                          {Money::cents(27), Money::cents(81)});
+  const std::vector<PolicyKind> forward = {
+      PolicyKind::kPeriodic, PolicyKind::kRisingEdge, PolicyKind::kThreshold};
+  const std::vector<PolicyKind> backward(forward.rbegin(), forward.rend());
+  const auto a = evaluate_permutations(hist, 3, forward, basic_inputs());
+  const auto b = evaluate_permutations(hist, 3, backward, basic_inputs());
+  ASSERT_EQ(a.size(), 42u);  // 2 bids x 7 subsets x 3 policies
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("rank " + std::to_string(i));
+    EXPECT_EQ(a[i].bid, b[i].bid);
+    EXPECT_EQ(a[i].zones, b[i].zones);
+    EXPECT_EQ(a[i].policy, b[i].policy);
+    EXPECT_EQ(a[i].predicted_cost, b[i].predicted_cost);
+  }
+  EXPECT_EQ(a.front().zones, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(a.front().policy, PolicyKind::kPeriodic);
+  // Within a tie, zone sets ascend lexicographically, then policies.
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    if (a[i - 1].predicted_cost != a[i].predicted_cost ||
+        a[i - 1].zones.size() != a[i].zones.size() ||
+        a[i - 1].bid != a[i].bid)
+      continue;
+    ++ties;
+    EXPECT_TRUE(a[i - 1].zones < a[i].zones ||
+                (a[i - 1].zones == a[i].zones &&
+                 a[i - 1].policy < a[i].policy))
+        << "rank " << i;
+  }
+  EXPECT_GT(ties, 0u);
 }
 
 TEST(Estimator, PaperBidGrid) {

@@ -8,7 +8,8 @@
 // These tests drive that contract over randomized config grids — mixed
 // policies, bids (including never-in-bid and always-in-bid), zone
 // subsets, start offsets, compute sizes, and both trace shapes (alphabet
-// / unique-mode and random-walk / quantile-binned windows) — plus the SoA
+// / unique-mode and random-walk / quantile-binned windows), faulted grids
+// under notice and no-notice regimes — plus the SoA
 // kernels the lockstep driver is built from, and a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
 // (meaningful under TSan). The shared trace index's range-minimum
@@ -19,6 +20,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -136,7 +139,7 @@ TEST(ZoneModelPool, PrewarmKeepsBidsBelowThePriceApart) {
   const Money price = Money::cents(38);
   const std::vector<Money> grid = {Money::cents(35), Money::cents(45)};
 
-  IncrementalMarkovModel reference(64);
+  IncrementalMarkovModel reference(batch::ZoneModelPool::kMaxStates);
   reference.observe(history.view());
   ASSERT_EQ(reference.expected_uptime(price, grid[0]), 0);
   ASSERT_GT(reference.expected_uptime(price, grid[1]), 0);
@@ -144,7 +147,7 @@ TEST(ZoneModelPool, PrewarmKeepsBidsBelowThePriceApart) {
   batch::ZoneModelPool pool;
   pool.set_bid_grid(grid);
   for (const Money bid : grid) {
-    EXPECT_EQ(pool.expected_uptime(0, 64, history.view(), price, bid),
+    EXPECT_EQ(pool.expected_uptime(0, history.view(), price, bid),
               reference.expected_uptime(price, bid))
         << "bid " << bid;
   }
@@ -203,23 +206,33 @@ void expect_identical(const RunResult& batched, const RunResult& scalar,
   EXPECT_EQ(batched.on_demand_seconds, scalar.on_demand_seconds);
   EXPECT_EQ(batched.switched_to_on_demand, scalar.switched_to_on_demand);
   EXPECT_EQ(batched.committed_progress, scalar.committed_progress);
+  EXPECT_EQ(batched.faults.ckpt_write_failures,
+            scalar.faults.ckpt_write_failures);
+  EXPECT_EQ(batched.faults.ckpt_corruptions, scalar.faults.ckpt_corruptions);
+  EXPECT_EQ(batched.faults.restart_failures, scalar.faults.restart_failures);
+  EXPECT_EQ(batched.faults.request_rejections,
+            scalar.faults.request_rejections);
+  EXPECT_EQ(batched.faults.notices_dropped, scalar.faults.notices_dropped);
+  EXPECT_EQ(batched.faults.notices_late, scalar.faults.notices_late);
+  EXPECT_EQ(batched.faults.backoff_total, scalar.faults.backoff_total);
 }
 
 /// Runs `configs` batched and each one scalar, with an EventTraceRecorder
 /// on every run (attached to the lanes through BatchConfig::observer), and
 /// expects identical results and identical traces — the strictest
 /// equality the engine can express: calendar dispatch order, every zone
-/// transition, line item and checkpoint settlement.
-void expect_batched_matches_scalar(const SpotMarket& market,
-                                   std::vector<BatchConfig> configs,
-                                   const EngineOptions& options,
-                                   const std::string& label) {
+/// transition, line item, checkpoint settlement and injected fault.
+/// Returns the batched results.
+std::vector<RunResult> expect_batched_matches_scalar(
+    const SpotMarket& market, std::vector<BatchConfig> configs,
+    const EngineOptions& options, const std::string& label) {
   std::vector<EventTraceRecorder> traces(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i)
     configs[i].observer = &traces[i];
   const BatchedSweepEngine batcher(market, options);
   const std::vector<RunResult> batched = batcher.run(configs);
-  ASSERT_EQ(batched.size(), configs.size());
+  EXPECT_EQ(batched.size(), configs.size());
+  if (batched.size() != configs.size()) return batched;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const std::string lane = label + " lane " + std::to_string(i);
     EventTraceRecorder scalar_trace;
@@ -234,6 +247,7 @@ void expect_batched_matches_scalar(const SpotMarket& market,
         << ": batched \"" << (bi == b.end() ? "<end>" : *bi)
         << "\" vs scalar \"" << (si == s.end() ? "<end>" : *si) << '"';
   }
+  return batched;
 }
 
 /// What random_grid draws each lane's policy, compute size, start and
@@ -299,6 +313,71 @@ TEST(BatchedSweep, RandomGridsMatchScalarBitForBit) {
   }
 }
 
+// Faulted lanes batch like any other: each lane's FaultInjector is private
+// to its engine and seeded from its experiment, and no fault touches the
+// prices the shared index and models read. Every fault class fires (plus
+// a store outage), under the classic regime, the 2-minute rebalance
+// notice, and classic billing with a 300 s notice.
+TEST(BatchedSweep, FaultedGridsMatchScalarBitForBit) {
+  EngineOptions options;
+  options.faults.ckpt_write_failure_rate = 0.2;
+  options.faults.ckpt_corruption_rate = 0.2;
+  options.faults.restart_failure_rate = 0.2;
+  options.faults.request_rejection_rate = 0.2;
+  options.faults.notice_drop_rate = 0.2;
+  options.faults.notice_late_rate = 0.3;
+  options.faults.store_outages = {{2 * kHour, 3 * kHour}};
+  MarketRegime classic_notice = MarketRegime::classic_2012();
+  classic_notice.rebalance_notice = 300;
+  const std::vector<std::pair<std::string, MarketRegime>> regimes = {
+      {"classic", MarketRegime::classic_2012()},
+      {"rebalance", MarketRegime::rebalance()},
+      {"classic+300s notice", classic_notice}};
+
+  // Longer runs than the default grid: more kills land after a commit,
+  // so restarts (and their failures) happen.
+  GridShape shape;
+  shape.compute_hours = {3.0, 5.0, 7.0};
+
+  Rng rng(9005);
+  FaultStats fired;
+  for (const auto& [name, regime] : regimes) {
+    options.regime = regime;
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t num_zones = 1 + static_cast<std::size_t>(trial) % 3;
+      const std::size_t samples = 288 + 48 * static_cast<std::size_t>(trial);
+      std::vector<PriceSeries> series;
+      for (std::size_t z = 0; z < num_zones; ++z) {
+        series.push_back(trial % 2 == 0 ? alphabet_series(rng, samples)
+                                        : walk_series(rng, samples));
+      }
+      const SpotMarket market = testing::make_market(testing::zones(series));
+      std::vector<BatchConfig> configs =
+          random_grid(rng, num_zones, /*lanes=*/12, shape);
+      // Distinct fault streams per lane (the injector seeds from the
+      // experiment).
+      for (BatchConfig& c : configs) c.experiment.seed = rng.next_u64();
+      const std::vector<RunResult> runs = expect_batched_matches_scalar(
+          market, std::move(configs), options,
+          name + " trial " + std::to_string(trial));
+      for (const RunResult& r : runs) {
+        fired.ckpt_write_failures += r.faults.ckpt_write_failures;
+        fired.ckpt_corruptions += r.faults.ckpt_corruptions;
+        fired.restart_failures += r.faults.restart_failures;
+        fired.request_rejections += r.faults.request_rejections;
+        fired.notices_dropped += r.faults.notices_dropped;
+        fired.notices_late += r.faults.notices_late;
+      }
+    }
+  }
+  EXPECT_GT(fired.ckpt_write_failures, 0);
+  EXPECT_GT(fired.ckpt_corruptions, 0);
+  EXPECT_GT(fired.restart_failures, 0);
+  EXPECT_GT(fired.request_rejections, 0);
+  EXPECT_GT(fired.notices_dropped, 0);
+  EXPECT_GT(fired.notices_late, 0);
+}
+
 // Threshold lanes from the trace's first sample with the paper's 2-day
 // history: their first S_min windows are shorter than one index block (the
 // in-block scan), then grow across blocks (prefix/suffix minima plus the
@@ -353,13 +432,6 @@ TEST(BatchedSweep, EdgeGroups) {
     expect_identical(results[i], results[0],
                      "clone lane " + std::to_string(i));
   }
-}
-
-TEST(BatchedSweep, CanBatchRejectsFaultedOptions) {
-  EXPECT_TRUE(BatchedSweepEngine::can_batch(EngineOptions{}));
-  EngineOptions faulted;
-  faulted.faults.restart_failure_rate = 0.1;
-  EXPECT_FALSE(BatchedSweepEngine::can_batch(faulted));
 }
 
 // One immutable BatchedSweepEngine serving many concurrent run() calls:

@@ -1,6 +1,6 @@
 // Decision-path zero-copy / incremental-model properties (DESIGN.md §10).
 //
-// Three families of guarantees, all bit-exact:
+// Four families of guarantees, all bit-exact:
 //   * IncrementalMarkovModel::observe equals build_markov_model over the
 //     same window after any sequence of slides — in unique-price mode AND
 //     in quantile-binned mode — including the state-set-changing edges
@@ -9,21 +9,30 @@
 //   * The steady-state decision path (constant-price slide + memoized
 //     expected_uptime + Engine::min_observed_price) performs ZERO heap
 //     allocations, verified through a global operator new hook.
+//   * Engine::expected_uptime, answered from the engine's own model pool,
+//     equals a from-scratch fit of the same window at every step of a
+//     scalar Markov-Daly run and of an Adaptive run that changes bids.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <set>
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/adaptive/adaptive_runner.hpp"
+#include "core/adaptive/history_stats.hpp"
+#include "core/batch/model_pool.hpp"
 #include "core/engine.hpp"
 #include "core/strategy.hpp"
-#include "core/adaptive/history_stats.hpp"
+#include "exp/scenario.hpp"
+#include "market/instance_type.hpp"
 #include "markov/incremental.hpp"
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
 #include "test_util.hpp"
+#include "trace/synthetic.hpp"
 
 // --- Allocation-counting hook -------------------------------------------------
 //
@@ -522,6 +531,59 @@ TEST(EngineHistory, MinObservedPriceIsAllocationFree) {
   }
   // History [0, 6 steps) covers the 0.90 run and two 0.20 samples.
   EXPECT_EQ(min, Money::dollars(0.20));
+}
+
+// --- Engine-owned Markov up-time ---------------------------------------------
+
+/// Steps `engine` to completion and, after every dispatched event, checks
+/// Engine::expected_uptime of every configured zone against the
+/// from-scratch fit of the same window. Returns the distinct bids (micros)
+/// the run used.
+std::set<std::int64_t> expect_uptime_matches_from_scratch(Engine& engine) {
+  std::set<std::int64_t> bids;
+  std::size_t checks = 0;
+  engine.begin();
+  while (!engine.finished()) {
+    engine.step_one();
+    if (engine.finished()) break;
+    bids.insert(engine.bid().micros());
+    for (const std::size_t zone : engine.zone_ids()) {
+      const Duration want = expected_uptime(
+          build_markov_model(engine.history(zone),
+                             batch::ZoneModelPool::kMaxStates),
+          engine.price(zone), engine.bid());
+      const Duration got = engine.expected_uptime(zone);
+      if (got != want) {
+        ADD_FAILURE() << "zone " << zone << " at t=" << engine.now()
+                      << ": engine " << got << " vs from-scratch " << want;
+        return bids;
+      }
+      ++checks;
+    }
+  }
+  engine.finalize();
+  EXPECT_GT(checks, 0u);
+  return bids;
+}
+
+TEST(EngineUptime, ScalarMarkovDalyRunMatchesFromScratch) {
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 80};
+  FixedStrategy strategy(Money::cents(81), {0, 1, 2},
+                         make_policy(PolicyKind::kMarkovDaly));
+  Engine engine(market, scenario.experiment(3), strategy);
+  expect_uptime_matches_from_scratch(engine);
+}
+
+TEST(EngineUptime, AdaptiveRunChangingBidsMatchesFromScratch) {
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 80};
+  AdaptiveStrategy strategy;
+  Engine engine(market, scenario.experiment(3), strategy);
+  EXPECT_GE(expect_uptime_matches_from_scratch(engine).size(), 2u)
+      << "the Adaptive run never changed its bid";
 }
 
 }  // namespace

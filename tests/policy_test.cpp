@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "core/batch/model_pool.hpp"
 #include "core/policies/index_track.hpp"
 #include "core/policies/large_bid.hpp"
 #include "core/policies/markov_daly.hpp"
@@ -14,6 +15,8 @@
 #include "core/policies/threshold.hpp"
 #include "core/policy.hpp"
 #include "market/regime.hpp"
+#include "markov/model.hpp"
+#include "markov/uptime.hpp"
 #include "test_util.hpp"
 
 namespace redspot {
@@ -48,6 +51,12 @@ class FakeView final : public EngineView {
   PriceView history(std::size_t) const override { return history_.view(); }
   Money min_observed_price(std::size_t) const override {
     return history_.min_price();
+  }
+  /// The from-scratch fit the engine's pooled answer equals bit-for-bit.
+  Duration expected_uptime(std::size_t z) const override {
+    return redspot::expected_uptime(
+        build_markov_model(history(z), batch::ZoneModelPool::kMaxStates),
+        price(z), bid());
   }
   Duration committed_progress() const override { return committed_; }
   Duration zone_progress(std::size_t z) const override {

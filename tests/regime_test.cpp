@@ -1,8 +1,8 @@
 // Market-regime contract suite (DESIGN.md §15): the regime catalog and
 // its fingerprints, per-second billing boundaries around the 60 s
 // minimum, refund-rule properties, the rebalance-warned zone lifecycle,
-// the notice-aware deadline decision, the batching homogeneity gate, and
-// the journaled head-to-head matrix.
+// the notice-aware deadline decision, and the journaled head-to-head
+// matrix.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "core/batch/batched_engine.hpp"
 #include "core/deadline/deadline_monitor.hpp"
 #include "core/engine.hpp"
 #include "core/zone/zone_machine.hpp"
@@ -337,20 +336,6 @@ TEST(DeadlineNotice, FirstForcedCommitUnderALongNoticeKeepsTheDeadline) {
   const RunResult r = engine.run();
   EXPECT_TRUE(r.met_deadline);
   EXPECT_TRUE(r.switched_to_on_demand);
-}
-
-// --- batching gate -----------------------------------------------------------------
-
-TEST(RegimeBatching, OnlyHomogeneousRegimeLanesBatch) {
-  EngineOptions a;
-  EngineOptions b;
-  EXPECT_TRUE(batch::BatchedSweepEngine::can_batch(a, b));
-  b.regime = MarketRegime::per_second();
-  EXPECT_FALSE(batch::BatchedSweepEngine::can_batch(a, b));
-  a.regime = MarketRegime::per_second();
-  EXPECT_TRUE(batch::BatchedSweepEngine::can_batch(a, b));
-  a.faults.ckpt_write_failure_rate = 0.1;  // faults still veto batching
-  EXPECT_FALSE(batch::BatchedSweepEngine::can_batch(a, b));
 }
 
 // --- head-to-head matrix -----------------------------------------------------------
