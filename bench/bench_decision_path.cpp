@@ -11,7 +11,11 @@
 //                         uptime) vs build_markov_model from scratch +
 //                         free expected_uptime, in unique-price AND
 //                         quantile-binned mode.
-//   3. adaptive re-plan — HistoryStats::advance vs fresh construction.
+//   3. adaptive re-plan — HistoryStats::advance vs fresh construction, each
+//                         followed by reads of all 4 multi-zone subsets (so
+//                         the slid subset memo is measured), plus the heap
+//                         allocations of one warm decision (advance +
+//                         best_permutation).
 //   4. fig4 mini-sweep  — end-to-end engine runs (Threshold + Markov-Daly,
 //                         3 bids, several starts) under the real policies
 //                         vs bench-local legacy policies that reproduce the
@@ -45,6 +49,8 @@
 #include "ckpt/daly.hpp"
 #include "common/check.hpp"
 #include "common/random.hpp"
+#include "core/adaptive/adaptive_runner.hpp"
+#include "core/adaptive/estimator.hpp"
 #include "core/adaptive/history_stats.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/batch/model_pool.hpp"
@@ -424,7 +430,9 @@ int main(int argc, char** argv) {
     const std::vector<Money> grid = {Money::cents(27),  Money::cents(40),
                                      Money::cents(81),  Money::dollars(1.20),
                                      Money::dollars(2.40)};
-    const std::vector<std::size_t> all_zones = {0, 1, 2};
+    // Adaptive reads every multi-zone subset at each re-plan.
+    const std::vector<std::vector<std::size_t>> multi_zone = {
+        {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
     const std::size_t positions = kTraceLen - kWindow;
     const auto bounds = [&](int i) {
       const std::size_t lo = static_cast<std::size_t>(i) % positions;
@@ -434,10 +442,11 @@ int main(int argc, char** argv) {
           from, from + static_cast<SimTime>(kWindow) * kPriceStep);
     };
     const auto read_stats = [&](const HistoryStats& hs) {
-      g_sink += static_cast<std::int64_t>(
-          1e6 * (hs.stats(0, 2).availability +
-                 hs.combined_availability(all_zones, 2) +
-                 hs.full_outage_rate(all_zones, 1)));
+      double sum = hs.stats(0, 2).availability;
+      for (const auto& subset : multi_zone)
+        sum += hs.combined_availability(subset, 2) +
+               hs.full_outage_rate(subset, 1);
+      g_sink += static_cast<std::int64_t>(1e6 * sum);
     };
     const auto [f0, t0] = bounds(0);
     HistoryStats slid(traces, f0, t0, grid);
@@ -456,6 +465,28 @@ int main(int argc, char** argv) {
     report.set("adaptive_advance_ns", adv_ns);
     report.set("adaptive_fresh_ns", fresh_ns);
     report.set("adaptive_replan_speedup", fresh_ns / adv_ns);
+
+    // Heap allocations per warm Adaptive decision (slide + argmin scan):
+    // only the winner's zone list.
+    EstimatorInputs in;
+    in.remaining_compute = 10 * kHour;
+    in.remaining_time = 20 * kHour;
+    in.current_prices = {0.30, 0.45, 0.65};
+    const auto decide = [&](int i) {
+      const auto [from, to] = bounds(i);
+      slid.advance(traces, from, to);
+      g_sink += best_permutation(slid, AdaptiveStrategy::kMaxZones,
+                                 AdaptiveStrategy::kCandidatePolicies, in)
+                    .predicted_cost.micros();
+    };
+    decide(0);  // warm
+    constexpr int kDecisions = 100;
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 1; i <= kDecisions; ++i) decide(i);
+    g_count_allocs.store(false);
+    report.set("adaptive_decision_allocs",
+               static_cast<double>(g_alloc_count.load()) / kDecisions);
   }
 
   // --- 4. fig4 mini-sweep: real policies vs legacy materialize+rebuild ------

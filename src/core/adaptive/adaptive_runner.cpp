@@ -52,11 +52,8 @@ const HistoryStats& AdaptiveStrategy::current_stats(const EngineView& view) {
 
 PermutationEstimate AdaptiveStrategy::choose(const EngineView& view) {
   const HistoryStats& hist = current_stats(view);
-  const EstimatorInputs in = make_inputs(view);
-  std::vector<PermutationEstimate> ranked =
-      evaluate_permutations(hist, kMaxZones, kCandidatePolicies, in);
-  REDSPOT_CHECK(!ranked.empty());
-  return ranked.front();
+  return best_permutation(hist, kMaxZones, kCandidatePolicies,
+                          make_inputs(view));
 }
 
 EngineConfig AdaptiveStrategy::to_config(

@@ -1,6 +1,7 @@
 #include "core/adaptive/estimator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -8,6 +9,17 @@
 #include "common/check.hpp"
 
 namespace redspot {
+
+std::string PermutationEstimate::str() const {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "bid=%s N=%zu policy=%s r=%.3f c=%.3f/h cost=%s", bid
+                    .str()
+                    .c_str(),
+                zones.size(), to_string(policy).c_str(), progress_rate,
+                cost_rate, predicted_cost.str().c_str());
+  return buf;
+}
 
 namespace {
 
@@ -39,29 +51,16 @@ Duration predicted_interval(const HistoryStats& hist, std::size_t bid_idx,
   return kHour - checkpoint_cost;
 }
 
-}  // namespace
-
-std::string PermutationEstimate::str() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "bid=%s N=%zu policy=%s r=%.3f c=%.3f/h cost=%s", bid
-                    .str()
-                    .c_str(),
-                zones.size(), to_string(policy).c_str(), progress_rate,
-                cost_rate, predicted_cost.str().c_str());
-  return buf;
-}
-
-PermutationEstimate estimate_permutation(
-    const HistoryStats& hist, std::size_t bid_idx,
-    const std::vector<std::size_t>& zones, PolicyKind policy,
-    const EstimatorInputs& in) {
+/// Everything estimate_permutation() predicts except the zone list, which
+/// it leaves empty so a scan over candidates does not allocate.
+PermutationEstimate estimate(const HistoryStats& hist, std::size_t bid_idx,
+                             const std::vector<std::size_t>& zones,
+                             PolicyKind policy, const EstimatorInputs& in) {
   REDSPOT_CHECK(!zones.empty());
   REDSPOT_CHECK(in.remaining_time >= 0);
 
   PermutationEstimate e;
   e.bid = hist.bid_grid()[bid_idx];
-  e.zones = zones;
   e.policy = policy;
 
   const Duration interval =
@@ -135,43 +134,73 @@ PermutationEstimate estimate_permutation(
   return e;
 }
 
-std::vector<PermutationEstimate> evaluate_permutations(
-    const HistoryStats& hist, std::size_t max_zones,
-    std::span<const PolicyKind> policies, const EstimatorInputs& in) {
+/// True when (a over zone mask ma) ranks before (b over mb) in the total
+/// order documented on best_permutation().
+bool ranks_before(const PermutationEstimate& a, std::uint64_t ma,
+                  const PermutationEstimate& b, std::uint64_t mb) {
+  if (a.predicted_cost != b.predicted_cost)
+    return a.predicted_cost < b.predicted_cost;
+  if (std::popcount(ma) != std::popcount(mb))
+    return std::popcount(ma) < std::popcount(mb);
+  if (a.bid != b.bid) return a.bid < b.bid;
+  if (ma != mb) {
+    // Equal-size ascending zone lists share the zones below the lowest
+    // differing one; the list holding that zone is lexicographically
+    // smaller.
+    const std::uint64_t diff = ma ^ mb;
+    return (ma & diff & (~diff + 1)) != 0;
+  }
+  return a.policy < b.policy;
+}
+
+}  // namespace
+
+PermutationEstimate estimate_permutation(
+    const HistoryStats& hist, std::size_t bid_idx,
+    const std::vector<std::size_t>& zones, PolicyKind policy,
+    const EstimatorInputs& in) {
+  PermutationEstimate e = estimate(hist, bid_idx, zones, policy, in);
+  e.zones = zones;
+  return e;
+}
+
+PermutationEstimate best_permutation(const HistoryStats& hist,
+                                     std::size_t max_zones,
+                                     std::span<const PolicyKind> policies,
+                                     const EstimatorInputs& in) {
   const std::size_t z_total = std::min(hist.num_zones(), max_zones);
   REDSPOT_CHECK(z_total > 0);
-  // All non-empty subsets of the first z_total zones.
-  std::vector<std::vector<std::size_t>> subsets;
-  const std::size_t limit = std::size_t{1} << z_total;
-  for (std::size_t mask = 1; mask < limit; ++mask) {
-    std::vector<std::size_t> subset;
-    for (std::size_t z = 0; z < z_total; ++z)
-      if (mask & (std::size_t{1} << z)) subset.push_back(z);
-    subsets.push_back(std::move(subset));
-  }
+  REDSPOT_CHECK_MSG(z_total < 64, "zone subsets are enumerated as a mask");
+  REDSPOT_CHECK(!policies.empty());
 
-  std::vector<PermutationEstimate> all;
-  all.reserve(hist.bid_grid().size() * subsets.size() * policies.size());
-  for (std::size_t b = 0; b < hist.bid_grid().size(); ++b) {
-    for (const auto& subset : subsets) {
+  // One reused list holds the current subset; at the end it becomes the
+  // winner's zone list, the scan's only allocation.
+  std::vector<std::size_t> zones;
+  zones.reserve(z_total);
+  const auto fill_zones = [&](std::uint64_t mask) {
+    zones.clear();
+    for (std::size_t z = 0; z < z_total; ++z)
+      if (mask & (std::uint64_t{1} << z)) zones.push_back(z);
+  };
+
+  PermutationEstimate best;
+  std::uint64_t best_mask = 0;
+  const std::uint64_t limit = std::uint64_t{1} << z_total;
+  for (std::uint64_t mask = 1; mask < limit; ++mask) {
+    fill_zones(mask);
+    for (std::size_t b = 0; b < hist.bid_grid().size(); ++b) {
       for (PolicyKind policy : policies) {
-        all.push_back(estimate_permutation(hist, b, subset, policy, in));
+        PermutationEstimate e = estimate(hist, b, zones, policy, in);
+        if (best_mask == 0 || ranks_before(e, mask, best, best_mask)) {
+          best = e;
+          best_mask = mask;
+        }
       }
     }
   }
-  // A total order: the ranking (and Adaptive's pick) never depends on the
-  // sort algorithm or the input order.
-  std::sort(all.begin(), all.end(),
-            [](const PermutationEstimate& a, const PermutationEstimate& b) {
-              if (a.predicted_cost != b.predicted_cost)
-                return a.predicted_cost < b.predicted_cost;
-              if (a.zones.size() != b.zones.size())
-                return a.zones.size() < b.zones.size();
-              if (a.bid != b.bid) return a.bid < b.bid;
-              if (a.zones != b.zones) return a.zones < b.zones;
-              return a.policy < b.policy;
-            });
-  return all;
+  fill_zones(best_mask);
+  best.zones = std::move(zones);
+  return best;
 }
 
 }  // namespace redspot

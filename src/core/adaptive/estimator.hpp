@@ -10,7 +10,7 @@
 // then apply Inequality (1): if the configuration cannot finish C_r within
 // T_r at rate r, part of the remaining run moves to on-demand. The
 // prediction is c x (spot time) + on-demand rate x (started on-demand
-// hours), and Adaptive adopts the cheapest permutation.
+// hours), and Adaptive adopts the cheapest permutation (best_permutation).
 #pragma once
 
 #include <span>
@@ -62,12 +62,16 @@ PermutationEstimate estimate_permutation(const HistoryStats& hist,
                                          PolicyKind policy,
                                          const EstimatorInputs& in);
 
-/// Evaluates every permutation of (bid grid) x (non-empty zone subsets up
-/// to max_zones) x (policies) and returns them sorted by predicted cost
-/// ascending (ties: fewer zones, lower bid, lexicographically smaller zone
-/// set, then lower PolicyKind — a total order).
-std::vector<PermutationEstimate> evaluate_permutations(
-    const HistoryStats& hist, std::size_t max_zones,
-    std::span<const PolicyKind> policies, const EstimatorInputs& in);
+/// The cheapest permutation of (bid grid) x (non-empty subsets of the
+/// first max_zones zones) x (policies), found by one argmin scan. The order
+/// is total: predicted cost ascending, then fewer zones, lower bid, the
+/// lexicographically smaller zone set, and the lower PolicyKind — so the
+/// winner does not depend on the scan order or the order of `policies`.
+/// Once the history's subset memo is warm, the only allocation is the
+/// winner's zone list.
+PermutationEstimate best_permutation(const HistoryStats& hist,
+                                     std::size_t max_zones,
+                                     std::span<const PolicyKind> policies,
+                                     const EstimatorInputs& in);
 
 }  // namespace redspot

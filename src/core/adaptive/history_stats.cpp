@@ -1,6 +1,7 @@
 #include "core/adaptive/history_stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -40,6 +41,8 @@ double HistoryStats::hours() const {
 
 void HistoryStats::rebuild(const ZoneTraceSet& traces, SimTime from,
                            SimTime to) {
+  REDSPOT_CHECK_MSG(traces.num_zones() <= 64,
+                    "HistoryStats keys zone subsets by a 64-bit mask");
   step_ = traces.step();
   const PriceSeries& s0 = traces.zone(0);
   from = std::max(from, s0.start());
@@ -61,6 +64,7 @@ void HistoryStats::rebuild(const ZoneTraceSet& traces, SimTime from,
   const std::size_t nbids = bid_grid_.size();
   counters_.assign(base_.size(), std::vector<BidCounters>(nbids));
   first_cut_.assign(base_.size(), 0);
+  stats_.assign(base_.size(), std::vector<ZoneBidStats>(nbids));
   for (std::size_t z = 0; z < base_.size(); ++z) {
     std::vector<BidCounters>& row = counters_[z];
     std::size_t prev_cut = 0;
@@ -116,8 +120,8 @@ bool HistoryStats::try_advance(const ZoneTraceSet& traces, SimTime from,
   for (std::size_t z = 0; z < base_.size(); ++z) {
     std::vector<BidCounters>& row = counters_[z];
     const Money* s = base_[z];
-    // Evict [abs_lo_, lo): the evicted samples are still readable from the
-    // borrowed trace storage.
+    // Evict [abs_lo_, lo) with the pairs (i, i + 1): the evicted samples
+    // are still readable from the borrowed trace storage.
     for (std::size_t i = abs_lo_; i < lo; ++i) {
       const std::size_t cut = cut_of(s[i].to_double());
       for (std::size_t k = cut; k < nbids; ++k) {
@@ -132,7 +136,7 @@ bool HistoryStats::try_advance(const ZoneTraceSet& traces, SimTime from,
       }
     }
     first_cut_[z] = cut_of(s[lo].to_double());
-    // Append [old_hi, hi).
+    // Append [old_hi, hi): the pairs (i - 1, i) join the window.
     for (std::size_t i = old_hi; i < hi; ++i) {
       const std::size_t prev_cut = cut_of(s[i - 1].to_double());
       const std::size_t cut = cut_of(s[i].to_double());
@@ -147,12 +151,13 @@ bool HistoryStats::try_advance(const ZoneTraceSet& traces, SimTime from,
       }
     }
   }
+  for (CombinedEntry& e : combined_memo_) slide_combined(e, lo, hi);
   abs_lo_ = lo;
   n_ = hi - lo;
   series_size_ = s0.size();
   window_length_ = static_cast<Duration>(n_) * step_;
   refresh_stats();
-  combined_memo_.clear();
+  for (CombinedEntry& e : combined_memo_) refresh_combined(e);
   ++incremental_advances_;
   return true;
 }
@@ -165,7 +170,6 @@ void HistoryStats::advance(const ZoneTraceSet& traces, SimTime from,
 void HistoryStats::refresh_stats() {
   const std::size_t nbids = bid_grid_.size();
   const double h = hours();
-  stats_.assign(base_.size(), std::vector<ZoneBidStats>(nbids));
   for (std::size_t z = 0; z < base_.size(); ++z) {
     for (std::size_t k = 0; k < nbids; ++k) {
       const BidCounters& c = counters_[z][k];
@@ -196,71 +200,112 @@ const ZoneBidStats& HistoryStats::stats(std::size_t zone,
   return stats_[zone][bid_idx];
 }
 
-void HistoryStats::fill_combined(std::uint64_t mask,
-                                 const std::vector<std::size_t>& zones,
-                                 CombinedEntry& out) const {
+std::size_t HistoryStats::subset_cut(const std::vector<std::size_t>& zones,
+                                     std::size_t abs_i) const {
+  // Any zone up at bid B <=> the cheapest subset zone is within B.
+  double m = sample_dollars(zones[0], abs_i);
+  for (std::size_t j = 1; j < zones.size(); ++j)
+    m = std::min(m, sample_dollars(zones[j], abs_i));
+  return cut_of(m);
+}
+
+void HistoryStats::fill_combined(CombinedEntry& e) const {
   const std::size_t nbids = bid_grid_.size();
-  out.mask = mask;
-  std::vector<std::int64_t> up(nbids, 0);
-  std::vector<std::int64_t> outages(nbids, 0);
+  e.up.assign(nbids, 0);
+  e.outages.assign(nbids, 0);
   std::size_t prev_cut = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    // Any zone up at bid B <=> the cheapest subset zone is within B.
-    double m = sample_dollars(zones[0], abs_lo_ + i);
-    for (std::size_t j = 1; j < zones.size(); ++j)
-      m = std::min(m, sample_dollars(zones[j], abs_lo_ + i));
-    const std::size_t cut = cut_of(m);
-    for (std::size_t k = cut; k < nbids; ++k) ++up[k];
-    if (i > 0 && cut > prev_cut) {  // any-up -> none-up
-      for (std::size_t k = prev_cut; k < cut; ++k) ++outages[k];
+    const std::size_t cut = subset_cut(e.zones, abs_lo_ + i);
+    for (std::size_t k = cut; k < nbids; ++k) ++e.up[k];
+    if (i > 0) {  // any-up -> none-up for bids in [prev_cut, cut)
+      for (std::size_t k = prev_cut; k < cut; ++k) ++e.outages[k];
     }
     prev_cut = cut;
   }
-  const double h = hours();
-  out.availability.resize(nbids);
-  out.outage_rate.resize(nbids);
-  for (std::size_t k = 0; k < nbids; ++k) {
-    out.availability[order_[k]] =
-        static_cast<double>(up[k]) / static_cast<double>(n_);
-    out.outage_rate[order_[k]] =
-        h > 0 ? static_cast<double>(outages[k]) / h : 0.0;
+  e.availability.resize(nbids);
+  e.outage_rate.resize(nbids);
+  refresh_combined(e);
+}
+
+void HistoryStats::slide_combined(CombinedEntry& e, std::size_t lo,
+                                  std::size_t hi) const {
+  // The same evict/append pairs as the per-zone counters in try_advance().
+  const std::size_t nbids = bid_grid_.size();
+  const std::size_t old_hi = abs_lo_ + n_;
+  if (abs_lo_ < lo) {
+    std::size_t cut = subset_cut(e.zones, abs_lo_);
+    for (std::size_t i = abs_lo_; i < lo; ++i) {
+      for (std::size_t k = cut; k < nbids; ++k) --e.up[k];
+      const std::size_t next_cut = subset_cut(e.zones, i + 1);
+      for (std::size_t k = cut; k < next_cut; ++k) --e.outages[k];
+      cut = next_cut;
+    }
+  }
+  if (old_hi < hi) {
+    std::size_t prev_cut = subset_cut(e.zones, old_hi - 1);
+    for (std::size_t i = old_hi; i < hi; ++i) {
+      const std::size_t cut = subset_cut(e.zones, i);
+      for (std::size_t k = cut; k < nbids; ++k) ++e.up[k];
+      for (std::size_t k = prev_cut; k < cut; ++k) ++e.outages[k];
+      prev_cut = cut;
+    }
   }
 }
 
-const HistoryStats::CombinedEntry& HistoryStats::combined_entry(
+void HistoryStats::refresh_combined(CombinedEntry& e) const {
+  const double h = hours();
+  for (std::size_t k = 0; k < bid_grid_.size(); ++k) {
+    e.availability[order_[k]] =
+        static_cast<double>(e.up[k]) / static_cast<double>(n_);
+    e.outage_rate[order_[k]] =
+        h > 0 ? static_cast<double>(e.outages[k]) / h : 0.0;
+  }
+}
+
+std::uint64_t HistoryStats::mask_of(
     const std::vector<std::size_t>& zones) const {
   REDSPOT_CHECK(!zones.empty());
   std::uint64_t mask = 0;
   for (std::size_t z : zones) {
     REDSPOT_CHECK(z < base_.size());
-    if (z < 64) mask |= std::uint64_t{1} << z;
+    mask |= std::uint64_t{1} << z;
   }
-  // Memoize per mask (a duplicate or reordered zone list is the same
-  // subset). Zones beyond 63 would alias masks; fall back to a fresh
-  // un-cached entry in that unlikely case.
-  const bool cacheable =
-      std::all_of(zones.begin(), zones.end(),
-                  [](std::size_t z) { return z < 64; });
-  if (cacheable) {
-    for (const CombinedEntry& e : combined_memo_)
-      if (e.mask == mask) return e;
-  }
-  combined_memo_.emplace_back();
-  fill_combined(cacheable ? mask : 0, zones, combined_memo_.back());
-  if (!cacheable) combined_memo_.back().mask = ~std::uint64_t{0};
-  return combined_memo_.back();
+  return mask;
+}
+
+const HistoryStats::CombinedEntry& HistoryStats::combined_entry(
+    std::uint64_t mask) const {
+  // A duplicate or reordered zone list is the same subset.
+  for (const CombinedEntry& e : combined_memo_)
+    if (e.mask == mask) return e;
+  CombinedEntry& e = combined_memo_.emplace_back();
+  e.mask = mask;
+  for (std::size_t z = 0; z < base_.size(); ++z)
+    if (mask & (std::uint64_t{1} << z)) e.zones.push_back(z);
+  fill_combined(e);
+  ++subset_fills_;
+  return e;
 }
 
 double HistoryStats::combined_availability(
     const std::vector<std::size_t>& zones, std::size_t bid_idx) const {
   REDSPOT_CHECK(bid_idx < bid_grid_.size());
-  return combined_entry(zones).availability[bid_idx];
+  const std::uint64_t mask = mask_of(zones);
+  if (std::has_single_bit(mask))
+    return stats_[static_cast<std::size_t>(std::countr_zero(mask))][bid_idx]
+        .availability;
+  return combined_entry(mask).availability[bid_idx];
 }
 
 double HistoryStats::full_outage_rate(const std::vector<std::size_t>& zones,
                                       std::size_t bid_idx) const {
   REDSPOT_CHECK(bid_idx < bid_grid_.size());
-  return combined_entry(zones).outage_rate[bid_idx];
+  const std::uint64_t mask = mask_of(zones);
+  // A single zone's full outages are its interruptions (same pair count).
+  if (std::has_single_bit(mask))
+    return stats_[static_cast<std::size_t>(std::countr_zero(mask))][bid_idx]
+        .interruptions_per_hour;
+  return combined_entry(mask).outage_rate[bid_idx];
 }
 
 }  // namespace redspot

@@ -16,8 +16,12 @@
 // The same counters slide under advance(): evicted and appended samples
 // adjust them exactly, and integer arithmetic makes the slid state equal
 // the from-scratch state bit-for-bit (property-tested). Subset statistics
-// (combined availability / full-outage rate) are memoized per zone
-// bitmask and invalidated whenever the window moves.
+// (combined availability / full-outage rate) are memoized per multi-zone
+// bitmask as the same kind of exact counters — up samples and interior
+// any-up -> none-up pairs per sorted bid, where a sample's cut is that of
+// the cheapest subset zone — and the memo is slid per mask under
+// advance(), not refilled; only a rebuild clears it. A single-zone subset
+// is answered from the per-zone stats, which hold the same counts.
 //
 // Lifetime: HistoryStats BORROWS the trace storage passed to the
 // constructor and to advance() — the ZoneTraceSet must outlive it (true
@@ -45,7 +49,8 @@ struct ZoneBidStats {
 class HistoryStats {
  public:
   /// Snapshots [from, to) of `traces` and precomputes per-zone stats for
-  /// every bid in `bid_grid`. Borrows `traces` (see file comment).
+  /// every bid in `bid_grid`. Borrows `traces` (see file comment). At most
+  /// 64 zones: a subset is keyed by its zone bitmask.
   HistoryStats(const ZoneTraceSet& traces, SimTime from, SimTime to,
                std::vector<Money> bid_grid);
 
@@ -62,7 +67,8 @@ class HistoryStats {
   const ZoneBidStats& stats(std::size_t zone, std::size_t bid_idx) const;
 
   /// Fraction of the window during which at least one zone of `zones` has
-  /// S <= bid_grid()[bid_idx].
+  /// S <= bid_grid()[bid_idx]. A multi-zone subset's first query fills its
+  /// memo entry in one window pass; later windows slide it.
   double combined_availability(const std::vector<std::size_t>& zones,
                                std::size_t bid_idx) const;
 
@@ -74,6 +80,8 @@ class HistoryStats {
   // Introspection for tests and benchmarks.
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
   std::uint64_t incremental_advances() const { return incremental_advances_; }
+  /// Multi-zone memo entries filled from scratch (the rest were slid).
+  std::uint64_t subset_fills() const { return subset_fills_; }
 
  private:
   /// Exact window aggregates for one (zone, sorted-bid) pair.
@@ -83,11 +91,15 @@ class HistoryStats {
     std::int64_t starts = 0;       ///< interior down->up pairs
     std::int64_t interrupts = 0;   ///< interior up->down pairs
   };
-  /// Memoized subset statistics, per original bid index.
+  /// Memoized statistics of one multi-zone subset.
   struct CombinedEntry {
     std::uint64_t mask = 0;
-    std::vector<double> availability;
-    std::vector<double> outage_rate;
+    std::vector<std::size_t> zones;     ///< the mask's zones, ascending
+    std::vector<std::int64_t> up;       ///< [sorted bid] any-zone-up samples
+    std::vector<std::int64_t> outages;  ///< [sorted bid] interior any-up ->
+                                        ///< none-up pairs
+    std::vector<double> availability;   ///< [original bid], from the counts
+    std::vector<double> outage_rate;    ///< [original bid], per hour
   };
 
   void rebuild(const ZoneTraceSet& traces, SimTime from, SimTime to);
@@ -98,10 +110,19 @@ class HistoryStats {
   double sample_dollars(std::size_t zone, std::size_t abs_i) const {
     return base_[zone][abs_i].to_double();
   }
-  void fill_combined(std::uint64_t mask, const std::vector<std::size_t>& zones,
-                     CombinedEntry& out) const;
-  const CombinedEntry& combined_entry(
-      const std::vector<std::size_t>& zones) const;
+  /// Cut of sample `abs_i` for the subset: the cheapest zone's cut.
+  std::size_t subset_cut(const std::vector<std::size_t>& zones,
+                         std::size_t abs_i) const;
+  /// Counts `e`'s subset over the current window from scratch.
+  void fill_combined(CombinedEntry& e) const;
+  /// Adjusts `e`'s counts from the current window to [lo, hi).
+  void slide_combined(CombinedEntry& e, std::size_t lo, std::size_t hi) const;
+  /// Re-derives `e`'s doubles from its counts.
+  void refresh_combined(CombinedEntry& e) const;
+  /// Bitmask of a non-empty zone list.
+  std::uint64_t mask_of(const std::vector<std::size_t>& zones) const;
+  /// The memo entry of a multi-zone mask, filled on first use.
+  const CombinedEntry& combined_entry(std::uint64_t mask) const;
   double hours() const;
 
   std::vector<Money> bid_grid_;
@@ -122,12 +143,14 @@ class HistoryStats {
   std::vector<std::size_t> first_cut_;              ///< per zone
   std::vector<std::vector<ZoneBidStats>> stats_;    ///< [zone][original bid]
 
-  /// Lazily filled per subset mask; cleared whenever the window moves.
-  /// Mutable: HistoryStats is a per-strategy, single-threaded object.
+  /// Lazily filled per multi-zone mask, slid by advance(), cleared only by
+  /// rebuild(). Mutable: HistoryStats is a per-strategy, single-threaded
+  /// object.
   mutable std::vector<CombinedEntry> combined_memo_;
 
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t incremental_advances_ = 0;
+  mutable std::uint64_t subset_fills_ = 0;
 };
 
 }  // namespace redspot

@@ -1,5 +1,7 @@
 #include "serve/advisor.hpp"
 
+#include <utility>
+
 #include "ckpt/daly.hpp"
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -72,16 +74,14 @@ SlideWindow slide_history(ModelEntry& entry, const ZoneTraceSet& traces) {
 Advice compute_advice(ModelEntry& entry, const ZoneTraceSet& traces,
                       const JobParams& job) {
   const auto [from, now] = slide_history(entry, traces);
-  const EstimatorInputs in = make_inputs(traces, now, job);
-  const std::vector<PermutationEstimate> ranked = evaluate_permutations(
-      *entry.hist, entry.spec.max_zones, entry.spec.policies, in);
-  REDSPOT_CHECK(!ranked.empty());
-  const PermutationEstimate& best = ranked.front();
+  PermutationEstimate best =
+      best_permutation(*entry.hist, entry.spec.max_zones,
+                       entry.spec.policies, make_inputs(traces, now, job));
 
   Advice adv;
   adv.as_of = now;
   adv.bid = best.bid;
-  adv.zones = best.zones;
+  adv.zones = std::move(best.zones);
   adv.policy = best.policy;
   adv.predicted_cost = best.predicted_cost;
 

@@ -3,11 +3,11 @@
 // The serve daemon answers one question for many tenants: "given the live
 // price history and my job's remaining work, what should I do right now?"
 // The answer is exactly the offline Adaptive decision (Section 7 of the
-// paper): rank every permutation of (bid, zone subset, policy) with
-// evaluate_permutations over the trailing history window and adopt the
-// cheapest, then derive the execution knobs — expected Markov up-time of
-// the chosen zones at their current prices, and the Daly checkpoint
-// interval that up-time implies.
+// paper): find the cheapest permutation of (bid, zone subset, policy) over
+// the trailing history window with best_permutation and adopt it, then
+// derive the execution knobs — expected Markov up-time of the chosen zones
+// at their current prices, and the Daly checkpoint interval that up-time
+// implies.
 //
 // Tenants sharing a ModelSpec share one ModelEntry: one HistoryStats and
 // one IncrementalMarkovModel per zone, slid incrementally as ticks arrive.

@@ -223,8 +223,11 @@ class Server {
       return;
     }
     const ModelSpec& spec = m->spec;
+    // Every advise enumerates 2^max_zones - 1 zone subsets; the bound is
+    // Adaptive's own.
     if (spec.history_span <= 0 || spec.bid_grid.empty() ||
-        spec.max_states < 2 || spec.max_zones == 0 || spec.policies.empty()) {
+        spec.max_states < 2 || spec.max_zones == 0 ||
+        spec.max_zones > AdaptiveStrategy::kMaxZones || spec.policies.empty()) {
       send_error(c, 0, "invalid model spec");
       return;
     }

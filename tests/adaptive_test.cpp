@@ -2,12 +2,14 @@
 // estimator, and the AdaptiveStrategy end-to-end on scripted markets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/adaptive/estimator.hpp"
 #include "core/adaptive/history_stats.hpp"
+#include "common/random.hpp"
 #include "core/engine.hpp"
 #include "test_util.hpp"
 
@@ -67,6 +69,11 @@ TEST(HistoryStats, ValidatesArguments) {
   EXPECT_THROW(hist.stats(5, 0), CheckFailure);
   EXPECT_THROW(hist.stats(0, 1), CheckFailure);
   EXPECT_THROW(hist.combined_availability({}, 0), CheckFailure);
+  // Subsets are keyed by a 64-bit zone mask.
+  std::vector<PriceSeries> wide(65, constant_series(0.3, 8));
+  const ZoneTraceSet too_wide = testing::zones(std::move(wide));
+  EXPECT_THROW(HistoryStats(too_wide, 0, too_wide.end(), {Money::cents(81)}),
+               CheckFailure);
 }
 
 // --- Estimator -----------------------------------------------------------------------
@@ -159,7 +166,61 @@ TEST(Estimator, CurrentPriceInflatesFirstHour) {
   EXPECT_GT(pricey_now.predicted_cost, cheap_now.predicted_cost);
 }
 
-TEST(Estimator, EvaluatesAllPermutationsSorted) {
+/// The documented total order: predicted cost, then fewer zones, lower
+/// bid, the lexicographically smaller zone set, then the lower PolicyKind.
+bool ranks_before(const PermutationEstimate& a, const PermutationEstimate& b) {
+  if (a.predicted_cost != b.predicted_cost)
+    return a.predicted_cost < b.predicted_cost;
+  if (a.zones.size() != b.zones.size())
+    return a.zones.size() < b.zones.size();
+  if (a.bid != b.bid) return a.bid < b.bid;
+  if (a.zones != b.zones) return a.zones < b.zones;
+  return a.policy < b.policy;
+}
+
+/// Every permutation, each priced by estimate_permutation.
+std::vector<PermutationEstimate> all_permutations(
+    const HistoryStats& hist, std::size_t max_zones,
+    const std::vector<PolicyKind>& policies, const EstimatorInputs& in) {
+  const std::size_t z_total = std::min(hist.num_zones(), max_zones);
+  std::vector<PermutationEstimate> all;
+  for (std::size_t mask = 1; mask < (std::size_t{1} << z_total); ++mask) {
+    std::vector<std::size_t> subset;
+    for (std::size_t z = 0; z < z_total; ++z)
+      if (mask & (std::size_t{1} << z)) subset.push_back(z);
+    for (std::size_t b = 0; b < hist.bid_grid().size(); ++b)
+      for (PolicyKind policy : policies)
+        all.push_back(estimate_permutation(hist, b, subset, policy, in));
+  }
+  return all;
+}
+
+/// Brute-force minimum of all_permutations under ranks_before.
+PermutationEstimate brute_force_best(const HistoryStats& hist,
+                                     std::size_t max_zones,
+                                     const std::vector<PolicyKind>& policies,
+                                     const EstimatorInputs& in) {
+  const auto all = all_permutations(hist, max_zones, policies, in);
+  return *std::min_element(all.begin(), all.end(), ranks_before);
+}
+
+void expect_same_permutation(const PermutationEstimate& got,
+                             const PermutationEstimate& want) {
+  EXPECT_EQ(got.bid, want.bid);
+  EXPECT_EQ(got.zones, want.zones);
+  EXPECT_EQ(got.policy, want.policy);
+  EXPECT_EQ(got.predicted_cost, want.predicted_cost);
+  EXPECT_EQ(got.progress_rate, want.progress_rate);
+  EXPECT_EQ(got.cost_rate, want.cost_rate);
+  EXPECT_EQ(got.spot_seconds, want.spot_seconds);
+  EXPECT_EQ(got.on_demand_seconds, want.on_demand_seconds);
+}
+
+const std::vector<PolicyKind> kAdaptivePolicies(
+    AdaptiveStrategy::kCandidatePolicies.begin(),
+    AdaptiveStrategy::kCandidatePolicies.end());
+
+TEST(Estimator, BestPermutationIsTheBruteForceMinimum) {
   const ZoneTraceSet traces = testing::zones({
       constant_series(0.30, 48),
       constant_series(0.40, 48),
@@ -167,22 +228,58 @@ TEST(Estimator, EvaluatesAllPermutationsSorted) {
   });
   const HistoryStats hist(traces, 0, traces.end(),
                           {Money::cents(27), Money::cents(81)});
-  const auto ranked = evaluate_permutations(
+  const PermutationEstimate best = best_permutation(
       hist, 3, AdaptiveStrategy::kCandidatePolicies, basic_inputs());
-  // 2 bids x 7 subsets x 2 policies.
-  EXPECT_EQ(ranked.size(), 28u);
-  for (std::size_t i = 1; i < ranked.size(); ++i)
-    EXPECT_LE(ranked[i - 1].predicted_cost, ranked[i].predicted_cost);
+  expect_same_permutation(
+      best, brute_force_best(hist, 3, kAdaptivePolicies, basic_inputs()));
   // Cheapest: single zone 0 (always up, cheapest) at some bid.
-  EXPECT_EQ(ranked.front().zones, (std::vector<std::size_t>{0}));
-  EXPECT_FALSE(ranked.front().str().empty());
+  EXPECT_EQ(best.zones, (std::vector<std::size_t>{0}));
+  EXPECT_FALSE(best.str().empty());
+}
+
+// Random piecewise-constant markets whose zones come in identical pairs, so
+// equal-cost candidates are common and every tie-break of the order —
+// including between equal-size zone sets such as {0,3} and {1,2} — decides
+// some winners.
+TEST(Estimator, BestPermutationMatchesBruteForceOnRandomMarkets) {
+  Rng rng(1807);
+  const std::vector<Money> grid = {Money::cents(27), Money::cents(47),
+                                   Money::cents(81), Money::dollars(2.40)};
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<PriceSeries> pair;
+    for (int p = 0; p < 2; ++p) {
+      std::vector<Money> samples(96);
+      double cur = 0.30;
+      for (Money& m : samples) {
+        if (rng.uniform() < 0.15)
+          cur = 0.25 + 0.30 * static_cast<double>(rng.uniform_index(4));
+        m = Money::dollars(cur);
+      }
+      pair.emplace_back(0, kPriceStep, std::move(samples));
+    }
+    const ZoneTraceSet traces =
+        testing::zones({pair[0], pair[1], pair[0], pair[1]});
+    const HistoryStats hist(traces, 0, traces.end(), grid);
+    EstimatorInputs in = basic_inputs();
+    in.remaining_compute = static_cast<Duration>(1 + rng.uniform_index(6)) *
+                           kHour;
+    if (trial % 2 == 1) {
+      for (std::size_t z = 0; z < traces.num_zones(); ++z)
+        in.current_prices.push_back(
+            traces.zone(z).at(traces.end() - kPriceStep).to_double());
+    }
+    const std::size_t max_zones = 1 + static_cast<std::size_t>(trial) % 4;
+    expect_same_permutation(
+        best_permutation(hist, max_zones, kAdaptivePolicies, in),
+        brute_force_best(hist, max_zones, kAdaptivePolicies, in));
+  }
 }
 
 // Three identical zones and three policies the estimator prices alike:
 // every same-size subset at a bid ties on cost with every policy. The
-// ranking must be the same total order whatever the policy input order —
-// zone sets lexicographic, then PolicyKind — not whatever the sort
-// algorithm leaves.
+// winner must be the same whatever the policy input order — the smallest
+// zone set, then the lowest PolicyKind — not whatever the scan meets first.
 TEST(Estimator, TiedPermutationsHaveOneOrder) {
   const ZoneTraceSet traces = testing::zones({
       constant_series(0.30, 48),
@@ -194,33 +291,25 @@ TEST(Estimator, TiedPermutationsHaveOneOrder) {
   const std::vector<PolicyKind> forward = {
       PolicyKind::kPeriodic, PolicyKind::kRisingEdge, PolicyKind::kThreshold};
   const std::vector<PolicyKind> backward(forward.rbegin(), forward.rend());
-  const auto a = evaluate_permutations(hist, 3, forward, basic_inputs());
-  const auto b = evaluate_permutations(hist, 3, backward, basic_inputs());
-  ASSERT_EQ(a.size(), 42u);  // 2 bids x 7 subsets x 3 policies
-  ASSERT_EQ(b.size(), a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("rank " + std::to_string(i));
-    EXPECT_EQ(a[i].bid, b[i].bid);
-    EXPECT_EQ(a[i].zones, b[i].zones);
-    EXPECT_EQ(a[i].policy, b[i].policy);
-    EXPECT_EQ(a[i].predicted_cost, b[i].predicted_cost);
-  }
-  EXPECT_EQ(a.front().zones, (std::vector<std::size_t>{0}));
-  EXPECT_EQ(a.front().policy, PolicyKind::kPeriodic);
-  // Within a tie, zone sets ascend lexicographically, then policies.
+  const PermutationEstimate a =
+      best_permutation(hist, 3, forward, basic_inputs());
+  const PermutationEstimate b =
+      best_permutation(hist, 3, backward, basic_inputs());
+  expect_same_permutation(a, b);
+  expect_same_permutation(a,
+                          brute_force_best(hist, 3, forward, basic_inputs()));
+  EXPECT_EQ(a.zones, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(a.policy, PolicyKind::kPeriodic);
+  // The winner really was decided by tie-breaks: other zone sets and
+  // policies share its cost, size and bid.
   std::size_t ties = 0;
-  for (std::size_t i = 1; i < a.size(); ++i) {
-    if (a[i - 1].predicted_cost != a[i].predicted_cost ||
-        a[i - 1].zones.size() != a[i].zones.size() ||
-        a[i - 1].bid != a[i].bid)
-      continue;
-    ++ties;
-    EXPECT_TRUE(a[i - 1].zones < a[i].zones ||
-                (a[i - 1].zones == a[i].zones &&
-                 a[i - 1].policy < a[i].policy))
-        << "rank " << i;
+  for (const PermutationEstimate& e :
+       all_permutations(hist, 3, forward, basic_inputs())) {
+    if (e.predicted_cost == a.predicted_cost &&
+        e.zones.size() == a.zones.size() && e.bid == a.bid)
+      ++ties;
   }
-  EXPECT_GT(ties, 0u);
+  EXPECT_EQ(ties, 9u);  // 3 single zones x 3 policies
 }
 
 TEST(Estimator, PaperBidGrid) {

@@ -5,7 +5,10 @@
 //     same window after any sequence of slides — in unique-price mode AND
 //     in quantile-binned mode — including the state-set-changing edges
 //     (evicted last occurrence, appended new price).
-//   * HistoryStats::advance equals a freshly constructed HistoryStats.
+//   * HistoryStats::advance equals a freshly constructed HistoryStats,
+//     slid multi-zone memo entries included; a warm advance plus subset
+//     reads allocates nothing, and a warm Adaptive re-plan allocates only
+//     the winner's zone list.
 //   * The steady-state decision path (constant-price slide + memoized
 //     expected_uptime + Engine::min_observed_price) performs ZERO heap
 //     allocations, verified through a global operator new hook.
@@ -22,6 +25,7 @@
 
 #include "common/random.hpp"
 #include "core/adaptive/adaptive_runner.hpp"
+#include "core/adaptive/estimator.hpp"
 #include "core/adaptive/history_stats.hpp"
 #include "core/batch/model_pool.hpp"
 #include "core/engine.hpp"
@@ -317,10 +321,11 @@ TEST(IncrementalMarkov, ConstantSlideKeepsModelAndMemoAllocationFree) {
 
 // --- HistoryStats incremental advance ----------------------------------------
 
-/// Compares every per-zone stat, plus combined stats over random subsets,
-/// between `got` (slid) and a freshly built HistoryStats.
-void expect_stats_identical(const HistoryStats& got, const HistoryStats& want,
-                            Rng& rng) {
+/// Compares every per-zone stat, plus the combined stats of EVERY zone
+/// subset, between `got` (slid) and a freshly built HistoryStats. Querying
+/// every multi-zone mask each round keeps all of `got`'s memo entries live,
+/// so they are compared after many slides, not as fresh fills.
+void expect_stats_identical(const HistoryStats& got, const HistoryStats& want) {
   ASSERT_EQ(got.num_zones(), want.num_zones());
   ASSERT_EQ(got.bid_grid().size(), want.bid_grid().size());
   EXPECT_EQ(got.window_length(), want.window_length());
@@ -335,16 +340,18 @@ void expect_stats_identical(const HistoryStats& got, const HistoryStats& want,
       EXPECT_EQ(g.mean_up_spell, w.mean_up_spell) << z << "," << b;
     }
   }
-  // Random zone subsets (always non-empty).
-  for (int trial = 0; trial < 4; ++trial) {
+  const std::size_t num_masks = std::size_t{1} << got.num_zones();
+  for (std::size_t mask = 1; mask < num_masks; ++mask) {
     std::vector<std::size_t> subset;
     for (std::size_t z = 0; z < got.num_zones(); ++z)
-      if (rng.uniform() < 0.5) subset.push_back(z);
-    if (subset.empty()) subset.push_back(rng.uniform_index(got.num_zones()));
+      if (mask & (std::size_t{1} << z)) subset.push_back(z);
     for (std::size_t b = 0; b < got.bid_grid().size(); ++b) {
       EXPECT_EQ(got.combined_availability(subset, b),
-                want.combined_availability(subset, b));
-      EXPECT_EQ(got.full_outage_rate(subset, b), want.full_outage_rate(subset, b));
+                want.combined_availability(subset, b))
+          << "mask " << mask << " bid " << b;
+      EXPECT_EQ(got.full_outage_rate(subset, b),
+                want.full_outage_rate(subset, b))
+          << "mask " << mask << " bid " << b;
     }
   }
 }
@@ -385,26 +392,107 @@ TEST(HistoryStatsIncremental, RandomSlidesMatchFreshConstruction) {
     const SimTime to = from + static_cast<SimTime>(len) * kPriceStep;
     slid.advance(traces, from, to);
     HistoryStats fresh(traces, from, to, grid);
-    expect_stats_identical(slid, fresh, rng);
+    expect_stats_identical(slid, fresh);
   }
-  EXPECT_GT(slid.incremental_advances(), 0u);
+  // Only a rebuild (a shrinking right edge here) refills the 4 multi-zone
+  // entries; every other round compared slid ones.
+  EXPECT_GT(slid.incremental_advances(), 4 * slid.full_rebuilds());
+  EXPECT_LE(slid.subset_fills(), 4 * slid.full_rebuilds());
 }
 
 TEST(HistoryStatsIncremental, BackwardSlideRebuildsAndMatches) {
-  const ZoneTraceSet traces = single_zone(
-      step_series({{0.3, 50}, {0.6, 50}, {0.3, 50}}));
+  const ZoneTraceSet traces = zones({
+      step_series({{0.3, 50}, {0.6, 50}, {0.3, 50}}),
+      step_series({{0.6, 30}, {0.3, 60}, {0.6, 60}}),
+      step_series({{0.3, 80}, {0.6, 40}, {0.3, 30}}),
+  });
   const std::vector<Money> grid = {Money::dollars(0.4)};
-  HistoryStats slid(traces, traces.start() + 40 * kPriceStep,
-                    traces.start() + 100 * kPriceStep, grid);
+  const SimTime from0 = traces.start() + 40 * kPriceStep;
+  const SimTime to0 = traces.start() + 100 * kPriceStep;
+  HistoryStats slid(traces, from0, to0, grid);
+  expect_stats_identical(slid, HistoryStats(traces, from0, to0, grid));
   const std::uint64_t rebuilds = slid.full_rebuilds();
-  // Backward move: must rebuild, and match fresh.
+  // Backward move: must rebuild (dropping the memo), and match fresh.
   const SimTime from = traces.start();
   const SimTime to = traces.start() + 60 * kPriceStep;
   slid.advance(traces, from, to);
   EXPECT_EQ(slid.full_rebuilds(), rebuilds + 1);
   HistoryStats fresh(traces, from, to, grid);
-  Rng rng(7);
-  expect_stats_identical(slid, fresh, rng);
+  expect_stats_identical(slid, fresh);
+  EXPECT_EQ(slid.subset_fills(), 8u);  // 4 masks, filled again after it
+}
+
+TEST(HistoryStatsIncremental, SteadyStateReplanAllocatesOnlyTheWinnersZones) {
+  // The paper's shape: 3 zones, the paper bid grid, a 2-day window, and
+  // Adaptive's candidate policies.
+  std::vector<PriceSeries> series;
+  for (std::uint64_t z = 0; z < 3; ++z) {
+    Rng zr(510 + z);
+    std::vector<double> prices(1400);
+    double cur = 0.30;
+    for (auto& p : prices) {
+      if (zr.uniform() < 0.1)
+        cur = 0.25 + 0.40 * static_cast<double>(zr.uniform_index(6));
+      p = cur;
+    }
+    series.push_back(series_of(prices));
+  }
+  const ZoneTraceSet traces = zones(std::move(series));
+  constexpr std::size_t kWindow = 576;
+  std::size_t lo = 0;
+  const auto advance_to = [&](HistoryStats& hist, std::size_t new_lo) {
+    const SimTime from =
+        traces.start() + static_cast<SimTime>(new_lo) * kPriceStep;
+    hist.advance(traces, from,
+                 from + static_cast<SimTime>(kWindow) * kPriceStep);
+  };
+  HistoryStats hist(traces, traces.start(),
+                    traces.start() + static_cast<SimTime>(kWindow) * kPriceStep,
+                    paper_bid_grid());
+  const std::vector<std::vector<std::size_t>> multi_zone = {
+      {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}};
+  EstimatorInputs in;
+  in.remaining_compute = 10 * kHour;
+  in.remaining_time = 20 * kHour;
+  in.current_prices = {0.30, 0.45, 0.65};
+  double sink = 0.0;
+  const auto read_masks = [&] {
+    for (const auto& subset : multi_zone)
+      for (std::size_t b = 0; b < hist.bid_grid().size(); ++b)
+        sink += hist.combined_availability(subset, b) +
+                hist.full_outage_rate(subset, b);
+  };
+  // Warm: the memo holds every multi-zone entry.
+  read_masks();
+  sink += best_permutation(hist, AdaptiveStrategy::kMaxZones,
+                           AdaptiveStrategy::kCandidatePolicies, in)
+              .predicted_cost.to_double();
+  {
+    AllocCounter allocs;
+    for (int step = 0; step < 40; ++step) {
+      lo += 1 + static_cast<std::size_t>(step % 12);
+      advance_to(hist, lo);
+      read_masks();
+    }
+    EXPECT_EQ(allocs.count(), 0u) << "advance + subset reads allocated";
+  }
+  constexpr std::uint64_t kDecisions = 40;
+  {
+    AllocCounter allocs;
+    for (std::uint64_t step = 0; step < kDecisions; ++step) {
+      lo += 1 + step % 12;
+      advance_to(hist, lo);
+      const PermutationEstimate best =
+          best_permutation(hist, AdaptiveStrategy::kMaxZones,
+                           AdaptiveStrategy::kCandidatePolicies, in);
+      sink += best.predicted_cost.to_double();
+    }
+    EXPECT_LE(allocs.count(), kDecisions)
+        << "a decision allocated more than the winner's zone list";
+  }
+  EXPECT_GT(sink, 0.0);
+  EXPECT_EQ(hist.full_rebuilds(), 1u);
+  EXPECT_EQ(hist.subset_fills(), 4u) << "a slide refilled a memo entry";
 }
 
 // --- Live trace growth (serve tick ingestion) --------------------------------
@@ -459,10 +547,11 @@ TEST(LiveTraceGrowth, HistoryStatsAdvancesIncrementallyAcrossAppends) {
     const SimTime from = to - static_cast<SimTime>(kWindow) * kPriceStep;
     slid.advance(traces, from, to);
     HistoryStats fresh(traces, from, to, grid);
-    expect_stats_identical(slid, fresh, rng);
+    expect_stats_identical(slid, fresh);
   }
   EXPECT_EQ(slid.full_rebuilds(), rebuilds) << "growth forced a rebuild";
   EXPECT_GT(slid.incremental_advances(), 0u);
+  EXPECT_EQ(slid.subset_fills(), 4u) << "a slide refilled a memo entry";
 }
 
 TEST(LiveTraceGrowth, MarkovModelSlidesAcrossAppends) {

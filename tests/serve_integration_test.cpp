@@ -2,7 +2,8 @@
 // drives it through the real socket with the real client, and asserts
 //   (a) every socket answer is bit-identical to the offline Adaptive
 //       decision over the same history prefix,
-//   (b) protocol errors are answered without dropping the connection,
+//   (b) protocol errors and oversized model specs are answered without
+//       dropping the connection or other tenants,
 //   (c) SIGTERM mid-load drains every buffered request and exits 130.
 #include <gtest/gtest.h>
 
@@ -223,6 +224,36 @@ TEST(ServeIntegration, ProtocolErrorsAnswerWithoutDroppingTheConnection) {
   const std::uint64_t hash = client.register_spec(spec);
   const AdviceMsg r = client.advise(1, hash, job_with_deadline(12 * kHour));
   EXPECT_EQ(r.advice, advise_offline(spec, full, job_with_deadline(12 * kHour)));
+}
+
+TEST(ServeIntegration, OversizedZoneSubsetSpecIsRefusedAndOthersServed) {
+  // A spec allowing 64-zone subsets would make every advise enumerate
+  // 2^64 - 1 of them on a batcher worker. It must be refused at register,
+  // and the daemon must go on answering other tenants.
+  constexpr std::size_t kSeed = 300;
+  const ZoneTraceSet full = make_traces(kSeed);
+  ServeDaemon daemon;
+  ServeClient feed(daemon.socket());
+  feed.trace_init(make_init(full, kSeed, kSeed + 16));
+
+  ModelSpec hostile;
+  hostile.history_span = kDay;
+  hostile.max_zones = 64;
+  ServeClient attacker(daemon.socket());
+  try {
+    attacker.register_spec(hostile);
+    FAIL() << "max_zones = 64 must be refused";
+  } catch (const ServeError& e) {
+    EXPECT_EQ(std::string(e.what()), "invalid model spec");
+  }
+
+  ModelSpec spec;
+  spec.history_span = kDay;
+  ServeClient tenant(daemon.socket());
+  const std::uint64_t hash = tenant.register_spec(spec);
+  const AdviceMsg r = tenant.advise(1, hash, job_with_deadline(12 * kHour));
+  EXPECT_EQ(r.advice, advise_offline(spec, full, job_with_deadline(12 * kHour)));
+  EXPECT_EQ(feed.stats().models, 1u);
 }
 
 TEST(ServeIntegration, SigtermMidLoadDrainsInFlightAdviceAndExits130) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/daly.hpp"
@@ -71,6 +72,25 @@ TEST(ServeProto, TraceInitRoundtrip) {
   EXPECT_EQ(d->zone_names, m.zone_names);
   EXPECT_EQ(d->samples, m.samples);
   EXPECT_EQ(d->capacity_samples, 99u);
+}
+
+TEST(ServeProto, TraceInitOverSixtyFourZonesIsRefused) {
+  // The advisor keys zone subsets by a 64-bit mask: a wider trace must not
+  // decode.
+  const auto init_with = [](std::size_t num_zones) {
+    TraceInitMsg m;
+    m.step = 300;
+    m.capacity_samples = 2;
+    for (std::size_t z = 0; z < num_zones; ++z) {
+      std::string name("z");
+      name += std::to_string(z);
+      m.zone_names.push_back(std::move(name));
+      m.samples.push_back({Money::cents(27)});
+    }
+    return encode_trace_init(m);
+  };
+  EXPECT_TRUE(decode_trace_init(init_with(64)).has_value());
+  EXPECT_FALSE(decode_trace_init(init_with(65)).has_value());
 }
 
 TEST(ServeProto, TickAndAckRoundtrip) {
@@ -236,7 +256,7 @@ TEST(ServeRegistry, EvictsUnderPressureAndRebuildsTransparently) {
 
 TEST(ServeAdvisor, MatchesTheOfflineAdaptiveDecisionExactly) {
   // The serve answer must be the offline Adaptive decision: a fresh
-  // HistoryStats over the same window, ranked by evaluate_permutations,
+  // HistoryStats over the same window, searched by best_permutation,
   // with the Markov-Daly knobs computed the way the engine's policy does.
   const ZoneTraceSet traces = wavy_traces(400);
   ModelSpec spec;
@@ -256,10 +276,8 @@ TEST(ServeAdvisor, MatchesTheOfflineAdaptiveDecisionExactly) {
   in.on_demand_rate = job.on_demand_rate;
   for (std::size_t z = 0; z < traces.num_zones(); ++z)
     in.current_prices.push_back(traces.zone(z).at(now).to_double());
-  const std::vector<PermutationEstimate> ranked =
-      evaluate_permutations(hist, spec.max_zones, spec.policies, in);
-  ASSERT_FALSE(ranked.empty());
-  const PermutationEstimate& best = ranked.front();
+  const PermutationEstimate best =
+      best_permutation(hist, spec.max_zones, spec.policies, in);
 
   EXPECT_EQ(adv.as_of, now);
   EXPECT_EQ(adv.bid, best.bid);
