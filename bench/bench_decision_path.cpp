@@ -2,8 +2,7 @@
 // report for the CI tolerance gate.
 //
 // Suites 1-4 compare the zero-copy / incremental decision path against
-// the materialize-and-rebuild path it replaced; suite 5 prices a fixed
-// per-sweep cost that the short traces above never see:
+// the materialize-and-rebuild path it replaced:
 //
 //   1. history query    — PriceView window + min scan vs an owning
 //                         PriceSeries::window materialization.
@@ -22,10 +21,6 @@
 //                         old per-decision materialize + rebuild behaviour.
 //                         Totals are asserted bit-identical: the two paths
 //                         make exactly the same decisions.
-//   5. trace index      — building the batched sweep's SharedTraceIndex
-//                         over a paper-length trace set (3 zones x 14
-//                         months), which every fig-4 sweep does before its
-//                         first lane runs; time and bytes.
 //
 // A global operator-new hook additionally counts heap allocations on the
 // steady-state policy path (constant-price slide + memoized uptime), which
@@ -293,7 +288,7 @@ std::int64_t run_sweep(const SpotMarket& market,
 
 /// The same sweep through the batched lockstep engine: every
 /// (start, bid, policy) combination is one lane of a single group sharing
-/// the trace index and per-zone Markov models (core/batch).
+/// the per-zone Markov models (core/batch).
 std::int64_t run_sweep_batched(const SpotMarket& market,
                                const std::vector<SimTime>& starts,
                                const std::vector<Money>& bids) {
@@ -545,27 +540,7 @@ int main(int argc, char** argv) {
                static_cast<double>(starts.size() * bids.size() * 2));
   }
 
-  // --- 5. trace index build over a paper-length trace set -------------------
-  {
-    constexpr std::size_t kPaperTraceLen = 122'976;  // 14 months of 5 min
-    std::vector<PriceSeries> zones;
-    for (std::uint64_t z = 0; z < 3; ++z)
-      zones.push_back(walk_series(41 + z, kPaperTraceLen));
-    std::vector<std::string> names = {"z0", "z1", "z2"};
-    const ZoneTraceSet traces(names, zones);
-    std::size_t bytes = 0;
-    const double build_ms =
-        median_ns(quick ? 5 : 15, 1, [&](int) {
-          const batch::SharedTraceIndex index(traces);
-          bytes = index.memory_bytes();
-          g_sink += index.min_over(0, traces.zone(0).view()).micros();
-        }) /
-        1e6;
-    report.set("trace_index_build_ms", build_ms);
-    report.set("trace_index_bytes", static_cast<double>(bytes));
-  }
-
-  // --- 6. steady-state allocation count --------------------------------------
+  // --- 5. steady-state allocation count --------------------------------------
   {
     const PriceSeries flat(0, kPriceStep,
                            std::vector<Money>(kWindow + 128, Money::cents(30)));

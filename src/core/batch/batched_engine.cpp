@@ -10,7 +10,7 @@ namespace redspot::batch {
 
 BatchedSweepEngine::BatchedSweepEngine(const SpotMarket& market,
                                        EngineOptions options)
-    : market_(&market), options_(options), index_(market.traces()) {}
+    : market_(&market), options_(options) {}
 
 std::vector<RunResult> BatchedSweepEngine::run(
     std::span<const BatchConfig> configs) const {
@@ -35,7 +35,7 @@ std::vector<RunResult> BatchedSweepEngine::run(
         c.bid, c.zones, make_policy(c.policy)));
     engines.push_back(std::make_unique<Engine>(*market_, c.experiment,
                                                *strategies.back(), options_));
-    engines.back()->join_group(index_, pool);
+    engines.back()->join_group(pool);
     if (c.observer != nullptr) engines.back()->add_observer(c.observer);
   }
 

@@ -7,17 +7,16 @@
 // global event-time order, one instant at a time — a branchless min over
 // the SoA next-event array finds the group's earliest event time, and
 // every lane with an event at that instant drains its burst in lane order
-// — so the group shares, across every lane:
+// — so the group shares one ZoneModelPool: each per-zone model slides ONCE
+// per tick for the whole group (windows are pure functions of (zone,
+// now)), and its (state, alive) memo dedupes the closed-form solves across
+// lanes and bids, prewarmed grid-wide through the branchless alive-state
+// kernel. S_min stays a per-lane scan of the 2-day window: Threshold reads
+// it only on a rising edge, and a shared range-minimum index cost more to
+// build than the scans it saved (DESIGN.md §14).
 //
-//   * one SharedTraceIndex: S_min queries are a few loads from a blocked
-//     range-minimum index instead of N × O(window) scans;
-//   * one ZoneModelPool: each per-zone model slides ONCE per tick for the
-//     whole group (windows are pure functions of (zone, now)), and its
-//     (state, alive) memo dedupes the closed-form solves across lanes and
-//     bids, prewarmed grid-wide through the branchless alive-state kernel.
-//
-// Lanes attach to both through Engine::join_group; policies are stateless
-// and see the shared state only through EngineView.
+// Lanes attach to the pool through Engine::join_group; policies are
+// stateless and see the shared state only through EngineView.
 //
 // Each lane is still a full scalar Engine stepped incrementally
 // (begin/step_one/finalize), so billing anchors, zone-machine
@@ -25,7 +24,7 @@
 // in a run() call — divergent per-lane control flow costs nothing in
 // correctness. Bit-identity of the shared state is by construction: every
 // shared value is a pure function of inputs that do not depend on which
-// lane asks (see trace_index.hpp / model_pool.hpp), so the batched sweep
+// lane asks (see model_pool.hpp), so the batched sweep
 // reproduces the scalar sweep's RunResults bit-for-bit for ANY lane
 // interleaving. The time-ordered interleaving is a performance choice
 // (models only slide forward), not a correctness requirement.
@@ -43,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "core/batch/trace_index.hpp"
 #include "core/engine.hpp"
 
 namespace redspot::batch {
@@ -61,10 +59,10 @@ struct BatchConfig {
 
 class BatchedSweepEngine {
  public:
-  /// Builds the shared trace index once; `market` must outlive the
-  /// engine. Every lane runs under `options` (any fault plan and regime),
-  /// so a group is regime-homogeneous by construction. The engine is immutable after construction, so one instance
-  /// serves many concurrent run() calls (one per sweep task).
+  /// `market` must outlive the engine. Every lane runs under `options`
+  /// (any fault plan and regime), so a group is regime-homogeneous by
+  /// construction. The engine is immutable after construction, so one
+  /// instance serves many concurrent run() calls (one per sweep task).
   explicit BatchedSweepEngine(const SpotMarket& market,
                               EngineOptions options = {});
 
@@ -73,12 +71,9 @@ class BatchedSweepEngine {
   /// Engine::run() of the same config produces. Thread-safe.
   std::vector<RunResult> run(std::span<const BatchConfig> configs) const;
 
-  const SharedTraceIndex& trace_index() const { return index_; }
-
  private:
   const SpotMarket* market_;
   EngineOptions options_;
-  SharedTraceIndex index_;
 };
 
 }  // namespace redspot::batch

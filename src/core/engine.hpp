@@ -70,10 +70,6 @@
 
 namespace redspot {
 
-namespace batch {
-class SharedTraceIndex;
-}  // namespace batch
-
 struct EngineOptions {
   /// Injected failure classes the paper assumes away (see fault/). The
   /// default all-zero plan is a strict no-op: runs reproduce the
@@ -130,18 +126,11 @@ class Engine final : public EngineView,
   /// Seals and returns the result; requires finished(). Call once.
   RunResult finalize();
 
-  /// Joins a lockstep batch group: min_observed_price() reads the group's
-  /// range-min index over the market traces, and expected_uptime() its
-  /// per-zone models, instead of the linear scan and this engine's own
-  /// pool. Both answers are bit-identical either way (see
-  /// core/batch/trace_index.hpp, model_pool.hpp). `index` must be built
-  /// over this engine's market; both must outlive the run. Call before
-  /// begin()/run().
-  void join_group(const batch::SharedTraceIndex& index,
-                  batch::ZoneModelPool& pool) {
-    shared_trace_ = &index;
-    pool_ = &pool;
-  }
+  /// Joins a lockstep batch group: expected_uptime() reads the group's
+  /// per-zone models instead of this engine's own pool. The answers are
+  /// bit-identical either way (see core/batch/model_pool.hpp). `pool` must
+  /// outlive the run. Call before begin()/run().
+  void join_group(batch::ZoneModelPool& pool) { pool_ = &pool; }
 
   // --- EngineView ----------------------------------------------------------
   SimTime now() const override { return queue_.now(); }
@@ -266,7 +255,6 @@ class Engine final : public EngineView,
   Experiment experiment_;
   Strategy* strategy_;
   EngineOptions options_;
-  const batch::SharedTraceIndex* shared_trace_ = nullptr;
   /// The decision path's Markov models: own_pool_ unless join_group()
   /// points this at the group's. Mutable state behind a const view; the
   /// answers are pure functions of (zone, now, bid).

@@ -1,7 +1,6 @@
 // The EngineView read surface: what policies and strategies may observe.
 #include <algorithm>
 
-#include "core/batch/trace_index.hpp"
 #include "core/engine.hpp"
 
 namespace redspot {
@@ -22,12 +21,8 @@ PriceView Engine::history(std::size_t zone) const {
 }
 
 Money Engine::min_observed_price(std::size_t zone) const {
-  // min over the view — no window materialization. Batched runs answer
-  // from the shared range-minimum index instead of the O(window) scan;
-  // exact integer minimum either way, so the two paths are bit-identical.
-  const PriceView h = history(zone);
-  if (shared_trace_ != nullptr) return shared_trace_->min_over(zone, h);
-  return h.min_price();
+  // One scan of the view, scalar or batched — no window materialization.
+  return history(zone).min_price();
 }
 
 Duration Engine::zone_progress(std::size_t zone) const {

@@ -21,7 +21,7 @@ namespace redspot {
 namespace {
 
 /// Lanes per lockstep group on the fixed-policy fast path. Wide enough to
-/// amortize the shared models/index across a group, small enough that
+/// amortize the shared models across a group, small enough that
 /// groups still fill the thread pool on the paper's 80-experiment sweeps.
 constexpr std::size_t kSweepBatchWidth = 16;
 

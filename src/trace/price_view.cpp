@@ -1,6 +1,7 @@
 #include "trace/price_view.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "trace/price_series.hpp"
 
@@ -15,10 +16,28 @@ SimTime PriceView::next_change(SimTime t) const {
 }
 
 Money PriceView::min_price() const {
-  return *std::min_element(samples_.begin(), samples_.end());
+  REDSPOT_CHECK(!samples_.empty());
+  // Four independent running minima break the loop-carried dependency of a
+  // single accumulator, and the selects compile to conditional moves. The
+  // minimum of integers is exact, so this equals *std::min_element.
+  const std::size_t n = samples_.size();
+  std::int64_t m0 = samples_[0].micros();
+  std::int64_t m1 = m0;
+  std::int64_t m2 = m0;
+  std::int64_t m3 = m0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    m0 = std::min(m0, samples_[i].micros());
+    m1 = std::min(m1, samples_[i + 1].micros());
+    m2 = std::min(m2, samples_[i + 2].micros());
+    m3 = std::min(m3, samples_[i + 3].micros());
+  }
+  for (; i < n; ++i) m0 = std::min(m0, samples_[i].micros());
+  return Money::from_micros(std::min(std::min(m0, m1), std::min(m2, m3)));
 }
 
 Money PriceView::max_price() const {
+  REDSPOT_CHECK(!samples_.empty());
   return *std::max_element(samples_.begin(), samples_.end());
 }
 

@@ -81,9 +81,11 @@ class PriceView {
   /// Shared by PriceSeries::next_change (the owning path delegates here).
   SimTime next_change(SimTime t) const;
 
-  /// Minimum price over the window, without allocating.
+  /// Minimum price over the window, without allocating (one linear scan:
+  /// S_min's only implementation). Requires a non-empty view.
   Money min_price() const;
-  /// Maximum price over the window, without allocating.
+  /// Maximum price over the window, without allocating. Requires a
+  /// non-empty view.
   Money max_price() const;
 
   /// Sub-view covering [from, to); bounds are clamped to the view span and

@@ -12,25 +12,21 @@
 // under notice and no-notice regimes — plus the SoA
 // kernels the lockstep driver is built from, and a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
-// (meaningful under TSan). The shared trace index's range-minimum
-// contract and the model pool's prewarm are checked on their own too.
+// (meaningful under TSan). The model pool's prewarm is checked on its own
+// too; S_min's window scan is checked in trace_view_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "core/batch/batch_state.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/batch/model_pool.hpp"
-#include "core/batch/trace_index.hpp"
 #include "core/events/trace_recorder.hpp"
 #include "core/strategy.hpp"
 #include "markov/incremental.hpp"
@@ -43,8 +39,6 @@ namespace {
 using batch::BatchConfig;
 using batch::BatchedSweepEngine;
 using batch::BatchState;
-using batch::RangeMinIndex;
-using batch::SharedTraceIndex;
 
 // --- SoA kernels -------------------------------------------------------------
 
@@ -315,7 +309,7 @@ TEST(BatchedSweep, RandomGridsMatchScalarBitForBit) {
 
 // Faulted lanes batch like any other: each lane's FaultInjector is private
 // to its engine and seeded from its experiment, and no fault touches the
-// prices the shared index and models read. Every fault class fires (plus
+// prices the shared models read. Every fault class fires (plus
 // a store outage), under the classic regime, the 2-minute rebalance
 // notice, and classic billing with a 300 s notice.
 TEST(BatchedSweep, FaultedGridsMatchScalarBitForBit) {
@@ -379,10 +373,9 @@ TEST(BatchedSweep, FaultedGridsMatchScalarBitForBit) {
 }
 
 // Threshold lanes from the trace's first sample with the paper's 2-day
-// history: their first S_min windows are shorter than one index block (the
-// in-block scan), then grow across blocks (prefix/suffix minima plus the
-// block table). Lanes starting past two days query sliding windows whose
-// ends fall mid-block.
+// history: their first S_min windows cover only the elapsed samples, then
+// grow to the full two days. Lanes starting past two days scan sliding
+// windows.
 TEST(BatchedSweep, ThresholdFromTraceStartMatchesScalarBitForBit) {
   Rng rng(9004);
   for (int trial = 0; trial < 4; ++trial) {
@@ -437,7 +430,7 @@ TEST(BatchedSweep, EdgeGroups) {
 // One immutable BatchedSweepEngine serving many concurrent run() calls:
 // the thread-safety claim the sweep fabric relies on. Every concurrent
 // result must equal the single-threaded reference; under TSan this also
-// proves the shared trace index and per-run state carry no hidden races.
+// proves the shared model pool and per-run state carry no hidden races.
 TEST(BatchedSweep, ConcurrentRunsShareOneEngine) {
   Rng rng(9003);
   std::vector<PriceSeries> series;
@@ -465,127 +458,6 @@ TEST(BatchedSweep, ConcurrentRunsShareOneEngine) {
                            std::to_string(i));
     }
   }
-}
-
-// --- Range-minimum index -----------------------------------------------------
-
-/// Prices in runs of equal values: half the runs from a small alphabet,
-/// half anywhere in the int64 micro-dollar range, a few at its extremes.
-std::vector<Money> index_prices(Rng& rng, std::size_t n) {
-  constexpr auto kLowest = std::numeric_limits<std::int64_t>::min();
-  constexpr auto kHighest = std::numeric_limits<std::int64_t>::max();
-  std::vector<Money> out;
-  out.reserve(n);
-  while (out.size() < n) {
-    const double u = rng.uniform();
-    const std::int64_t micros =
-        u < 0.005  ? kLowest
-        : u < 0.01 ? kHighest
-        : u < 0.5  ? static_cast<std::int64_t>(rng.uniform_index(8)) * 10'000
-                   : static_cast<std::int64_t>(rng.next_u64());
-    const std::size_t run = 1 + rng.uniform_index(rng.bernoulli(0.1) ? 200 : 4);
-    for (std::size_t k = 0; k < run && out.size() < n; ++k)
-      out.push_back(Money::from_micros(micros));
-  }
-  return out;
-}
-
-std::int64_t reference_min(const std::vector<Money>& prices, std::size_t lo,
-                           std::size_t hi) {
-  return std::min_element(prices.begin() + static_cast<std::ptrdiff_t>(lo),
-                          prices.begin() + static_cast<std::ptrdiff_t>(hi))
-      ->micros();
-}
-
-// Every (lo, hi) on sizes on and around the block edges: one-block,
-// two-block and many-block queries, partial last blocks.
-TEST(RangeMinIndex, EveryRangeMatchesMinElementAroundBlockEdges) {
-  static_assert(RangeMinIndex::kBlock == 64, "the sizes below straddle 64");
-  Rng rng(7101);
-  for (const std::size_t n : {1, 2, 63, 64, 65, 127, 128, 129, 200}) {
-    const std::vector<Money> prices = index_prices(rng, n);
-    RangeMinIndex idx;
-    idx.build(prices);
-    ASSERT_EQ(idx.size(), n);
-    for (std::size_t lo = 0; lo < n; ++lo) {
-      for (std::size_t hi = lo + 1; hi <= n; ++hi) {
-        ASSERT_EQ(idx.min_in(lo, hi).micros(), reference_min(prices, lo, hi))
-            << "n=" << n << " [" << lo << ", " << hi << ")";
-      }
-    }
-  }
-}
-
-// A paper-length trace (14 months of 5-minute samples): mostly windows of
-// up to about two days, like S_min's, plus log-uniform lengths up to the
-// whole trace. The index stays linear in size.
-TEST(RangeMinIndex, RandomQueriesOnPaperLengthTrace) {
-  constexpr std::size_t kSamples = 122'976;
-  Rng rng(7102);
-  const std::vector<Money> prices = index_prices(rng, kSamples);
-  RangeMinIndex idx;
-  idx.build(prices);
-  ASSERT_EQ(idx.size(), kSamples);
-  EXPECT_LE(idx.memory_bytes(), 3 * kSamples * sizeof(std::int64_t));
-
-  const double log_n = std::log(static_cast<double>(kSamples));
-  std::size_t mismatches = 0;
-  for (int q = 0; q < 100'000; ++q) {
-    const std::size_t len =
-        rng.bernoulli(0.98) ? 1 + rng.uniform_index(640)
-                           : static_cast<std::size_t>(
-                                 std::exp(rng.uniform(0.0, log_n)));
-    const std::size_t lo = rng.uniform_index(kSamples - len + 1);
-    if (idx.min_in(lo, lo + len).micros() !=
-        reference_min(prices, lo, lo + len))
-      ++mismatches;
-  }
-  EXPECT_EQ(mismatches, 0u);
-}
-
-TEST(RangeMinIndex, RejectsEmptyAndOutOfRangeQueries) {
-  Rng rng(7103);
-  const std::vector<Money> prices = index_prices(rng, 100);
-  RangeMinIndex idx;
-  idx.build(prices);
-  EXPECT_THROW(idx.min_in(5, 5), CheckFailure);
-  EXPECT_THROW(idx.min_in(6, 5), CheckFailure);
-  EXPECT_THROW(idx.min_in(0, 101), CheckFailure);
-  EXPECT_THROW(idx.min_in(100, 101), CheckFailure);
-  EXPECT_EQ(idx.min_in(99, 100), prices[99]);
-
-  RangeMinIndex empty;
-  empty.build({});
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_THROW(empty.min_in(0, 0), CheckFailure);
-  EXPECT_THROW(empty.min_in(0, 1), CheckFailure);
-}
-
-TEST(SharedTraceIndex, MinOverMatchesViewMinAndChecksAliasing) {
-  Rng rng(7104);
-  std::vector<PriceSeries> series;
-  series.push_back(alphabet_series(rng, 700));
-  series.push_back(walk_series(rng, 700));
-  const ZoneTraceSet traces = testing::zones(series);
-  const SharedTraceIndex index(traces);
-  ASSERT_EQ(index.num_zones(), 2u);
-
-  for (int q = 0; q < 2000; ++q) {
-    const std::size_t zone = rng.uniform_index(2);
-    const PriceSeries& trace = traces.zone(zone);
-    const std::size_t len = 1 + rng.uniform_index(trace.size());
-    const std::size_t lo = rng.uniform_index(trace.size() - len + 1);
-    const SimTime from = trace.start() + static_cast<SimTime>(lo) * kPriceStep;
-    const PriceView view =
-        trace.view(from, from + static_cast<SimTime>(len) * kPriceStep);
-    ASSERT_EQ(index.min_over(zone, view), view.min_price());
-  }
-
-  // Views must be non-empty and alias the indexed trace of that zone.
-  EXPECT_THROW(index.min_over(0, PriceView()), CheckFailure);
-  EXPECT_THROW(index.min_over(0, traces.zone(1).view()), CheckFailure);
-  EXPECT_THROW(index.min_over(0, series[0].view()), CheckFailure);
-  EXPECT_THROW(index.min_over(2, traces.zone(0).view()), CheckFailure);
 }
 
 }  // namespace

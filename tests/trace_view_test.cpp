@@ -1,11 +1,19 @@
 // PriceView: the zero-copy window over a price series. Property tests pin
 // the view against PriceSeries::window() materialization — same clamping,
 // same samples, same scans — across randomized windows, plus the
-// next_change edge semantics both paths now share.
+// next_change edge semantics both paths now share. min_price() is S_min's
+// only implementation, scalar and batched engines alike, so it is checked
+// against *std::min_element on its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/random.hpp"
 #include "test_util.hpp"
 #include "trace/price_series.hpp"
@@ -212,6 +220,79 @@ TEST(PriceView, MinMaxAtPartialHistoryStart) {
   EXPECT_EQ(s.view(s.time_of(1), s.end()).max_price(), Money::dollars(0.70));
   EXPECT_EQ(s.min_price(), Money::dollars(0.20));
   EXPECT_EQ(s.max_price(), Money::dollars(0.90));
+}
+
+TEST(PriceView, MinMaxOfEmptyViewThrow) {
+  const PriceView empty;
+  ASSERT_TRUE(empty.empty());
+  EXPECT_THROW(empty.min_price(), CheckFailure);
+  EXPECT_THROW(empty.max_price(), CheckFailure);
+}
+
+// --- min_price against the std::min_element reference -----------------------
+
+/// Prices in runs of equal values: half the runs from a small alphabet,
+/// half anywhere in the int64 micro-dollar range, a few at its extremes.
+std::vector<Money> min_scan_prices(Rng& rng, std::size_t n) {
+  constexpr auto kLowest = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kHighest = std::numeric_limits<std::int64_t>::max();
+  std::vector<Money> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const double u = rng.uniform();
+    const std::int64_t micros =
+        u < 0.005  ? kLowest
+        : u < 0.01 ? kHighest
+        : u < 0.5  ? static_cast<std::int64_t>(rng.uniform_index(8)) * 10'000
+                   : static_cast<std::int64_t>(rng.next_u64());
+    const std::size_t run = 1 + rng.uniform_index(rng.bernoulli(0.1) ? 200 : 4);
+    for (std::size_t k = 0; k < run && out.size() < n; ++k)
+      out.push_back(Money::from_micros(micros));
+  }
+  return out;
+}
+
+/// min_price() of the view over prices[lo, hi) next to the reference.
+void expect_min_matches_reference(const std::vector<Money>& prices,
+                                  std::size_t lo, std::size_t hi) {
+  const std::span<const Money> samples(prices);
+  const PriceView view(0, kPriceStep, samples.subspan(lo, hi - lo));
+  ASSERT_EQ(view.min_price(),
+            *std::min_element(prices.begin() + static_cast<std::ptrdiff_t>(lo),
+                              prices.begin() + static_cast<std::ptrdiff_t>(hi)))
+      << "n=" << prices.size() << " [" << lo << ", " << hi << ")";
+}
+
+// Every sub-window of views of every size up to 200: each tail length and
+// each start offset of the 4-accumulator reduction.
+TEST(PriceViewMinScan, EverySubwindowMatchesMinElement) {
+  Rng rng(7101);
+  for (std::size_t n = 1; n <= 200; ++n) {
+    const std::vector<Money> prices = min_scan_prices(rng, n);
+    for (std::size_t lo = 0; lo < n; ++lo) {
+      for (std::size_t hi = lo + 1; hi <= n; ++hi) {
+        expect_min_matches_reference(prices, lo, hi);
+      }
+    }
+  }
+}
+
+// A paper-length trace (14 months of 5-minute samples): mostly windows of
+// up to about two days, like S_min's, plus log-uniform lengths up to the
+// whole trace.
+TEST(PriceViewMinScan, RandomWindowsOnPaperLengthTrace) {
+  constexpr std::size_t kSamples = 122'976;
+  Rng rng(7102);
+  const std::vector<Money> prices = min_scan_prices(rng, kSamples);
+  const double log_n = std::log(static_cast<double>(kSamples));
+  for (int q = 0; q < 100'000; ++q) {
+    const std::size_t len =
+        rng.bernoulli(0.98) ? 1 + rng.uniform_index(640)
+                           : static_cast<std::size_t>(
+                                 std::exp(rng.uniform(0.0, log_n)));
+    const std::size_t lo = rng.uniform_index(kSamples - len + 1);
+    expect_min_matches_reference(prices, lo, lo + len);
+  }
 }
 
 }  // namespace
