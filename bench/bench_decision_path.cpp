@@ -26,6 +26,13 @@
 // steady-state policy path (constant-price slide + memoized uptime), which
 // must be zero.
 //
+// Suite 6 times one paper-trace fixed-policy sweep through run_fixed_sweep
+// against the same audited lanes driven straight through
+// BatchedSweepEngine in run_fixed_sweep's 16-lane groups. Their ratio,
+// sweep_entry_overhead, is what a sweep costs beyond its lanes (an
+// unjournaled sweep must not hash its market); results are asserted
+// bit-identical.
+//
 // Usage: bench_decision_path [--quick] [--out report.json]
 // Writes BENCH_decision_path.json (see tools/bench_report.hpp) and prints
 // a human-readable summary.
@@ -43,6 +50,7 @@
 #include "bench_report.hpp"
 #include "ckpt/daly.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "core/adaptive/adaptive_runner.hpp"
 #include "core/adaptive/estimator.hpp"
@@ -52,9 +60,13 @@
 #include "core/engine.hpp"
 #include "core/policies/rising_edge.hpp"
 #include "core/strategy.hpp"
+#include "exp/sweep.hpp"
+#include "fault/audit_observer.hpp"
+#include "journal/run_record.hpp"
 #include "markov/incremental.hpp"
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/zone_traces.hpp"
 
 // --- Allocation-counting hook (mirrors tests/decision_path_test.cpp) --------
@@ -313,6 +325,34 @@ std::int64_t run_sweep_batched(const SpotMarket& market,
   return total;
 }
 
+/// `spec` over every chunk of `scenario` straight through the batched
+/// engine: run_fixed_sweep's lockstep groups of 16 audited lanes on the
+/// default pool, without the sweep entry around them.
+std::vector<RunResult> run_batched_core(const SpotMarket& market,
+                                        const Scenario& scenario,
+                                        const PolicyRunSpec& spec) {
+  constexpr std::size_t kWidth = 16;
+  const batch::BatchedSweepEngine batcher(market);
+  const std::size_t n = scenario.num_experiments;
+  std::vector<RunResult> results(n);
+  parallel_for(0, (n + kWidth - 1) / kWidth, [&](std::size_t g) {
+    const std::size_t lo = g * kWidth;
+    const std::size_t hi = std::min(lo + kWidth, n);
+    std::vector<batch::BatchConfig> configs;
+    std::vector<std::unique_ptr<AuditObserver>> audits;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const Experiment experiment = scenario.experiment(k);
+      audits.push_back(std::make_unique<AuditObserver>(
+          experiment, market.on_demand_rate()));
+      configs.push_back(batch::BatchConfig{experiment, spec.policy, spec.bid,
+                                           spec.zones, audits.back().get()});
+    }
+    const std::vector<RunResult> runs = batcher.run(configs);
+    for (std::size_t k = lo; k < hi; ++k) results[k] = runs[k - lo];
+  });
+  return results;
+}
+
 }  // namespace
 }  // namespace redspot
 
@@ -564,6 +604,41 @@ int main(int argc, char** argv) {
     g_count_allocs.store(false);
     report.set("steady_state_decision_allocs",
                static_cast<double>(g_alloc_count.load()));
+  }
+
+  // --- 6. sweep entry: run_fixed_sweep vs its batched core ------------------
+  // Reps interleave the two paths so host drift hits both alike; the ratio
+  // of their medians is gated.
+  {
+    const SpotMarket market(paper_traces(42), cc2_instance(),
+                            QueueDelayModel());
+    const Scenario scenario{VolatilityWindow::kLow, 0.15, 300, 80};
+    const PolicyRunSpec spec{PolicyKind::kPeriodic, Money::cents(81), {0}};
+    const std::vector<RunResult> via_sweep =
+        run_fixed_sweep(market, scenario, spec);
+    const std::vector<RunResult> via_core =
+        run_batched_core(market, scenario, spec);
+    REDSPOT_CHECK(via_sweep.size() == via_core.size());
+    for (std::size_t i = 0; i < via_sweep.size(); ++i)
+      REDSPOT_CHECK_MSG(encode_sweep_chunk(0, i, via_sweep[i]) ==
+                            encode_sweep_chunk(0, i, via_core[i]),
+                        "run_fixed_sweep and its batched core diverged at "
+                        "chunk " << i);
+
+    const int entry_reps = quick ? 9 : 21;
+    std::vector<double> sweep_ns, core_ns;
+    for (int r = 0; r < entry_reps; ++r) {
+      sweep_ns.push_back(median_ns(1, 1, [&](int) {
+        g_sink += run_fixed_sweep(market, scenario, spec)[0].finish_time;
+      }));
+      core_ns.push_back(median_ns(1, 1, [&](int) {
+        g_sink += run_batched_core(market, scenario, spec)[0].finish_time;
+      }));
+    }
+    std::sort(sweep_ns.begin(), sweep_ns.end());
+    std::sort(core_ns.begin(), core_ns.end());
+    report.set("sweep_entry_overhead",
+               sweep_ns[sweep_ns.size() / 2] / core_ns[core_ns.size() / 2]);
   }
 
   // --- Emit -------------------------------------------------------------------

@@ -68,20 +68,22 @@ void run_chunks_batched(const SpotMarket& market, const Scenario& scenario,
 /// result is audited against the run invariants before it is returned, so
 /// a broken guarantee surfaces at the sweep instead of skewing a figure.
 ///
-/// `key` fingerprints this sweep for the journal: with a durability
-/// journal attached, chunks found under `key` (checksum-intact, passing
-/// the kReplay audit) are taken from the journal, and computed chunks are
-/// appended under `key` once they pass the full audit.
+/// With a durability journal attached, the sweep's journal key is
+/// sweep_base_key mixed with `mix_config` (the kind and configuration of
+/// this sweep): chunks found under the key (checksum-intact, passing the
+/// kReplay audit) are taken from the journal, and computed chunks are
+/// appended under it once they pass the full audit. Without a journal the
+/// key, which hashes every price sample, is never computed.
 ///
 /// `batch_spec` non-null marks a fixed-policy sweep: its chunk groups
 /// dispatch to the batched lockstep engine under any engine options,
 /// faulted ones included; adaptive and large-bid strategies keep the
 /// scalar per-chunk path.
-template <typename MakeStrategy>
+template <typename MixConfig, typename MakeStrategy>
 std::vector<RunResult> run_sweep(const SpotMarket& market,
                                  const Scenario& scenario,
                                  const EngineOptions& engine_options,
-                                 std::uint64_t key,
+                                 MixConfig mix_config,
                                  SweepDurability* durability,
                                  const PolicyRunSpec* batch_spec,
                                  MakeStrategy make_strategy) {
@@ -90,7 +92,12 @@ std::vector<RunResult> run_sweep(const SpotMarket& market,
   std::vector<char> replayed(n, 0);
   RunJournal* journal =
       durability != nullptr ? durability->journal : nullptr;
+  std::uint64_t key = 0;
   if (journal != nullptr) {
+    HashStream h;
+    h.u64(sweep_base_key(market, scenario, engine_options));
+    mix_config(h);
+    key = h.digest();
     for (const std::string& payload : journal->records()) {
       if (record_type(payload) != RecordType::kSweepChunk) continue;
       std::optional<SweepChunkRecord> rec = decode_sweep_chunk(payload);
@@ -182,14 +189,14 @@ std::vector<RunResult> run_fixed_sweep(const SpotMarket& market,
                                        const EngineOptions& engine_options,
                                        SweepDurability* durability) {
   REDSPOT_CHECK(!spec.zones.empty());
-  HashStream h;
-  h.u64(sweep_base_key(market, scenario, engine_options));
-  h.u64(1);  // sweep kind: fixed policy
-  h.u64(static_cast<std::uint64_t>(spec.policy));
-  h.i64(spec.bid.micros());
-  h.u64(spec.zones.size());
-  for (const std::size_t z : spec.zones) h.u64(z);
-  return run_sweep(market, scenario, engine_options, h.digest(), durability,
+  const auto mix_config = [&spec](HashStream& h) {
+    h.u64(1);  // sweep kind: fixed policy
+    h.u64(static_cast<std::uint64_t>(spec.policy));
+    h.i64(spec.bid.micros());
+    h.u64(spec.zones.size());
+    for (const std::size_t z : spec.zones) h.u64(z);
+  };
+  return run_sweep(market, scenario, engine_options, mix_config, durability,
                    &spec, [&spec](std::size_t) {
     return std::make_unique<FixedStrategy>(spec.bid, spec.zones,
                                            make_policy(spec.policy));
@@ -200,10 +207,10 @@ std::vector<RunResult> run_adaptive_sweep(
     const SpotMarket& market, const Scenario& scenario,
     const EngineOptions& engine_options,
     SweepDurability* durability) {
-  HashStream h;
-  h.u64(sweep_base_key(market, scenario, engine_options));
-  h.u64(2);  // sweep kind: adaptive
-  return run_sweep(market, scenario, engine_options, h.digest(), durability,
+  const auto mix_config = [](HashStream& h) {
+    h.u64(2);  // sweep kind: adaptive
+  };
+  return run_sweep(market, scenario, engine_options, mix_config, durability,
                    nullptr, [](std::size_t) {
     return std::make_unique<AdaptiveStrategy>();
   });
@@ -215,12 +222,12 @@ std::vector<RunResult> run_large_bid_sweep(const SpotMarket& market,
                                            std::size_t zone,
                                            const EngineOptions& engine_options,
                                            SweepDurability* durability) {
-  HashStream h;
-  h.u64(sweep_base_key(market, scenario, engine_options));
-  h.u64(3);  // sweep kind: large-bid
-  h.i64(threshold.micros());
-  h.u64(zone);
-  return run_sweep(market, scenario, engine_options, h.digest(), durability,
+  const auto mix_config = [threshold, zone](HashStream& h) {
+    h.u64(3);  // sweep kind: large-bid
+    h.i64(threshold.micros());
+    h.u64(zone);
+  };
+  return run_sweep(market, scenario, engine_options, mix_config, durability,
                    nullptr, [threshold, zone](std::size_t) {
     return std::make_unique<FixedStrategy>(
         LargeBidPolicy::large_bid(), std::vector<std::size_t>{zone},

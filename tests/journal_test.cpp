@@ -588,37 +588,55 @@ TEST(EnsembleJournalTest, PreSetStopFlagYieldsInterruptedEmptyResult) {
 
 // ------------------------------------------------------- sweep replay ------
 
+/// One journaled sweep of each kind: fixed (batched lanes), adaptive and
+/// large-bid (scalar runs).
+using Sweep = std::vector<RunResult> (*)(const SpotMarket&, const Scenario&,
+                                         SweepDurability*);
+std::vector<RunResult> fixed_sweep(const SpotMarket& market,
+                                   const Scenario& scenario,
+                                   SweepDurability* durability) {
+  return run_fixed_sweep(market, scenario,
+                         {PolicyKind::kPeriodic, Money::cents(81), {0}}, {},
+                         durability);
+}
+std::vector<RunResult> adaptive_sweep(const SpotMarket& market,
+                                      const Scenario& scenario,
+                                      SweepDurability* durability) {
+  return run_adaptive_sweep(market, scenario, {}, durability);
+}
+std::vector<RunResult> large_bid_sweep(const SpotMarket& market,
+                                       const Scenario& scenario,
+                                       SweepDurability* durability) {
+  return run_large_bid_sweep(market, scenario, Money::cents(81), 1, {},
+                             durability);
+}
+const Sweep kSweepKinds[] = {fixed_sweep, adaptive_sweep, large_bid_sweep};
+
 TEST(SweepJournalTest, SecondSweepReplaysEveryChunkBitIdentically) {
-  const std::string path = tmp_path("sweep_replay.journal");
   const SpotMarket market(paper_traces(3), cc2_instance(),
                           QueueDelayModel(QueueDelayParams::fixed(0)));
   const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 4};
-  const PolicyRunSpec spec{PolicyKind::kPeriodic, Money::cents(81), {0}};
-
-  std::vector<RunResult> first;
-  {
+  for (const Sweep sweep : kSweepKinds) {
+    const std::string path = tmp_path("sweep_replay.journal");
+    std::vector<RunResult> first;
+    {
+      RunJournal journal(path);
+      SweepDurability durability{&journal};
+      first = sweep(market, scenario, &durability);
+      EXPECT_EQ(durability.chunks_replayed, 0u);
+      EXPECT_EQ(durability.chunks_recomputed, 4u);
+    }
     RunJournal journal(path);
-    SweepDurability durability;
-    durability.journal = &journal;
-    first = run_fixed_sweep(market, scenario, spec, {}, &durability);
-    EXPECT_EQ(durability.chunks_replayed, 0u);
-    EXPECT_EQ(durability.chunks_recomputed, 4u);
+    ASSERT_EQ(journal.records().size(), 4u);
+    SweepDurability durability{&journal};
+    const std::vector<RunResult> replayed =
+        sweep(market, scenario, &durability);
+    EXPECT_EQ(durability.chunks_replayed, 4u);
+    EXPECT_EQ(durability.chunks_recomputed, 0u);
+    ASSERT_EQ(replayed.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+      expect_same_run(replayed[i], first[i]);
   }
-  RunJournal journal(path);
-  ASSERT_EQ(journal.records().size(), 4u);
-  SweepDurability durability;
-  durability.journal = &journal;
-  const auto replayed = run_fixed_sweep(market, scenario, spec, {}, &durability);
-  EXPECT_EQ(durability.chunks_replayed, 4u);
-  EXPECT_EQ(durability.chunks_recomputed, 0u);
-  ASSERT_EQ(replayed.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(replayed[i].total_cost.micros(), first[i].total_cost.micros());
-    EXPECT_EQ(replayed[i].met_deadline, first[i].met_deadline);
-    EXPECT_EQ(replayed[i].checkpoints_committed,
-              first[i].checkpoints_committed);
-  }
-  EXPECT_EQ(costs_of(replayed), costs_of(first));
 }
 
 TEST(SweepJournalTest, DifferentConfigurationsGetDistinctKeys) {
@@ -650,6 +668,80 @@ TEST(SweepJournalTest, DifferentConfigurationsGetDistinctKeys) {
             sweep_base_key(market, other, {}));
   EXPECT_NE(sweep_base_key(market, scenario, {}),
             sweep_base_key(market, scenario, notice));
+}
+
+
+// Journal keys are a compatibility contract: a change to what is hashed,
+// or in which order, orphans every journal already on disk. These
+// constants pin the base key and the key of each sweep kind, as read back
+// from the records the sweep wrote; change them only together with a
+// deliberate key change.
+TEST(SweepJournalTest, JournalKeysArePinned) {
+  const SpotMarket market(paper_traces(3), cc2_instance(),
+                          QueueDelayModel(QueueDelayParams::fixed(0)));
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 2};
+  EXPECT_EQ(sweep_base_key(market, scenario, {}), 0x2c16c01b27fd788dull);
+
+  const std::uint64_t pinned[] = {0xac22c64c08b36b33ull,   // fixed
+                                  0x98abbc3f12bb2964ull,   // adaptive
+                                  0xae9f76e75c87cce6ull};  // large-bid
+  for (std::size_t kind = 0; kind < std::size(kSweepKinds); ++kind) {
+    const std::string path = tmp_path("sweep_pinned.journal");
+    {
+      RunJournal journal(path);
+      SweepDurability durability{&journal};
+      kSweepKinds[kind](market, scenario, &durability);
+    }
+    RunJournal journal(path);
+    std::vector<std::uint64_t> keys;
+    for (const std::string& payload : journal.records()) {
+      const std::optional<SweepChunkRecord> rec = decode_sweep_chunk(payload);
+      ASSERT_TRUE(rec.has_value());
+      keys.push_back(rec->sweep_key);
+    }
+    EXPECT_EQ(keys, std::vector<std::uint64_t>(2, pinned[kind])) << kind;
+  }
+}
+
+TEST(SweepJournalTest, JournalOfAnotherMarketReplaysNothing) {
+  const std::string path = tmp_path("sweep_market.journal");
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 2};
+  const PolicyRunSpec spec{PolicyKind::kPeriodic, Money::cents(81), {0}};
+  {
+    const SpotMarket market(paper_traces(3), cc2_instance(),
+                            QueueDelayModel(QueueDelayParams::fixed(0)));
+    RunJournal journal(path);
+    SweepDurability durability{&journal};
+    run_fixed_sweep(market, scenario, spec, {}, &durability);
+    EXPECT_EQ(durability.chunks_recomputed, 2u);
+  }
+  // Same instance, delay model, scenario and configuration; only the
+  // price samples differ, so the market fingerprint alone must miss.
+  const SpotMarket other(paper_traces(4), cc2_instance(),
+                         QueueDelayModel(QueueDelayParams::fixed(0)));
+  RunJournal journal(path);
+  SweepDurability durability{&journal};
+  run_fixed_sweep(other, scenario, spec, {}, &durability);
+  EXPECT_EQ(durability.chunks_replayed, 0u);
+  EXPECT_EQ(durability.chunks_recomputed, 2u);
+}
+
+TEST(SweepJournalTest, NullJournalRecomputesEveryChunk) {
+  const SpotMarket market(paper_traces(3), cc2_instance(),
+                          QueueDelayModel(QueueDelayParams::fixed(0)));
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 3};
+  const PolicyRunSpec spec{PolicyKind::kMarkovDaly, Money::cents(81), {0, 1}};
+  SweepDurability durability;
+  durability.chunks_replayed = 7;  // stale counters are overwritten
+  const std::vector<RunResult> with =
+      run_fixed_sweep(market, scenario, spec, {}, &durability);
+  EXPECT_EQ(durability.chunks_replayed, 0u);
+  EXPECT_EQ(durability.chunks_recomputed, 3u);
+  const std::vector<RunResult> without =
+      run_fixed_sweep(market, scenario, spec);
+  ASSERT_EQ(with.size(), without.size());
+  for (std::size_t i = 0; i < with.size(); ++i)
+    expect_same_run(with[i], without[i]);
 }
 
 }  // namespace
