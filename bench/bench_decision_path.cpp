@@ -14,7 +14,10 @@
 //                         followed by reads of all 4 multi-zone subsets (so
 //                         the slid subset memo is measured), plus the heap
 //                         allocations of one warm decision (advance +
-//                         best_permutation).
+//                         best_permutation), and the argmin scan against
+//                         pricing every permutation through
+//                         estimate_permutation (adaptive_scan_speedup;
+//                         both must find the same cost).
 //   4. fig4 mini-sweep  — end-to-end engine runs (Threshold + Markov-Daly,
 //                         3 bids, several starts) under the real policies
 //                         vs bench-local legacy policies that reproduce the
@@ -522,6 +525,56 @@ int main(int argc, char** argv) {
     g_count_allocs.store(false);
     report.set("adaptive_decision_allocs",
                static_cast<double>(g_alloc_count.load()) / kDecisions);
+
+    // Scan cost: best_permutation against a reference that prices every
+    // permutation through estimate_permutation and takes the cheapest.
+    // Reps interleave the two on the same slid window; the ratio of their
+    // medians is gated.
+    const auto reference_cost = [&] {
+      Money best;
+      bool found = false;
+      std::vector<std::size_t> subset;
+      for (std::uint64_t mask = 1; mask < 8; ++mask) {
+        subset.clear();
+        for (std::size_t z = 0; z < 3; ++z)
+          if (mask & (std::uint64_t{1} << z)) subset.push_back(z);
+        for (std::size_t b = 0; b < grid.size(); ++b) {
+          for (PolicyKind policy : AdaptiveStrategy::kCandidatePolicies) {
+            const Money cost =
+                estimate_permutation(slid, b, subset, policy, in)
+                    .predicted_cost;
+            if (!found || cost < best) best = cost;
+            found = true;
+          }
+        }
+      }
+      return best;
+    };
+    const auto scan_cost = [&] {
+      return best_permutation(slid, AdaptiveStrategy::kMaxZones,
+                              AdaptiveStrategy::kCandidatePolicies, in)
+          .predicted_cost;
+    };
+    const int scan_reps = quick ? 15 : 41;
+    const int scan_iters = quick ? 20 : 50;
+    std::vector<double> reference_ns, scan_ns;
+    for (int r = 0; r < scan_reps; ++r) {
+      const auto [from, to] = bounds(kDecisions + 1 + 7 * r);
+      slid.advance(traces, from, to);
+      REDSPOT_CHECK_MSG(reference_cost() == scan_cost(),
+                        "best_permutation and the reference scan disagree "
+                        "at rep " << r);
+      reference_ns.push_back(median_ns(1, scan_iters, [&](int) {
+        g_sink += reference_cost().micros();
+      }));
+      scan_ns.push_back(median_ns(1, scan_iters, [&](int) {
+        g_sink += scan_cost().micros();
+      }));
+    }
+    std::sort(reference_ns.begin(), reference_ns.end());
+    std::sort(scan_ns.begin(), scan_ns.end());
+    report.set("adaptive_scan_speedup", reference_ns[reference_ns.size() / 2] /
+                                            scan_ns[scan_ns.size() / 2]);
   }
 
   // --- 4. fig4 mini-sweep: real policies vs legacy materialize+rebuild ------

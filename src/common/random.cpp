@@ -1,7 +1,6 @@
 #include "common/random.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/check.hpp"
 
@@ -14,14 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   // Mix seed and stream so that nearby (seed, stream) pairs give unrelated
   // state. SplitMix64 is a strong enough mixer for this purpose.
@@ -31,23 +22,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   for (auto& word : s_) word = splitmix64(sm);
   // xoshiro256++ must not start from the all-zero state.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -64,19 +38,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
     x = next_u64();
   } while (x >= limit);
   return x % n;
-}
-
-bool Rng::bernoulli(double p) { return uniform() < p; }
-
-double Rng::normal() {
-  // Box-Muller, always drawing a fresh pair (no hidden state).
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
 }
 
 double Rng::normal(double mean, double stddev) {

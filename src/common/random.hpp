@@ -8,9 +8,17 @@
 // toolchains is a requirement.
 //
 // Generator: xoshiro256++ (Blackman & Vigna), seeded via SplitMix64.
+//
+// The per-sample draws (next_u64, uniform, bernoulli, normal) are defined
+// inline here: trace synthesis makes several per price sample, and a call
+// per draw was a measurable share of it. Their arithmetic and draw order
+// are pinned by Rng.StreamIsPinned (a digest of two streams' first draws)
+// and, through the generator, by Synthetic.TracesArePinned.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 
 namespace redspot {
 
@@ -28,10 +36,23 @@ class Rng {
   explicit Rng(std::uint64_t seed, std::uint64_t stream = 0);
 
   /// Next 64 uniformly random bits.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random bits into [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
@@ -40,10 +61,19 @@ class Rng {
   std::uint64_t uniform_index(std::uint64_t n);
 
   /// True with probability p (clamped to [0, 1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) { return uniform() < p; }
 
   /// Standard normal via Box-Muller (deterministic, no cached spare).
-  double normal();
+  double normal() {
+    // Box-Muller, always drawing a fresh pair (no hidden state).
+    double u1;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    const double u2 = uniform();
+    return std::sqrt(-2.0 * std::log(u1)) *
+           std::cos(2.0 * std::numbers::pi * u2);
+  }
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -61,6 +91,10 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

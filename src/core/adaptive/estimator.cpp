@@ -23,90 +23,102 @@ std::string PermutationEstimate::str() const {
 
 namespace {
 
-/// Policy-dependent checkpoint interval for the prediction.
-Duration predicted_interval(const HistoryStats& hist, std::size_t bid_idx,
-                            const std::vector<std::size_t>& zones,
-                            PolicyKind policy, Duration checkpoint_cost) {
-  switch (policy) {
-    case PolicyKind::kPeriodic:
-      return kHour - checkpoint_cost;
-    case PolicyKind::kMarkovDaly: {
-      // Combined expected up-time ~ sum of empirical mean up-spells
-      // (Section 4.2's independence argument), fed to Daly's equation.
-      double combined = 0.0;
-      for (std::size_t z : zones)
-        combined += hist.stats(z, bid_idx).mean_up_spell;
-      if (combined < 1.0) return kHour - checkpoint_cost;
-      return daly_interval(checkpoint_cost,
-                           static_cast<Duration>(combined));
-    }
-    case PolicyKind::kRisingEdge:
-    case PolicyKind::kThreshold:
-    case PolicyKind::kRandomizedBid:
-    case PolicyKind::kIndexTrack:
-      // Reactive policies checkpoint roughly once per price movement;
-      // approximate with the per-zone interruption spacing.
-      return kHour - checkpoint_cost;
-  }
-  return kHour - checkpoint_cost;
-}
+/// What a permutation's prediction needs from one (zone subset, bid) cell:
+/// everything but the policy's checkpoint interval.
+struct CellTerms {
+  double availability = 0.0;     ///< combined availability
+  double outage_rate = 0.0;      ///< full outages per hour
+  double cost_rate = 0.0;        ///< sum of availability x paid price, $/h
+  double first_hour_rate = 0.0;  ///< $/h the first hour locks in
+  double up_spell_sum = 0.0;     ///< sum of mean up-spells, seconds
+};
 
-/// Everything estimate_permutation() predicts except the zone list, which
-/// it leaves empty so a scan over candidates does not allocate.
-PermutationEstimate estimate(const HistoryStats& hist, std::size_t bid_idx,
-                             const std::vector<std::size_t>& zones,
-                             PolicyKind policy, const EstimatorInputs& in) {
-  REDSPOT_CHECK(!zones.empty());
-  REDSPOT_CHECK(in.remaining_time >= 0);
-
-  PermutationEstimate e;
-  e.bid = hist.bid_grid()[bid_idx];
-  e.policy = policy;
-
-  const Duration interval =
-      predicted_interval(hist, bid_idx, zones, policy, in.checkpoint_cost);
-  const double efficiency =
-      static_cast<double>(interval) /
-      static_cast<double>(interval + in.checkpoint_cost);
-
-  const double avail = hist.combined_availability(zones, bid_idx);
-  const double outage_rate = hist.full_outage_rate(zones, bid_idx);
-  // Expected loss per full outage: half a checkpoint interval of rolled-
-  // back work plus the restart and re-acquisition latency.
-  const double loss_per_outage =
-      static_cast<double>(interval) / 2.0 +
-      static_cast<double>(in.restart_cost + in.mean_queue_delay);
-  const double raw_rate =
-      avail * efficiency -
-      outage_rate * loss_per_outage / static_cast<double>(kHour);
-  e.progress_rate = std::clamp(raw_rate, 0.0, 1.0);
-
+/// The cell terms of `zones` (the subset whose rows are `rows`) at bid
+/// `bid_idx`. The zone sums run in the order of `zones`.
+CellTerms cell_terms(const HistoryStats& hist,
+                     const HistoryStats::SubsetRows& rows,
+                     const std::vector<std::size_t>& zones,
+                     std::size_t bid_idx, const EstimatorInputs& in) {
+  CellTerms c;
+  c.availability = rows.availability[bid_idx];
+  c.outage_rate = rows.outage_rate[bid_idx];
   // Long-run dollars per wall hour, and the rate the first hour would lock
   // in given current prices (zones currently out-of-bid cost nothing until
   // they come back).
-  double cost_rate = 0.0;
-  double first_hour_rate = 0.0;
-  const double bid_dollars = e.bid.to_double() + 1e-9;
+  const double bid_dollars = hist.bid_grid()[bid_idx].to_double() + 1e-9;
   for (std::size_t z : zones) {
-    const ZoneBidStats& st = hist.stats(z, bid_idx);
-    cost_rate += st.availability * st.mean_paid_price;
-    if (z < in.current_prices.size() && in.current_prices[z] <= bid_dollars) {
-      first_hour_rate += in.current_prices[z];
-    } else if (in.current_prices.empty()) {
-      first_hour_rate += st.availability * st.mean_paid_price;
+    const ZoneBidStats st = hist.stats(z, bid_idx);
+    c.cost_rate += st.availability * st.mean_paid_price;
+    if (in.current_prices.empty()) {
+      c.first_hour_rate += st.availability * st.mean_paid_price;
+    } else if (in.current_prices[z] <= bid_dollars) {
+      c.first_hour_rate += in.current_prices[z];
     }
+    c.up_spell_sum += st.mean_up_spell;
   }
-  e.cost_rate = cost_rate;
+  return c;
+}
+
+/// A checkpoint interval and what it implies for the progress rate.
+struct IntervalTerms {
+  double efficiency = 0.0;       ///< interval / (interval + t_c)
+  double loss_per_outage = 0.0;  ///< seconds of progress lost per outage
+};
+
+IntervalTerms interval_terms(Duration interval, const EstimatorInputs& in) {
+  // Expected loss per full outage: half a checkpoint interval of rolled-
+  // back work plus the restart and re-acquisition latency.
+  return {static_cast<double>(interval) /
+              static_cast<double>(interval + in.checkpoint_cost),
+          static_cast<double>(interval) / 2.0 +
+              static_cast<double>(in.restart_cost + in.mean_queue_delay)};
+}
+
+/// The interval every policy but Markov-Daly is predicted with: hourly
+/// checkpoints. Reactive policies (Rising-Edge, Threshold, Randomized-bid,
+/// Index-track) checkpoint roughly once per price movement; approximate
+/// that with the hourly interval too.
+IntervalTerms hourly_terms(const EstimatorInputs& in) {
+  return interval_terms(kHour - in.checkpoint_cost, in);
+}
+
+/// Markov-Daly's interval for a cell: the combined expected up-time ~ the
+/// sum of empirical mean up-spells (Section 4.2's independence argument),
+/// fed to Daly's equation.
+IntervalTerms daly_terms(const CellTerms& c, const EstimatorInputs& in) {
+  if (c.up_spell_sum < 1.0) return hourly_terms(in);
+  return interval_terms(
+      daly_interval(in.checkpoint_cost,
+                    static_cast<Duration>(c.up_spell_sum)),
+      in);
+}
+
+/// One cell priced at one checkpoint interval. The times stay unrounded:
+/// only the winner's are rounded to whole seconds (make_estimate).
+struct Prediction {
+  double progress_rate = 0.0;
+  double spot_s = 0.0;  ///< seconds on spot
+  double od_s = 0.0;    ///< seconds on-demand
+  Money cost;
+};
+
+Prediction price(const CellTerms& c, const IntervalTerms& iv,
+                 const EstimatorInputs& in) {
+  Prediction p;
+  const double raw_rate =
+      c.availability * iv.efficiency -
+      c.outage_rate * iv.loss_per_outage / static_cast<double>(kHour);
+  p.progress_rate = std::clamp(raw_rate, 0.0, 1.0);
 
   // Inequality (1): can the spot market alone deliver C_r within T_r?
   const double cr = static_cast<double>(in.remaining_compute);
   const Duration reserve = in.checkpoint_cost + in.restart_cost;
   const double tr_avail =
       static_cast<double>(std::max<Duration>(0, in.remaining_time - reserve));
-  const double r = e.progress_rate;
+  const double r = p.progress_rate;
 
-  double spot_s = 0.0;
-  double od_s = 0.0;
+  double& spot_s = p.spot_s;
+  double& od_s = p.od_s;
   if (r > 1e-6 && r * tr_avail >= cr) {
     spot_s = cr / r;
   } else {
@@ -119,36 +131,62 @@ PermutationEstimate estimate(const HistoryStats& hist, std::size_t bid_idx,
     const double od_compute = std::max(0.0, cr - r * spot_s);
     od_s = od_compute + static_cast<double>(in.restart_cost);
   }
-  e.spot_seconds = static_cast<Duration>(std::llround(spot_s));
-  e.on_demand_seconds = static_cast<Duration>(std::llround(od_s));
-
   const double first_hour_s =
       std::min(spot_s, static_cast<double>(kHour));
   const double later_s = spot_s - first_hour_s;
-  Money cost = Money::dollars(
-      (first_hour_rate * first_hour_s + cost_rate * later_s) /
+  p.cost = Money::dollars(
+      (c.first_hour_rate * first_hour_s + c.cost_rate * later_s) /
       static_cast<double>(kHour));
-  if (od_s > 0.0)
-    cost += in.on_demand_rate * started_hours(e.on_demand_seconds);
-  e.predicted_cost = cost;
+  if (od_s > 0.0) {
+    p.cost += in.on_demand_rate *
+              started_hours(static_cast<Duration>(std::llround(od_s)));
+  }
+  return p;
+}
+
+/// The estimate of a priced cell, without its zone list.
+PermutationEstimate make_estimate(Money bid, PolicyKind policy,
+                                  const CellTerms& c, const Prediction& p) {
+  PermutationEstimate e;
+  e.bid = bid;
+  e.policy = policy;
+  e.progress_rate = p.progress_rate;
+  e.cost_rate = c.cost_rate;
+  e.spot_seconds = static_cast<Duration>(std::llround(p.spot_s));
+  e.on_demand_seconds = static_cast<Duration>(std::llround(p.od_s));
+  e.predicted_cost = p.cost;
   return e;
 }
 
-/// True when (a over zone mask ma) ranks before (b over mb) in the total
-/// order documented on best_permutation().
-bool ranks_before(const PermutationEstimate& a, std::uint64_t ma,
-                  const PermutationEstimate& b, std::uint64_t mb) {
-  if (a.predicted_cost != b.predicted_cost)
-    return a.predicted_cost < b.predicted_cost;
-  if (std::popcount(ma) != std::popcount(mb))
-    return std::popcount(ma) < std::popcount(mb);
+void check_inputs(const HistoryStats& hist, const EstimatorInputs& in) {
+  REDSPOT_CHECK(in.remaining_time >= 0);
+  REDSPOT_CHECK_MSG(in.current_prices.empty() ||
+                        in.current_prices.size() >= hist.num_zones(),
+                    "current_prices must price every zone ("
+                        << in.current_prices.size() << " for "
+                        << hist.num_zones() << ")");
+}
+
+/// A scanned candidate's place in the order documented on
+/// best_permutation().
+struct RankKey {
+  Money cost;
+  std::uint64_t mask = 0;  ///< the zone set
+  Money bid;
+  PolicyKind policy = PolicyKind::kPeriodic;
+};
+
+bool ranks_before(const RankKey& a, const RankKey& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  if (std::popcount(a.mask) != std::popcount(b.mask))
+    return std::popcount(a.mask) < std::popcount(b.mask);
   if (a.bid != b.bid) return a.bid < b.bid;
-  if (ma != mb) {
+  if (a.mask != b.mask) {
     // Equal-size ascending zone lists share the zones below the lowest
     // differing one; the list holding that zone is lexicographically
     // smaller.
-    const std::uint64_t diff = ma ^ mb;
-    return (ma & diff & (~diff + 1)) != 0;
+    const std::uint64_t diff = a.mask ^ b.mask;
+    return (a.mask & diff & (~diff + 1)) != 0;
   }
   return a.policy < b.policy;
 }
@@ -159,7 +197,17 @@ PermutationEstimate estimate_permutation(
     const HistoryStats& hist, std::size_t bid_idx,
     const std::vector<std::size_t>& zones, PolicyKind policy,
     const EstimatorInputs& in) {
-  PermutationEstimate e = estimate(hist, bid_idx, zones, policy, in);
+  REDSPOT_CHECK(!zones.empty());
+  REDSPOT_CHECK(bid_idx < hist.bid_grid().size());
+  check_inputs(hist, in);
+  const CellTerms c =
+      cell_terms(hist, hist.subset_rows(hist.zone_mask(zones)), zones,
+                 bid_idx, in);
+  const IntervalTerms iv = policy == PolicyKind::kMarkovDaly
+                               ? daly_terms(c, in)
+                               : hourly_terms(in);
+  PermutationEstimate e =
+      make_estimate(hist.bid_grid()[bid_idx], policy, c, price(c, iv, in));
   e.zones = zones;
   return e;
 }
@@ -172,6 +220,7 @@ PermutationEstimate best_permutation(const HistoryStats& hist,
   REDSPOT_CHECK(z_total > 0);
   REDSPOT_CHECK_MSG(z_total < 64, "zone subsets are enumerated as a mask");
   REDSPOT_CHECK(!policies.empty());
+  check_inputs(hist, in);
 
   // One reused list holds the current subset; at the end it becomes the
   // winner's zone list, the scan's only allocation.
@@ -183,24 +232,40 @@ PermutationEstimate best_permutation(const HistoryStats& hist,
       if (mask & (std::uint64_t{1} << z)) zones.push_back(z);
   };
 
-  PermutationEstimate best;
-  std::uint64_t best_mask = 0;
+  const std::vector<Money>& grid = hist.bid_grid();
+  const IntervalTerms hourly = hourly_terms(in);
+  const bool any_daly =
+      std::find(policies.begin(), policies.end(), PolicyKind::kMarkovDaly) !=
+      policies.end();
+
+  RankKey best;
+  CellTerms best_cell;
+  Prediction best_prediction;
   const std::uint64_t limit = std::uint64_t{1} << z_total;
   for (std::uint64_t mask = 1; mask < limit; ++mask) {
     fill_zones(mask);
-    for (std::size_t b = 0; b < hist.bid_grid().size(); ++b) {
+    const HistoryStats::SubsetRows rows = hist.subset_rows(mask);
+    for (std::size_t b = 0; b < grid.size(); ++b) {
+      // Each cell is built once and priced under every policy.
+      const CellTerms c = cell_terms(hist, rows, zones, b, in);
+      const IntervalTerms daly = any_daly ? daly_terms(c, in) : hourly;
       for (PolicyKind policy : policies) {
-        PermutationEstimate e = estimate(hist, b, zones, policy, in);
-        if (best_mask == 0 || ranks_before(e, mask, best, best_mask)) {
-          best = e;
-          best_mask = mask;
+        const Prediction p =
+            price(c, policy == PolicyKind::kMarkovDaly ? daly : hourly, in);
+        const RankKey key{p.cost, mask, grid[b], policy};
+        if (best.mask == 0 || ranks_before(key, best)) {
+          best = key;
+          best_cell = c;
+          best_prediction = p;
         }
       }
     }
   }
-  fill_zones(best_mask);
-  best.zones = std::move(zones);
-  return best;
+  PermutationEstimate e =
+      make_estimate(best.bid, best.policy, best_cell, best_prediction);
+  fill_zones(best.mask);
+  e.zones = std::move(zones);
+  return e;
 }
 
 }  // namespace redspot

@@ -11,6 +11,15 @@
 // T_r at rate r, part of the remaining run moves to on-demand. The
 // prediction is c x (spot time) + on-demand rate x (started on-demand
 // hours), and Adaptive adopts the cheapest permutation (best_permutation).
+//
+// A prediction is two steps. The cell terms of a (subset, bid) — combined
+// availability, full-outage rate, the per-zone sums of availability x paid
+// price, of the first-hour rate and of mean up-spells — do not depend on
+// the policy; pricing applies one policy's checkpoint interval to them.
+// best_permutation builds each cell once and prices every policy from it
+// (every policy but Markov-Daly shares the hourly interval, computed once
+// per scan; Daly's is computed once per cell). estimate_permutation runs
+// the same two functions, so both entry points give bit-identical numbers.
 #pragma once
 
 #include <span>
@@ -51,7 +60,8 @@ struct EstimatorInputs {
   /// predicted hour of each selected zone is priced at its current price
   /// (hour-start pricing locks it) instead of the historical mean — this is
   /// what lets Adaptive walk away from a zone that just entered an
-  /// expensive regime.
+  /// expensive regime. A non-empty vector must price every zone of the
+  /// history (both entry points check it).
   std::vector<double> current_prices;
 };
 

@@ -64,7 +64,11 @@ void HistoryStats::rebuild(const ZoneTraceSet& traces, SimTime from,
   const std::size_t nbids = bid_grid_.size();
   counters_.assign(base_.size(), std::vector<BidCounters>(nbids));
   first_cut_.assign(base_.size(), 0);
-  stats_.assign(base_.size(), std::vector<ZoneBidStats>(nbids));
+  zone_rows_.assign(base_.size(),
+                    ZoneRows{std::vector<double>(nbids),
+                             std::vector<double>(nbids),
+                             std::vector<double>(nbids),
+                             std::vector<double>(nbids)});
   for (std::size_t z = 0; z < base_.size(); ++z) {
     std::vector<BidCounters>& row = counters_[z];
     std::size_t prev_cut = 0;
@@ -175,29 +179,23 @@ void HistoryStats::refresh_stats() {
       const BidCounters& c = counters_[z][k];
       const std::int64_t spells =
           c.starts + (k >= first_cut_[z] ? 1 : 0);
-      ZoneBidStats& st = stats_[z][order_[k]];
-      st.availability =
+      ZoneRows& r = zone_rows_[z];
+      const std::size_t b = order_[k];
+      r.availability[b] =
           static_cast<double>(c.up) / static_cast<double>(n_);
-      st.mean_paid_price =
+      r.mean_paid_price[b] =
           c.up > 0 ? (static_cast<double>(c.paid_micros) / 1e6) /
                          static_cast<double>(c.up)
                    : 0.0;
-      st.interruptions_per_hour =
+      r.interruptions_per_hour[b] =
           h > 0 ? static_cast<double>(c.interrupts) / h : 0.0;
-      st.mean_up_spell =
+      r.mean_up_spell[b] =
           spells > 0 ? static_cast<double>(c.up) *
                            static_cast<double>(step_) /
                            static_cast<double>(spells)
                      : 0.0;
     }
   }
-}
-
-const ZoneBidStats& HistoryStats::stats(std::size_t zone,
-                                        std::size_t bid_idx) const {
-  REDSPOT_CHECK(zone < stats_.size());
-  REDSPOT_CHECK(bid_idx < bid_grid_.size());
-  return stats_[zone][bid_idx];
 }
 
 std::size_t HistoryStats::subset_cut(const std::vector<std::size_t>& zones,
@@ -262,7 +260,7 @@ void HistoryStats::refresh_combined(CombinedEntry& e) const {
   }
 }
 
-std::uint64_t HistoryStats::mask_of(
+std::uint64_t HistoryStats::zone_mask(
     const std::vector<std::size_t>& zones) const {
   REDSPOT_CHECK(!zones.empty());
   std::uint64_t mask = 0;
@@ -287,25 +285,17 @@ const HistoryStats::CombinedEntry& HistoryStats::combined_entry(
   return e;
 }
 
-double HistoryStats::combined_availability(
-    const std::vector<std::size_t>& zones, std::size_t bid_idx) const {
-  REDSPOT_CHECK(bid_idx < bid_grid_.size());
-  const std::uint64_t mask = mask_of(zones);
-  if (std::has_single_bit(mask))
-    return stats_[static_cast<std::size_t>(std::countr_zero(mask))][bid_idx]
-        .availability;
-  return combined_entry(mask).availability[bid_idx];
-}
-
-double HistoryStats::full_outage_rate(const std::vector<std::size_t>& zones,
-                                      std::size_t bid_idx) const {
-  REDSPOT_CHECK(bid_idx < bid_grid_.size());
-  const std::uint64_t mask = mask_of(zones);
+HistoryStats::SubsetRows HistoryStats::subset_rows(std::uint64_t mask) const {
+  REDSPOT_CHECK(mask != 0);
+  REDSPOT_CHECK(base_.size() == 64 || (mask >> base_.size()) == 0);
   // A single zone's full outages are its interruptions (same pair count).
-  if (std::has_single_bit(mask))
-    return stats_[static_cast<std::size_t>(std::countr_zero(mask))][bid_idx]
-        .interruptions_per_hour;
-  return combined_entry(mask).outage_rate[bid_idx];
+  if (std::has_single_bit(mask)) {
+    const ZoneRows& r =
+        zone_rows_[static_cast<std::size_t>(std::countr_zero(mask))];
+    return {r.availability, r.interruptions_per_hour};
+  }
+  const CombinedEntry& e = combined_entry(mask);
+  return {e.availability, e.outage_rate};
 }
 
 }  // namespace redspot

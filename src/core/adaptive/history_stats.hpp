@@ -21,7 +21,10 @@
 // any-up -> none-up pairs per sorted bid, where a sample's cut is that of
 // the cheapest subset zone — and the memo is slid per mask under
 // advance(), not refilled; only a rebuild clears it. A single-zone subset
-// is answered from the per-zone stats, which hold the same counts.
+// is answered from the per-zone stats, which hold the same counts. The
+// per-zone stats are kept as per-bid rows, so any subset's availability
+// and outage-rate rows are handed out whole (subset_rows): a scan over the
+// bid grid resolves its subset once, not once per bid.
 //
 // Lifetime: HistoryStats BORROWS the trace storage passed to the
 // constructor and to advance() — the ZoneTraceSet must outlive it (true
@@ -30,8 +33,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/money.hpp"
 #include "common/time.hpp"
 #include "trace/zone_traces.hpp"
@@ -64,18 +69,45 @@ class HistoryStats {
   const std::vector<Money>& bid_grid() const { return bid_grid_; }
   Duration window_length() const { return window_length_; }
 
-  const ZoneBidStats& stats(std::size_t zone, std::size_t bid_idx) const;
+  ZoneBidStats stats(std::size_t zone, std::size_t bid_idx) const {
+    REDSPOT_CHECK(zone < zone_rows_.size());
+    REDSPOT_CHECK(bid_idx < bid_grid_.size());
+    const ZoneRows& r = zone_rows_[zone];
+    return ZoneBidStats{r.availability[bid_idx], r.mean_paid_price[bid_idx],
+                        r.interruptions_per_hour[bid_idx],
+                        r.mean_up_spell[bid_idx]};
+  }
 
-  /// Fraction of the window during which at least one zone of `zones` has
-  /// S <= bid_grid()[bid_idx]. A multi-zone subset's first query fills its
-  /// memo entry in one window pass; later windows slide it.
+  /// A zone subset's statistics for every bid, indexed like bid_grid().
+  struct SubsetRows {
+    /// Fraction of the window during which at least one subset zone has
+    /// S <= B.
+    std::span<const double> availability;
+    /// Any-up -> none-up transitions per hour (the events that force a
+    /// rollback to the previous checkpoint). For one zone these are its
+    /// interruptions: the same pair count.
+    std::span<const double> outage_rate;
+  };
+
+  /// The rows of the non-empty subset whose zones are the set bits of
+  /// `mask`. A multi-zone subset's first request fills its memo entry in
+  /// one window pass; later windows slide it. The spans stay valid until
+  /// the next advance().
+  SubsetRows subset_rows(std::uint64_t mask) const;
+
+  /// Bitmask of a non-empty zone list (order and duplicates do not matter).
+  std::uint64_t zone_mask(const std::vector<std::size_t>& zones) const;
+
   double combined_availability(const std::vector<std::size_t>& zones,
-                               std::size_t bid_idx) const;
-
-  /// Any-up -> none-up transitions per hour for the subset (the events
-  /// that force a rollback to the previous checkpoint).
+                               std::size_t bid_idx) const {
+    REDSPOT_CHECK(bid_idx < bid_grid_.size());
+    return subset_rows(zone_mask(zones)).availability[bid_idx];
+  }
   double full_outage_rate(const std::vector<std::size_t>& zones,
-                          std::size_t bid_idx) const;
+                          std::size_t bid_idx) const {
+    REDSPOT_CHECK(bid_idx < bid_grid_.size());
+    return subset_rows(zone_mask(zones)).outage_rate[bid_idx];
+  }
 
   // Introspection for tests and benchmarks.
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
@@ -90,6 +122,13 @@ class HistoryStats {
     std::int64_t paid_micros = 0;  ///< sum of S over up samples, micro-$
     std::int64_t starts = 0;       ///< interior down->up pairs
     std::int64_t interrupts = 0;   ///< interior up->down pairs
+  };
+  /// One zone's ZoneBidStats, one row per field, [original bid].
+  struct ZoneRows {
+    std::vector<double> availability;
+    std::vector<double> mean_paid_price;
+    std::vector<double> interruptions_per_hour;
+    std::vector<double> mean_up_spell;
   };
   /// Memoized statistics of one multi-zone subset.
   struct CombinedEntry {
@@ -119,8 +158,6 @@ class HistoryStats {
   void slide_combined(CombinedEntry& e, std::size_t lo, std::size_t hi) const;
   /// Re-derives `e`'s doubles from its counts.
   void refresh_combined(CombinedEntry& e) const;
-  /// Bitmask of a non-empty zone list.
-  std::uint64_t mask_of(const std::vector<std::size_t>& zones) const;
   /// The memo entry of a multi-zone mask, filled on first use.
   const CombinedEntry& combined_entry(std::uint64_t mask) const;
   double hours() const;
@@ -141,7 +178,7 @@ class HistoryStats {
 
   std::vector<std::vector<BidCounters>> counters_;  ///< [zone][sorted bid]
   std::vector<std::size_t> first_cut_;              ///< per zone
-  std::vector<std::vector<ZoneBidStats>> stats_;    ///< [zone][original bid]
+  std::vector<ZoneRows> zone_rows_;                 ///< per zone
 
   /// Lazily filled per multi-zone mask, slid by advance(), cleared only by
   /// rebuild(). Mutable: HistoryStats is a per-strategy, single-threaded

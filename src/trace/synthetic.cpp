@@ -22,7 +22,7 @@ struct ZoneState {
   double deviation = 0.0;  // AR(1) deviation from the regime level
   SimTime spike_until = 0;
   double spike_price = 0.0;
-  double published = -1.0;  // last published price; <0 = nothing yet
+  Money published = Money::from_micros(-1);  // last published; <0 = none
   bool was_spiking = false;
 };
 
@@ -69,6 +69,20 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
   Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
   for (double& x : shared) x = common_rng.normal();
 
+  const double floor = spec.floor.to_double();
+  const double cap = spec.cap.to_double();
+  // Per-step probability that a Poisson spike starts in a (zone, month).
+  const auto spike_start_prob = [&](const ZoneMonthParams& p) {
+    return p.spikes.per_day_rate * static_cast<double>(spec.step) /
+           static_cast<double>(kDay);
+  };
+  // First step index at or after time t (clamped to the trace).
+  const auto step_at = [&](SimTime t) {
+    if (t <= 0) return std::size_t{0};
+    return std::min(num_steps,
+                    static_cast<std::size_t>((t + spec.step - 1) / spec.step));
+  };
+
   std::vector<PriceSeries> series;
   std::vector<std::string> names;
   series.reserve(spec.num_zones);
@@ -80,9 +94,13 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
 
     std::vector<Money> samples(num_steps);
     std::size_t month = 0;
+    double p_start = spike_start_prob(spec.params[0][z]);
     for (std::size_t i = 0; i < num_steps; ++i) {
       const SimTime t = static_cast<SimTime>(i) * spec.step;
-      while (month + 1 < num_months && t >= month_ends[month]) ++month;
+      while (month + 1 < num_months && t >= month_ends[month]) {
+        ++month;
+        p_start = spike_start_prob(spec.params[month][z]);
+      }
       const ZoneMonthParams& p = spec.params[month][z];
 
       // Regime transitions (semi-Markov with exponential dwells). A month
@@ -114,9 +132,6 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
 
       // Poisson spike overlay.
       if (t >= st.spike_until && p.spikes.per_day_rate > 0.0) {
-        const double p_start = p.spikes.per_day_rate *
-                               static_cast<double>(spec.step) /
-                               static_cast<double>(kDay);
         if (rng.bernoulli(p_start)) {
           st.spike_price = rng.uniform(p.spikes.mag_lo, p.spikes.mag_hi);
           st.spike_until = t + sample_dwell(rng, p.spikes.mean_duration);
@@ -127,46 +142,31 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
       // Publish a new price only on regime/spike boundaries or with the
       // regime's change probability; otherwise the market holds the last
       // published price (spot prices are piecewise-constant in reality).
-      const bool must_publish = st.published < 0.0 || regime_switched ||
+      const bool must_publish = st.published < Money() || regime_switched ||
                                 spiking != st.was_spiking;
       if (must_publish || rng.bernoulli(regime.change_prob)) {
-        double price = spiking ? std::max(latent, st.spike_price) : latent;
-        price =
-            std::clamp(price, spec.floor.to_double(), spec.cap.to_double());
-        st.published = quantize(price).to_double();
+        const double price =
+            spiking ? std::max(latent, st.spike_price) : latent;
+        st.published = quantize(std::clamp(price, floor, cap));
       }
       st.was_spiking = spiking;
-      samples[i] = Money::dollars(st.published);
+      samples[i] = st.published;
+    }
+
+    // Forced spikes are written last so they override everything (they
+    // model specific historical events such as the $20.02 spike of Mar
+    // 13-14 2013).
+    for (const ForcedSpike& fs : spec.forced_spikes) {
+      if (fs.zone != z) continue;
+      REDSPOT_CHECK(fs.duration > 0);
+      const std::size_t end = step_at(fs.start + fs.duration);
+      for (std::size_t i = step_at(fs.start); i < end; ++i)
+        samples[i] = fs.price;
     }
     series.emplace_back(0, spec.step, std::move(samples));
     names.push_back("zone-" + std::string(1, static_cast<char>('a' + z)));
   }
-
-  ZoneTraceSet set(std::move(names), std::move(series));
-
-  // Forced spikes are written last so they override everything (they model
-  // specific historical events such as the $20.02 spike of Mar 13-14 2013).
-  if (!spec.forced_spikes.empty()) {
-    std::vector<PriceSeries> patched;
-    std::vector<std::string> patched_names;
-    for (std::size_t z = 0; z < set.num_zones(); ++z) {
-      std::vector<Money> samples(set.zone(z).samples().begin(),
-                                 set.zone(z).samples().end());
-      for (const ForcedSpike& fs : spec.forced_spikes) {
-        if (fs.zone != z) continue;
-        REDSPOT_CHECK(fs.duration > 0);
-        const SimTime end = fs.start + fs.duration;
-        for (std::size_t i = 0; i < samples.size(); ++i) {
-          const SimTime t = static_cast<SimTime>(i) * spec.step;
-          if (t >= fs.start && t < end) samples[i] = fs.price;
-        }
-      }
-      patched.emplace_back(0, spec.step, std::move(samples));
-      patched_names.push_back(set.zone_name(z));
-    }
-    set = ZoneTraceSet(std::move(patched_names), std::move(patched));
-  }
-  return set;
+  return ZoneTraceSet(std::move(names), std::move(series));
 }
 
 SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until) {

@@ -94,7 +94,10 @@ struct SyntheticTraceSpec {
   std::vector<ForcedSpike> forced_spikes;
 };
 
-/// Generates the trace set described by `spec`.
+/// Generates the trace set described by `spec`. Each zone's samples are
+/// generated, then its forced spikes are written over them in place, and
+/// only then is its PriceSeries built: the trace set is never copied.
+/// Synthetic.TracesArePinned pins the output bit for bit.
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec);
 
 /// Returns `spec` truncated to the fewest whole months covering

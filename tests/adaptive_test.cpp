@@ -11,6 +11,8 @@
 #include "core/adaptive/history_stats.hpp"
 #include "common/random.hpp"
 #include "core/engine.hpp"
+#include "exp/scenario.hpp"
+#include "trace/synthetic.hpp"
 #include "test_util.hpp"
 
 namespace redspot {
@@ -69,6 +71,8 @@ TEST(HistoryStats, ValidatesArguments) {
   EXPECT_THROW(hist.stats(5, 0), CheckFailure);
   EXPECT_THROW(hist.stats(0, 1), CheckFailure);
   EXPECT_THROW(hist.combined_availability({}, 0), CheckFailure);
+  EXPECT_THROW(hist.subset_rows(0), CheckFailure);  // empty subset
+  EXPECT_THROW(hist.subset_rows(2), CheckFailure);  // zone 1 of 1
   // Subsets are keyed by a 64-bit zone mask.
   std::vector<PriceSeries> wide(65, constant_series(0.3, 8));
   const ZoneTraceSet too_wide = testing::zones(std::move(wide));
@@ -310,6 +314,73 @@ TEST(Estimator, TiedPermutationsHaveOneOrder) {
       ++ties;
   }
   EXPECT_EQ(ties, 9u);  // 3 single zones x 3 policies
+}
+
+// The scan contract on the windows Adaptive really sees: one HistoryStats
+// slid tick by tick (the subset memo is slid, not refilled) through the
+// high window of a paper trace. At every tick the scan must equal the
+// brute-force minimum for every zone budget, with and without current
+// prices — on the paper grid, and on an unsorted grid holding a duplicate
+// bid under a policy list that puts two hourly policies around Markov-Daly.
+TEST(Estimator, BestPermutationMatchesBruteForceOnSlidWindows) {
+  const ZoneTraceSet traces = paper_traces(7);
+  const std::vector<Money> unsorted = {
+      Money::cents(81), Money::cents(27), Money::dollars(2.40),
+      Money::cents(47), Money::cents(81), Money::dollars(1.20)};
+  const std::vector<PolicyKind> mixed = {
+      PolicyKind::kThreshold, PolicyKind::kMarkovDaly, PolicyKind::kPeriodic};
+  struct Case {
+    std::vector<Money> grid;
+    std::vector<PolicyKind> policies;
+  };
+  const Case cases[] = {{paper_bid_grid(), kAdaptivePolicies},
+                        {unsorted, mixed}};
+  constexpr int kTicks = 200;
+  const SimTime first = window_start(VolatilityWindow::kHigh) + 2 * kDay;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("grid of " + std::to_string(c.grid.size()));
+    HistoryStats hist(traces, first - 2 * kDay, first, c.grid);
+    for (int tick = 0; tick < kTicks; ++tick) {
+      const SimTime now = first + tick * kPriceStep;
+      hist.advance(traces, now - 2 * kDay, now);
+      EstimatorInputs in = basic_inputs();
+      in.remaining_compute = static_cast<Duration>(2 + tick % 9) * kHour;
+      in.remaining_time = in.remaining_compute + (tick % 5) * kHour;
+      for (int priced = 0; priced < 2; ++priced) {
+        in.current_prices.clear();
+        if (priced == 1) {
+          for (std::size_t z = 0; z < traces.num_zones(); ++z)
+            in.current_prices.push_back(traces.price(z, now).to_double());
+        }
+        for (std::size_t max_zones = 1; max_zones <= 3; ++max_zones) {
+          SCOPED_TRACE("tick " + std::to_string(tick) + " priced " +
+                       std::to_string(priced) + " max_zones " +
+                       std::to_string(max_zones));
+          expect_same_permutation(
+              best_permutation(hist, max_zones, c.policies, in),
+              brute_force_best(hist, max_zones, c.policies, in));
+        }
+      }
+    }
+    EXPECT_EQ(hist.full_rebuilds(), 1u);
+  }
+}
+
+// A non-empty current-price vector must price every zone's first hour: a
+// short one would silently price the missing zones at $0.
+TEST(Estimator, ShortCurrentPricesAreRejected) {
+  const ZoneTraceSet traces = testing::zones(
+      {constant_series(0.30, 48), constant_series(0.40, 48)});
+  const HistoryStats hist(traces, 0, traces.end(), {Money::cents(81)});
+  EstimatorInputs in = basic_inputs();
+  in.current_prices = {0.30};
+  EXPECT_THROW(
+      estimate_permutation(hist, 0, {1}, PolicyKind::kPeriodic, in),
+      CheckFailure);
+  EXPECT_THROW(best_permutation(hist, 2, kAdaptivePolicies, in),
+               CheckFailure);
+  in.current_prices = {0.30, 0.40};
+  EXPECT_NO_THROW(best_permutation(hist, 2, kAdaptivePolicies, in));
 }
 
 TEST(Estimator, PaperBidGrid) {
