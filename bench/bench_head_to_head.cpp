@@ -2,7 +2,8 @@
 // regime of the catalog on the high-volatility window, with 95% CIs on
 // mean cost and deadline-miss rate (exp/head_to_head.hpp). Emits the text
 // tables plus a flat bench report for the CI runtime gate
-// (BENCH_regime.json baseline; see tools/bench_report.hpp).
+// (BENCH_regime.json baseline; see tools/bench_report.hpp). The wall time
+// is printed on stderr; stdout is pinned by tests/golden/.
 //
 // Usage: bench_head_to_head [num_experiments] [tc_seconds] [report.json]
 //                           [journal_path]
@@ -53,9 +54,11 @@ int main(int argc, char** argv) {
       stdout);
   std::printf(
       "randomized-bid draw: %s | %zu cells | journal: %zu replayed, %zu "
-      "recomputed | %.0f ms\n",
+      "recomputed\n",
       result.drawn_bid.str().c_str(), result.cells.size(),
-      result.chunks_replayed, result.chunks_recomputed, ms);
+      result.chunks_replayed, result.chunks_recomputed);
+  // Wall time goes to stderr so stdout stays a deterministic table.
+  std::fprintf(stderr, "head-to-head: %.0f ms\n", ms);
 
   benchreport::Report report;
   report.schema = "redspot-head-to-head-v1";

@@ -1,6 +1,7 @@
 #include "core/adaptive/adaptive_runner.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -19,24 +20,18 @@ AdaptiveStrategy::AdaptiveStrategy()
     : periodic_(make_policy(PolicyKind::kPeriodic)),
       markov_daly_(make_policy(PolicyKind::kMarkovDaly)) {}
 
-namespace {
-
-EstimatorInputs make_inputs(const EngineView& view) {
+void AdaptiveStrategy::fill_inputs(const EngineView& view) {
   const Experiment& exp = view.experiment();
-  EstimatorInputs in;
-  in.remaining_compute = exp.app.total_compute - view.leading_progress();
-  in.remaining_time = exp.deadline_time() - view.now();
-  in.checkpoint_cost = exp.costs.checkpoint;
-  in.restart_cost = exp.costs.restart;
-  in.mean_queue_delay = AdaptiveStrategy::kMeanQueueDelay;
-  in.on_demand_rate = view.market().on_demand_rate();
-  in.current_prices.reserve(view.market().num_zones());
-  for (std::size_t z = 0; z < view.market().num_zones(); ++z)
-    in.current_prices.push_back(view.price(z).to_double());
-  return in;
+  inputs_.remaining_compute = exp.app.total_compute - view.leading_progress();
+  inputs_.remaining_time = exp.deadline_time() - view.now();
+  inputs_.checkpoint_cost = exp.costs.checkpoint;
+  inputs_.restart_cost = exp.costs.restart;
+  inputs_.mean_queue_delay = kMeanQueueDelay;
+  inputs_.on_demand_rate = view.market().on_demand_rate();
+  inputs_.current_prices.resize(view.market().num_zones());
+  for (std::size_t z = 0; z < inputs_.current_prices.size(); ++z)
+    inputs_.current_prices[z] = view.price(z).to_double();
 }
-
-}  // namespace
 
 const HistoryStats& AdaptiveStrategy::current_stats(const EngineView& view) {
   const Experiment& exp = view.experiment();
@@ -52,8 +47,8 @@ const HistoryStats& AdaptiveStrategy::current_stats(const EngineView& view) {
 
 PermutationEstimate AdaptiveStrategy::choose(const EngineView& view) {
   const HistoryStats& hist = current_stats(view);
-  return best_permutation(hist, kMaxZones, kCandidatePolicies,
-                          make_inputs(view));
+  fill_inputs(view);
+  return best_permutation(hist, kMaxZones, kCandidatePolicies, inputs_);
 }
 
 EngineConfig AdaptiveStrategy::to_config(
@@ -77,14 +72,14 @@ std::optional<EngineConfig> AdaptiveStrategy::reconsider(
                                 best.zones == choice_->zones &&
                                 best.policy == choice_->policy;
   if (same_permutation) {
-    choice_ = best;  // refresh the prediction
+    choice_ = std::move(best);  // refresh the prediction
     return std::nullopt;
   }
-  // Hysteresis: re-estimate the incumbent against the same window — the
-  // stats choose() just slid to now() — and only move when the challenger
-  // is clearly cheaper.
+  // Hysteresis: re-estimate the incumbent against the same window and
+  // inputs — what choose() just slid and filled for now() — and only move
+  // when the challenger is clearly cheaper.
   const HistoryStats& hist = *hist_;
-  const EstimatorInputs in = make_inputs(view);
+  const EstimatorInputs& in = inputs_;
 
   const std::vector<Money>& grid = hist.bid_grid();
   std::size_t incumbent_bid_idx = grid.size();
@@ -95,8 +90,11 @@ std::optional<EngineConfig> AdaptiveStrategy::reconsider(
     }
   }
   REDSPOT_CHECK(incumbent_bid_idx < grid.size());
-  const PermutationEstimate incumbent = estimate_permutation(
-      hist, incumbent_bid_idx, choice_->zones, choice_->policy, in);
+  // The incumbent's zone list moves into its re-estimate (and back into
+  // choice_ if it is kept), so the hysteresis allocates nothing.
+  PermutationEstimate incumbent =
+      estimate_permutation(hist, incumbent_bid_idx, std::move(choice_->zones),
+                           choice_->policy, in);
 
   // A disruptive switch (bid change) really costs: a protective
   // checkpoint, instance termination, re-acquisition and restart. The
@@ -112,10 +110,11 @@ std::optional<EngineConfig> AdaptiveStrategy::reconsider(
   const double threshold =
       incumbent.predicted_cost.to_double() * kSwitchRatio;
   if (challenger_cost >= threshold) {
-    return std::nullopt;  // not clearly better: keep the incumbent
+    choice_ = std::move(incumbent);  // not clearly better: keep it
+    return std::nullopt;
   }
-  choice_ = best;
-  return to_config(best);
+  choice_ = std::move(best);
+  return to_config(*choice_);
 }
 
 }  // namespace redspot

@@ -54,7 +54,10 @@ class AdaptiveStrategy final : public Strategy {
   }
 
  private:
+  /// Slides the stats and refills inputs_ for view.now(), then scans.
   PermutationEstimate choose(const EngineView& view);
+  /// Refills inputs_ in place: no allocation once current_prices is sized.
+  void fill_inputs(const EngineView& view);
   /// The trailing-window stats, slid (or rebuilt) to end at view.now().
   const HistoryStats& current_stats(const EngineView& view);
   EngineConfig to_config(const PermutationEstimate& e) const;
@@ -66,6 +69,9 @@ class AdaptiveStrategy final : public Strategy {
   /// Borrows the market's traces — valid because the market outlives the
   /// run, and advance() detects (and rebuilds on) a different market.
   std::optional<HistoryStats> hist_;
+  /// The current decision's estimator inputs, filled once by choose() and
+  /// reused by reconsider()'s hysteresis estimate.
+  EstimatorInputs inputs_;
 };
 
 }  // namespace redspot

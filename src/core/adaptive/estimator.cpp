@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "ckpt/daly.hpp"
 #include "common/check.hpp"
@@ -195,7 +196,7 @@ bool ranks_before(const RankKey& a, const RankKey& b) {
 
 PermutationEstimate estimate_permutation(
     const HistoryStats& hist, std::size_t bid_idx,
-    const std::vector<std::size_t>& zones, PolicyKind policy,
+    std::vector<std::size_t> zones, PolicyKind policy,
     const EstimatorInputs& in) {
   REDSPOT_CHECK(!zones.empty());
   REDSPOT_CHECK(bid_idx < hist.bid_grid().size());
@@ -208,7 +209,7 @@ PermutationEstimate estimate_permutation(
                                : hourly_terms(in);
   PermutationEstimate e =
       make_estimate(hist.bid_grid()[bid_idx], policy, c, price(c, iv, in));
-  e.zones = zones;
+  e.zones = std::move(zones);
   return e;
 }
 

@@ -65,10 +65,11 @@ struct EstimatorInputs {
   std::vector<double> current_prices;
 };
 
-/// Evaluates one permutation against the history snapshot.
+/// Evaluates one permutation against the history snapshot. `zones`
+/// becomes the estimate's zone list.
 PermutationEstimate estimate_permutation(const HistoryStats& hist,
                                          std::size_t bid_idx,
-                                         const std::vector<std::size_t>& zones,
+                                         std::vector<std::size_t> zones,
                                          PolicyKind policy,
                                          const EstimatorInputs& in);
 

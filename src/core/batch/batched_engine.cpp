@@ -1,8 +1,8 @@
 #include "core/batch/batched_engine.hpp"
 
+#include <algorithm>
 #include <memory>
 
-#include "core/batch/batch_state.hpp"
 #include "core/batch/model_pool.hpp"
 #include "core/strategy.hpp"
 
@@ -18,13 +18,7 @@ std::vector<RunResult> BatchedSweepEngine::run(
   std::vector<RunResult> results(n);
   if (n == 0) return results;
 
-  // Shared state of the group: one model pool, its bid grid spanning
-  // every lane so the prewarm kernel covers the whole group.
   ZoneModelPool pool;
-  std::vector<Money> bids;
-  bids.reserve(n);
-  for (const BatchConfig& c : configs) bids.push_back(c.bid);
-  pool.set_bid_grid(bids);
 
   std::vector<std::unique_ptr<FixedStrategy>> strategies;
   std::vector<std::unique_ptr<Engine>> engines;
@@ -39,11 +33,13 @@ std::vector<RunResult> BatchedSweepEngine::run(
     if (c.observer != nullptr) engines.back()->add_observer(c.observer);
   }
 
-  BatchState state;
-  state.resize(n);
+  // next_time[i]: lane i's next calendar event, kNever once it finished.
+  std::vector<SimTime> next_time(n);
+  SimTime t = kNever;
   for (std::size_t i = 0; i < n; ++i) {
     engines[i]->begin();
-    state.next_time[i] = engines[i]->next_event_time();
+    next_time[i] = engines[i]->next_event_time();
+    t = std::min(t, next_time[i]);
   }
 
   // Lockstep, one *instant* at a time: every lane with an event at the
@@ -56,18 +52,17 @@ std::vector<RunResult> BatchedSweepEngine::run(
   // forward once per tick for the whole group. The pass folds the next
   // instant's min into the same loop: every lane it leaves behind is
   // strictly past t.
-  SimTime t = min_next(state);
   while (t != kNever) {
     SimTime next_t = kNever;
     for (std::size_t i = 0; i < n; ++i) {
-      SimTime ti = state.next_time[i];
+      SimTime ti = next_time[i];
       if (ti == t) {
         Engine& engine = *engines[i];
         do {
           engine.step_one();
           ti = engine.finished() ? kNever : engine.next_event_time();
         } while (ti == t);
-        state.next_time[i] = ti;
+        next_time[i] = ti;
       }
       next_t = ti < next_t ? ti : next_t;
     }

@@ -4,14 +4,13 @@
 // The scalar sweep runs one Engine at a time, so every config re-walks the
 // same trace, re-slides its own Markov models, and re-scans the same
 // 2-day windows. The batched engine instead advances all N lanes in
-// global event-time order, one instant at a time — a branchless min over
-// the SoA next-event array finds the group's earliest event time, and
-// every lane with an event at that instant drains its burst in lane order
-// — so the group shares one ZoneModelPool: each per-zone model slides ONCE
-// per tick for the whole group (windows are pure functions of (zone,
-// now)), and its (state, alive) memo dedupes the closed-form solves across
-// lanes and bids, prewarmed grid-wide through the branchless alive-state
-// kernel. S_min stays a per-lane scan of the 2-day window: Threshold reads
+// global event-time order, one instant at a time — a min over the lanes'
+// next-event times finds the group's earliest event time, and every lane
+// with an event at that instant drains its burst in lane order — so the
+// group shares one ZoneModelPool: each per-zone model slides ONCE per tick
+// for the whole group (windows are pure functions of (zone, now)), and its
+// (state, alive) memo dedupes the closed-form solves across lanes and
+// bids. S_min stays a per-lane scan of the 2-day window: Threshold reads
 // it only on a rising edge, and a shared range-minimum index cost more to
 // build than the scans it saved (DESIGN.md §14).
 //

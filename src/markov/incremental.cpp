@@ -6,11 +6,9 @@
 
 namespace redspot {
 
-IncrementalMarkovModel::IncrementalMarkovModel(std::size_t max_states,
-                                               double smoothing)
-    : max_states_(max_states), smoothing_(smoothing) {
+IncrementalMarkovModel::IncrementalMarkovModel(std::size_t max_states)
+    : max_states_(max_states) {
   REDSPOT_CHECK(max_states_ >= 2);
-  REDSPOT_CHECK(smoothing_ >= 0.0 && smoothing_ < 1.0);
 }
 
 const MarkovModel& IncrementalMarkovModel::model() const {
@@ -120,10 +118,9 @@ bool IncrementalMarkovModel::slide_binned(const PriceView& window,
   for (std::size_t i = 0; i < window.size(); ++i)
     fit_.values[i] = window.sample(i).to_double();
   model_ = detail::build_markov_model_presorted(fit_, step_, max_states_,
-                                                smoothing_);
+                                                kDefaultSmoothing);
   ++model_refreshes_;
   ++epoch_;
-  grow_memo_for_model();
   remember_window(window);
   return true;
 }
@@ -186,11 +183,10 @@ bool IncrementalMarkovModel::slide_unique(const PriceView& window,
     // The state set is unchanged on this path, so the refit rewrites
     // model_.trans in place — no Matrix/pi/state_prices allocations.
     detail::refit_markov_model(model_, trans_counts_, occupancy_,
-                               static_cast<std::int64_t>(size_), smoothing_,
-                               pi_scratch_);
+                               static_cast<std::int64_t>(size_),
+                               kDefaultSmoothing, pi_scratch_);
     ++model_refreshes_;
     ++epoch_;
-    grow_memo_for_model();
   }
   return true;
 }
@@ -207,11 +203,10 @@ void IncrementalMarkovModel::rebuild_full(const PriceView& window) {
   for (std::size_t i = 1; i < fit_.sorted.size(); ++i)
     if (fit_.sorted[i] != fit_.sorted[i - 1]) ++distinct_;
   model_ = detail::build_markov_model_presorted(fit_, window.step(),
-                                                max_states_, smoothing_);
+                                                max_states_, kDefaultSmoothing);
   ++full_rebuilds_;
   ++model_refreshes_;
   ++epoch_;
-  grow_memo_for_model();
 
   binned_ = distinct_ > max_states_;
   remember_window(window);
@@ -258,31 +253,8 @@ void IncrementalMarkovModel::rebuild_full(const PriceView& window) {
   added_pairs_.reserve(16);
 }
 
-void IncrementalMarkovModel::grow_memo_for_model() {
-  // Fresh slots read epoch 0, never fresh (epoch_ >= 1 by now). Shrinking
-  // models keep the larger memo: keys stay in range, stale slots stay cold
-  // behind the epoch check.
-  const std::size_t slots = model_.num_states() * model_.num_states();
-  if (memo_.size() < slots) {
-    memo_ = std::vector<detail::CopyableAtomic<Duration>>(slots);
-    memo_epoch_ = std::vector<detail::CopyableAtomic<std::uint32_t>>(slots);
-  }
-}
-
 Duration IncrementalMarkovModel::expected_uptime(Money current_price,
-                                                 Money bid, Duration cap) {
-  REDSPOT_CHECK_MSG(valid_, "observe() a window first");
-  if (cap != memo_cap_) {  // different cap: flush (cap is constant in practice)
-    ++epoch_;
-    memo_cap_ = cap;
-  }
-  return expected_uptime(current_price, bid, uptime_scratch_, cap);
-}
-
-Duration IncrementalMarkovModel::expected_uptime(Money current_price,
-                                                 Money bid,
-                                                 UptimeScratch& scratch,
-                                                 Duration cap) const {
+                                                 Money bid) {
   REDSPOT_CHECK_MSG(valid_, "observe() a window first");
   // Same early-outs as redspot::expected_uptime, before touching the memo:
   // these depend on the raw prices, not only on the (state, alive) key.
@@ -292,29 +264,23 @@ Duration IncrementalMarkovModel::expected_uptime(Money current_price,
   const std::size_t s = model_.state_of(current_price);
   if (s > a) return 0;  // nearest state is out-of-bid
 
-  // A cap other than the memoized one computes unmemoized — readers must
-  // not flush a shared memo.
-  if (cap != memo_cap_) {
-    return redspot::expected_uptime(model_, current_price, bid, cap, scratch);
-  }
+  // A binned refit can have more states than any earlier fit (quantile
+  // bins collapse on duplicates), so the memo grows here; new slots read
+  // epoch 0, never fresh. A shrunk model keeps the larger memo.
   const std::size_t n = model_.num_states();
-  const std::size_t key = s * n + a;
-  REDSPOT_CHECK(key < memo_.size());
-  // epoch_ >= 1 after the first rebuild, so a default-zero slot never
-  // reads as fresh. Acquire on the slot epoch pairs with the release
-  // below: a fresh epoch guarantees the value store is visible.
-  if (memo_epoch_[key].load(std::memory_order_acquire) == epoch_) {
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    return memo_[key].load(std::memory_order_relaxed);
+  if (memo_.size() < n * n) {
+    memo_.resize(n * n);
+    memo_epoch_.resize(n * n);
   }
-  const Duration val =
-      redspot::expected_uptime(model_, current_price, bid, cap, scratch);
-  // Racing readers store identical bits (the solve is a pure function of
-  // the epoch-frozen model), so last-writer-wins is harmless.
-  memo_[key].store(val, std::memory_order_relaxed);
-  memo_epoch_[key].store(epoch_, std::memory_order_release);
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
-  return val;
+  const std::size_t key = s * n + a;
+  if (memo_epoch_[key] == epoch_) {
+    ++memo_hits_;
+    return memo_[key];
+  }
+  memo_[key] = redspot::expected_uptime(model_, current_price, bid,
+                                        kDefaultUptimeCap, uptime_scratch_);
+  memo_epoch_[key] = epoch_;
+  return memo_[key];
 }
 
 }  // namespace redspot

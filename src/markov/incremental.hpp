@@ -30,6 +30,11 @@
 //     A constant-price slide removes and adds the same transition, leaving
 //     counts — and therefore the model and the expected-uptime memo —
 //     untouched. This is the steady state: no allocation, no FP work.
+//   * expected_uptime memoizes per (start state, max alive state) and is
+//     the decision path's one E[Tu] cache (DESIGN.md §10). A model is
+//     single-threaded: one engine or batch group owns it, and the serve
+//     registry mutates an entry's models only under the request batcher's
+//     per-key exclusivity.
 //
 // Bit-identity: counts are integers, and detail::finish_markov_model
 // reproduces build_markov_model's arithmetic from integer counts exactly,
@@ -37,7 +42,6 @@
 // (property-tested in markov_test / decision_path_test).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -48,40 +52,11 @@
 #include "trace/price_view.hpp"
 
 namespace redspot {
-namespace detail {
-
-/// std::atomic with copy semantics (relaxed load/store) so containers of
-/// memo slots stay copyable — policies hold models by value in vectors.
-/// Copying requires writer-exclusion quiescence, the same contract as
-/// observe(); the orderings that matter are on load/store at use sites.
-template <typename T>
-class CopyableAtomic {
- public:
-  CopyableAtomic() noexcept = default;
-  CopyableAtomic(const CopyableAtomic& other) noexcept
-      : v_(other.v_.load(std::memory_order_relaxed)) {}
-  CopyableAtomic& operator=(const CopyableAtomic& other) noexcept {
-    v_.store(other.v_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-    return *this;
-  }
-
-  T load(std::memory_order order) const noexcept { return v_.load(order); }
-  void store(T val, std::memory_order order) noexcept { v_.store(val, order); }
-  T fetch_add(T val, std::memory_order order) noexcept {
-    return v_.fetch_add(val, order);
-  }
-
- private:
-  std::atomic<T> v_{};
-};
-
-}  // namespace detail
 
 class IncrementalMarkovModel {
  public:
-  explicit IncrementalMarkovModel(std::size_t max_states = 32,
-                                  double smoothing = 0.02);
+  /// Fits with kDefaultSmoothing, like build_markov_model's default.
+  explicit IncrementalMarkovModel(std::size_t max_states = 32);
 
   /// Refits the model to `window`, sliding incrementally when possible.
   /// `window` may borrow storage freely: only its samples are read, during
@@ -93,42 +68,17 @@ class IncrementalMarkovModel {
   const MarkovModel& model() const;
 
   /// Memoized exact expected up-time on the current model; equals
-  /// redspot::expected_uptime(model(), current_price, bid, cap) bit-for-bit.
+  /// redspot::expected_uptime(model(), current_price, bid) bit-for-bit.
   /// The memo is keyed on (start state, max alive state) — the only inputs
   /// the closed-form solve depends on — and survives slides that leave the
   /// counts net-unchanged.
-  Duration expected_uptime(Money current_price, Money bid,
-                           Duration cap = kDefaultUptimeCap);
-
-  /// Concurrent-reader query path (one writer / many readers).
-  ///
-  /// Bit-identical to expected_uptime(), but const and safe to call from
-  /// MANY reader threads concurrently: the memo slots are atomics, and
-  /// two readers racing to fill the same slot store the same bits (the
-  /// closed-form solve is a pure function of the model). Each reader
-  /// supplies its own UptimeScratch.
-  ///
-  /// Epoch-snapshot contract (enforced, not just documented): readers and
-  /// the single writer — observe() and the non-const expected_uptime() —
-  /// must be separated by the caller (the serve registry uses the request
-  /// batcher's per-key serialization; the TSan stress test a
-  /// shared_mutex). A model epoch is immutable while readers hold it, so
-  /// every answer is the exact answer of the epoch it read. Queries with
-  /// a cap different from the memoized one compute unmemoized.
-  Duration expected_uptime(Money current_price, Money bid,
-                           UptimeScratch& scratch,
-                           Duration cap = kDefaultUptimeCap) const;
+  Duration expected_uptime(Money current_price, Money bid);
 
   // Introspection for tests and benchmarks.
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
   std::uint64_t incremental_slides() const { return incremental_slides_; }
   std::uint64_t model_refreshes() const { return model_refreshes_; }
-  std::uint64_t memo_hits() const {
-    return memo_hits_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t memo_misses() const {
-    return memo_misses_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t memo_hits() const { return memo_hits_; }
 
  private:
   void rebuild_full(const PriceView& window);
@@ -142,14 +92,8 @@ class IncrementalMarkovModel {
   /// State index of an exact observed price, or SIZE_MAX when unseen.
   std::size_t state_index(Money price) const;
   void remember_window(const PriceView& window);
-  /// Writer-side: grows the memo to fit the current model's state count.
-  /// Must run after every model refresh — binned refits can yield more
-  /// states than the last rebuild (quantile bins collapse on duplicates),
-  /// and the atomic slot vectors cannot grow under concurrent readers.
-  void grow_memo_for_model();
 
   std::size_t max_states_;
-  double smoothing_;
 
   // Identity of the window the counts describe.
   bool valid_ = false;
@@ -168,17 +112,12 @@ class IncrementalMarkovModel {
   MarkovModel model_;
 
   // expected_uptime memo: n*n slots keyed start_state * n + alive_state,
-  // epoch-invalidated so steady-state slides never touch the heap. Slots
-  // are atomics so concurrent readers may race on fills (they store
-  // identical bits); the slot protocol publishes the value before its
-  // epoch (release) and checks the epoch before the value (acquire).
-  // epoch_ and memo_cap_ are writer-only state: mutated by observe() /
-  // the non-const expected_uptime(), which the epoch-snapshot contract
-  // excludes from running concurrently with readers.
-  mutable std::vector<detail::CopyableAtomic<Duration>> memo_;
-  mutable std::vector<detail::CopyableAtomic<std::uint32_t>> memo_epoch_;
+  // epoch-invalidated so steady-state slides never touch the heap. A slot
+  // is fresh when memo_epoch_ equals epoch_ (>= 1 after the first fit, so
+  // a default slot never is).
+  std::vector<Duration> memo_;
+  std::vector<std::uint32_t> memo_epoch_;
   std::uint32_t epoch_ = 0;
-  Duration memo_cap_ = kDefaultUptimeCap;
 
   // Reusable scratch (persisted to keep the slide allocation-free).
   std::vector<std::int64_t> occ_scratch_;
@@ -203,8 +142,7 @@ class IncrementalMarkovModel {
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t incremental_slides_ = 0;
   std::uint64_t model_refreshes_ = 0;
-  mutable detail::CopyableAtomic<std::uint64_t> memo_hits_;
-  mutable detail::CopyableAtomic<std::uint64_t> memo_misses_;
+  std::uint64_t memo_hits_ = 0;
 };
 
 }  // namespace redspot

@@ -42,6 +42,10 @@ struct MarkovModel {
   std::size_t max_alive_state(Money bid) const;
 };
 
+/// Default weight of the occupancy smoothing below; the decision path's
+/// incremental model always fits with it.
+inline constexpr double kDefaultSmoothing = 0.02;
+
 /// Fits a model to `history`. A single-sample history (no observed
 /// transitions) degenerates to one self-looping state — "the price never
 /// moves", the only unbiased guess.
@@ -56,11 +60,11 @@ struct MarkovModel {
 /// chain can always reach every observed state.
 MarkovModel build_markov_model(const PriceView& history,
                                std::size_t max_states = 32,
-                               double smoothing = 0.02);
+                               double smoothing = kDefaultSmoothing);
 
 inline MarkovModel build_markov_model(const PriceSeries& history,
                                       std::size_t max_states = 32,
-                                      double smoothing = 0.02) {
+                                      double smoothing = kDefaultSmoothing) {
   return build_markov_model(history.view(), max_states, smoothing);
 }
 

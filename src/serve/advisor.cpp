@@ -25,7 +25,7 @@ std::uint64_t ModelSpec::spec_hash() const {
 
 std::size_t ModelSpec::approx_bytes(std::size_t num_zones) const {
   // Steady-state footprint, dominated by the per-zone Markov state (n x n
-  // transition counts + atomic memo slots) and HistoryStats' per-(zone,
+  // transition counts + memo slots) and HistoryStats' per-(zone,
   // bid) counters; the window-sized fit buffers only materialize in
   // quantile-binned mode but are charged anyway (capacity planning wants
   // the ceiling, not the floor).

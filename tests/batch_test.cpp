@@ -9,11 +9,11 @@
 // policies, bids (including never-in-bid and always-in-bid), zone
 // subsets, start offsets, compute sizes, and both trace shapes (alphabet
 // / unique-mode and random-walk / quantile-binned windows), faulted grids
-// under notice and no-notice regimes — plus the SoA
-// kernels the lockstep driver is built from, and a ThreadPool stress run
+// under notice and no-notice regimes — plus a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
-// (meaningful under TSan). The model pool's prewarm is checked on its own
-// too; S_min's window scan is checked in trace_view_test.
+// (meaningful under TSan). The model pool's answers for bids around the
+// price are checked on their own too; S_min's window scan is checked in
+// trace_view_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 
 #include "common/parallel.hpp"
 #include "common/random.hpp"
-#include "core/batch/batch_state.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/batch/model_pool.hpp"
 #include "core/events/trace_recorder.hpp"
@@ -38,109 +37,29 @@ namespace {
 
 using batch::BatchConfig;
 using batch::BatchedSweepEngine;
-using batch::BatchState;
 
-// --- SoA kernels -------------------------------------------------------------
-
-TEST(BatchKernels, ArgminPicksEarliestLaneLowestIndexOnTies) {
-  BatchState state;
-  state.next_time = {50, 20, 80, 20};
-  EXPECT_EQ(batch::argmin_next(state), 1u);
-  EXPECT_EQ(batch::min_next(state), 20);
-
-  state.next_time = {kNever, 7, 7, kNever};
-  EXPECT_EQ(batch::argmin_next(state), 1u);
-  EXPECT_EQ(batch::min_next(state), 7);
-}
-
-TEST(BatchKernels, ArgminAllFinishedLanes) {
-  BatchState state;
-  state.next_time = {kNever, kNever, kNever};
-  EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-  EXPECT_EQ(batch::min_next(state), kNever);
-
-  state.resize(0);
-  EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-  EXPECT_EQ(batch::min_next(state), kNever);
-}
-
-TEST(BatchKernels, ArgminMatchesStdMinElementOnRandomArrays) {
-  Rng rng(7001);
-  for (int trial = 0; trial < 200; ++trial) {
-    BatchState state;
-    const std::size_t n = 1 + rng.uniform_index(40);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Small value range so ties are common; some lanes finished.
-      state.next_time.push_back(
-          rng.bernoulli(0.2) ? kNever
-                             : static_cast<SimTime>(rng.uniform_index(12)));
-    }
-    const auto it =
-        std::min_element(state.next_time.begin(), state.next_time.end());
-    EXPECT_EQ(batch::min_next(state), *it);
-    if (*it == kNever) {
-      EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-    } else {
-      // min_element returns the FIRST minimum: the same lowest-index
-      // tie rule the kernel implements.
-      EXPECT_EQ(batch::argmin_next(state),
-                static_cast<std::size_t>(
-                    std::distance(state.next_time.begin(), it)));
-    }
-  }
-}
-
-TEST(BatchKernels, MapAliveStatesMatchesModelMaxAliveState) {
-  Rng rng(7002);
-  for (int trial = 0; trial < 50; ++trial) {
-    // Random ascending state prices, bids straddling / outside the range.
-    MarkovModel model;
-    double p = rng.uniform(0.05, 0.40);
-    const std::size_t n = 2 + rng.uniform_index(30);
-    for (std::size_t i = 0; i < n; ++i) {
-      model.state_prices.push_back(p);
-      p += rng.uniform(0.01, 0.50);
-    }
-    std::vector<Money> bids;
-    for (int b = 0; b < 12; ++b)
-      bids.push_back(Money::dollars(rng.uniform(0.01, p + 0.5)));
-    bids.push_back(Money::dollars(model.state_prices.front()));  // exact edge
-    bids.push_back(Money::dollars(model.state_prices.back()));
-    bids.push_back(Money::cents(1));  // below every state
-
-    std::vector<std::int32_t> alive(bids.size());
-    batch::map_alive_states(model.state_prices, bids, alive);
-    for (std::size_t j = 0; j < bids.size(); ++j) {
-      const std::size_t expected = model.max_alive_state(bids[j]);
-      if (expected == SIZE_MAX) {
-        EXPECT_EQ(alive[j], -1);
-      } else {
-        EXPECT_EQ(alive[j], static_cast<std::int32_t>(expected));
-      }
-    }
-  }
-}
-
-// Two grid bids share an alive state (both sit between the window's two
+// Two bids share an alive state (both sit between the window's two
 // prices) while the current price, absent from the window, falls between
-// them: the lower bid is out of bid, the higher one is not. The pool's
-// prewarm must not hand the lower bid's 0 to the higher one.
-TEST(ZoneModelPool, PrewarmKeepsBidsBelowThePriceApart) {
+// them: the lower bid is out of bid, the higher one is not. A cached answer
+// keyed on the alive state alone would hand the lower bid's 0 to the higher
+// one; the pool must answer each bid exactly as a private model does.
+TEST(ZoneModelPool, BidsAroundThePriceMatchAPrivateModel) {
   std::vector<Money> samples;
   for (int i = 0; i < 48; ++i)
     samples.push_back(Money::cents(i % 6 < 3 ? 30 : 50));
   const PriceSeries history(0, kPriceStep, std::move(samples));
   const Money price = Money::cents(38);
-  const std::vector<Money> grid = {Money::cents(35), Money::cents(45)};
+  const std::vector<Money> bids = {Money::cents(35), Money::cents(45)};
 
   IncrementalMarkovModel reference(batch::ZoneModelPool::kMaxStates);
   reference.observe(history.view());
-  ASSERT_EQ(reference.expected_uptime(price, grid[0]), 0);
-  ASSERT_GT(reference.expected_uptime(price, grid[1]), 0);
+  ASSERT_EQ(reference.expected_uptime(price, bids[0]), 0);
+  ASSERT_GT(reference.expected_uptime(price, bids[1]), 0);
 
   batch::ZoneModelPool pool;
-  pool.set_bid_grid(grid);
-  for (const Money bid : grid) {
+  // Both orders: the higher bid first fills the memo slot the lower one
+  // maps to.
+  for (const Money bid : {bids[1], bids[0], bids[1], bids[0]}) {
     EXPECT_EQ(pool.expected_uptime(0, history.view(), price, bid),
               reference.expected_uptime(price, bid))
         << "bid " << bid;

@@ -4,11 +4,12 @@
 //   * IncrementalMarkovModel::observe equals build_markov_model over the
 //     same window after any sequence of slides — in unique-price mode AND
 //     in quantile-binned mode — including the state-set-changing edges
-//     (evicted last occurrence, appended new price).
+//     (evicted last occurrence, appended new price) and binned refits
+//     that outgrow the memo the last rebuild sized.
 //   * HistoryStats::advance equals a freshly constructed HistoryStats,
 //     slid multi-zone memo entries included; a warm advance plus subset
 //     reads allocates nothing, and a warm Adaptive re-plan allocates only
-//     the winner's zone list.
+//     the winner's zone list — on its own and inside an engine.
 //   * The steady-state decision path (constant-price slide + memoized
 //     expected_uptime + Engine::min_observed_price) performs ZERO heap
 //     allocations, verified through a global operator new hook.
@@ -319,6 +320,54 @@ TEST(IncrementalMarkov, ConstantSlideKeepsModelAndMemoAllocationFree) {
   EXPECT_EQ(inc.full_rebuilds(), 1u);
 }
 
+TEST(IncrementalMarkov, BinnedRefitGrowingTheStateSetGrowsTheMemo) {
+  // Regression: a binned slide refits through build_markov_model_presorted,
+  // which can yield MORE states than the last full rebuild did — quantile
+  // bins collapse while duplicate-heavy mass dominates the window and
+  // spread back out as it leaves. The memo, keyed state*n+alive, must grow
+  // with the model instead of indexing past the slots the rebuild sized.
+  constexpr std::size_t kWindow = 256;
+  constexpr std::size_t kMax = 8;
+  std::vector<Money> samples;
+  // First window: 12 distinct prices (> kMax, so the mode is binned) with
+  // ~95% of the mass piled on 30 cents, collapsing the bin representatives.
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    samples.push_back(i % 20 == 0
+                          ? Money::cents(25 + static_cast<std::int64_t>(
+                                                  (i / 20) % 12))
+                          : Money::cents(30));
+  }
+  // Tail: the same 12 prices spread evenly, so slid windows' bins fan out.
+  for (std::size_t i = 0; i < kWindow; ++i)
+    samples.push_back(Money::cents(25 + static_cast<std::int64_t>(i % 12)));
+  const PriceSeries series(0, kPriceStep, std::move(samples));
+
+  IncrementalMarkovModel slid(kMax);
+  slid.observe(PriceView(0, kPriceStep, series.samples().subspan(0, kWindow)));
+  const std::size_t states_at_rebuild = slid.model().num_states();
+
+  std::size_t max_states_seen = states_at_rebuild;
+  for (std::size_t lo = 1; lo + kWindow <= series.size(); ++lo) {
+    const PriceView w(series.time_of(lo), kPriceStep,
+                      series.samples().subspan(lo, kWindow));
+    slid.observe(w);
+    if (slid.model().num_states() > max_states_seen)
+      max_states_seen = slid.model().num_states();
+    IncrementalMarkovModel fresh(kMax);
+    fresh.observe(w);
+    const Money price = w.sample(kWindow - 1);
+    for (std::int64_t c = 24; c <= 40; c += 2) {
+      ASSERT_EQ(slid.expected_uptime(price, Money::cents(c)),
+                fresh.expected_uptime(price, Money::cents(c)))
+          << "lo=" << lo << " bid=" << c << "c";
+    }
+  }
+  // Only a regression test if the state set actually outgrew the memo the
+  // full rebuild sized.
+  EXPECT_GT(max_states_seen, states_at_rebuild);
+  EXPECT_GT(slid.incremental_slides(), 0u);
+}
+
 // --- HistoryStats incremental advance ----------------------------------------
 
 /// Compares every per-zone stat, plus the combined stats of EVERY zone
@@ -493,6 +542,40 @@ TEST(HistoryStatsIncremental, SteadyStateReplanAllocatesOnlyTheWinnersZones) {
   EXPECT_GT(sink, 0.0);
   EXPECT_EQ(hist.full_rebuilds(), 1u);
   EXPECT_EQ(hist.subset_fills(), 4u) << "a slide refilled a memo entry";
+}
+
+TEST(AdaptiveDecision, WarmReconsiderAllocatesOnlyTheWinnersZones) {
+  // Engine-level: a second AdaptiveStrategy re-decides against a live
+  // engine after each of its events. Once warm (stats built, inputs
+  // sized), a decision allocates the winner's zone list and, when it
+  // switches, the config's copy of it: the estimator inputs are refilled
+  // in place and shared with the hysteresis estimate, whose incumbent
+  // zone list is moved, not copied.
+  const SpotMarket market(paper_traces(42), cc2_instance(),
+                          QueueDelayModel());
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 80};
+  AdaptiveStrategy strategy;
+  Engine engine(market, scenario.experiment(3), strategy);
+  engine.begin();
+  AdaptiveStrategy probe;
+  probe.initial(engine);
+  std::uint64_t decisions = 0;
+  std::uint64_t switches = 0;
+  while (!engine.finished()) {
+    engine.step_one();
+    if (engine.finished()) break;
+    AllocCounter allocs;
+    const std::optional<EngineConfig> next =
+        probe.reconsider(engine, DecisionPoint::kPriceTick);
+    // The winner's zone list, plus the adopted config's copy on a switch.
+    ASSERT_LE(allocs.count(), next.has_value() ? 2u : 1u)
+        << "decision " << decisions << " at t=" << engine.now();
+    switches += next.has_value() ? 1 : 0;
+    ++decisions;
+  }
+  engine.finalize();
+  EXPECT_GT(decisions, 100u);
+  EXPECT_GT(switches, 0u) << "the probe never switched";
 }
 
 // --- Live trace growth (serve tick ingestion) --------------------------------
