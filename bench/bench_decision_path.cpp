@@ -31,8 +31,8 @@
 //
 // Suite 6 times one paper-trace fixed-policy sweep through run_fixed_sweep
 // against the same audited lanes driven straight through
-// BatchedSweepEngine in run_fixed_sweep's 16-lane groups. Their ratio,
-// sweep_entry_overhead, is what a sweep costs beyond its lanes (an
+// BatchedSweepEngine in run_fixed_sweep's 16-lane groups. Their paired
+// ratio, sweep_entry_overhead, is what a sweep costs beyond its lanes (an
 // unjournaled sweep must not hash its market); results are asserted
 // bit-identical.
 //
@@ -660,8 +660,8 @@ int main(int argc, char** argv) {
   }
 
   // --- 6. sweep entry: run_fixed_sweep vs its batched core ------------------
-  // Reps interleave the two paths so host drift hits both alike; the ratio
-  // of their medians is gated.
+  // Reps interleave the two paths so host drift hits both alike; the
+  // median of the per-rep ratios is gated, so drift between reps cancels.
   {
     const SpotMarket market(paper_traces(42), cc2_instance(),
                             QueueDelayModel());
@@ -678,20 +678,19 @@ int main(int argc, char** argv) {
                         "run_fixed_sweep and its batched core diverged at "
                         "chunk " << i);
 
-    const int entry_reps = quick ? 9 : 21;
-    std::vector<double> sweep_ns, core_ns;
+    const int entry_reps = 21;
+    std::vector<double> ratios;
     for (int r = 0; r < entry_reps; ++r) {
-      sweep_ns.push_back(median_ns(1, 1, [&](int) {
+      const double sweep_ns = median_ns(1, 1, [&](int) {
         g_sink += run_fixed_sweep(market, scenario, spec)[0].finish_time;
-      }));
-      core_ns.push_back(median_ns(1, 1, [&](int) {
+      });
+      const double core_ns = median_ns(1, 1, [&](int) {
         g_sink += run_batched_core(market, scenario, spec)[0].finish_time;
-      }));
+      });
+      ratios.push_back(sweep_ns / core_ns);
     }
-    std::sort(sweep_ns.begin(), sweep_ns.end());
-    std::sort(core_ns.begin(), core_ns.end());
-    report.set("sweep_entry_overhead",
-               sweep_ns[sweep_ns.size() / 2] / core_ns[core_ns.size() / 2]);
+    std::sort(ratios.begin(), ratios.end());
+    report.set("sweep_entry_overhead", ratios[ratios.size() / 2]);
   }
 
   // --- Emit -------------------------------------------------------------------

@@ -5,11 +5,12 @@
 // Three suites pin the cost of the engine decomposition's calendar:
 //
 //   1. push/pop      — EventQueue schedule + dispatch throughput vs a
-//                      plain std::priority_queue calendar (defined below)
-//                      on the identical workload. The typed queue carries
-//                      EventKind + zone per entry and supports cancel; its
-//                      dispatch overhead over the bare reference is gated
-//                      by a hard ratio ceiling.
+//                      plain std::priority_queue calendar of callbacks
+//                      (defined below) on the identical tick chain. The
+//                      typed queue carries EventKind + zone per entry,
+//                      dispatches through its sink and supports cancel;
+//                      its overhead over the bare reference is gated by a
+//                      hard ratio ceiling.
 //   2. cancel churn  — the engine's deadline-trigger pattern: schedule,
 //                      cancel, reschedule under a live backlog; exercises
 //                      lazy deletion + heap compaction. The backlog bound
@@ -101,20 +102,52 @@ class ReferenceCalendar {
   std::priority_queue<Entry> heap_;
 };
 
-/// The shared calendar workload: a seed event chain (price-tick style)
-/// plus a fan of per-zone events, `n` dispatches total.
-template <typename Queue, typename Schedule>
-void run_calendar(Queue& queue, Schedule&& schedule, int n) {
+/// The shared calendar workload: a price-tick-style chain of `n`
+/// dispatches, each scheduling the next one price step later. The typed
+/// queue runs it through its sink, as the engine does.
+class TickChain final : public EventSink {
+ public:
+  explicit TickChain(int n) : queue_(0, *this), remaining_(n) {}
+  /// queue_ holds this object's address.
+  TickChain(const TickChain&) = delete;
+  TickChain& operator=(const TickChain&) = delete;
+
+  void run() {
+    queue_.schedule_at(EventKind::kPriceTick, kNoZone, 0);
+    while (queue_.step()) {
+    }
+    REDSPOT_CHECK(remaining_ == 0);
+  }
+
+  void on_queue_event(const Event& event) override {
+    g_sink += static_cast<std::int64_t>(event.time);
+    if (--remaining_ > 0)
+      queue_.schedule_at(EventKind::kPriceTick, kNoZone, event.time + 300);
+  }
+
+ private:
+  EventQueue queue_;
+  int remaining_;
+};
+
+/// The same chain on the reference calendar, one callback per entry.
+void run_reference_chain(int n) {
+  ReferenceCalendar reference;
   int remaining = n;
   std::function<void()> tick = [&] {
-    g_sink += static_cast<std::int64_t>(queue.now());
-    if (--remaining > 0) schedule(queue.now() + 300, tick);
+    g_sink += static_cast<std::int64_t>(reference.now());
+    if (--remaining > 0) reference.schedule_at(reference.now() + 300, tick);
   };
-  schedule(SimTime{0}, tick);
-  while (queue.step()) {
+  reference.schedule_at(SimTime{0}, tick);
+  while (reference.step()) {
   }
   REDSPOT_CHECK(remaining == 0);
 }
+
+/// Dispatch target for the churn suite, whose entries never run.
+struct NullSink final : EventSink {
+  void on_queue_event(const Event&) override {}
+};
 
 /// One small end-to-end engine run (4 h of compute on a flat cheap price).
 RunResult tiny_run(const SpotMarket& market, const Experiment& experiment,
@@ -154,24 +187,10 @@ int main(int argc, char** argv) {
 
   // --- 1. push/pop: typed queue vs the reference calendar -------------------
   {
-    const double typed_ns = median_run_ns(reps, [&] {
-      EventQueue queue(0);
-      run_calendar(
-          queue,
-          [&queue](SimTime t, const std::function<void()>& cb) {
-            queue.schedule_at(EventKind::kPriceTick, kNoZone, t, cb);
-          },
-          n);
-    });
-    const double generic_ns = median_run_ns(reps, [&] {
-      ReferenceCalendar reference;
-      run_calendar(
-          reference,
-          [&reference](SimTime t, const std::function<void()>& cb) {
-            reference.schedule_at(t, cb);
-          },
-          n);
-    });
+    const double typed_ns =
+        median_run_ns(reps, [&] { TickChain(n).run(); });
+    const double generic_ns =
+        median_run_ns(reps, [&] { run_reference_chain(n); });
     report.set("queue_push_pop_ns", typed_ns / n);
     report.set("generic_push_pop_ns", generic_ns / n);
     report.set("event_core_overhead_ratio", typed_ns / generic_ns);
@@ -183,19 +202,20 @@ int main(int argc, char** argv) {
     std::size_t backlog = 0;
     std::size_t live = 0;
     const double churn_ns = median_run_ns(reps, [&] {
-      EventQueue queue(0);
+      NullSink sink;
+      EventQueue queue(0, sink);
       // A standing backlog of zone events keeps the heap non-trivial.
       std::vector<EventId> standing;
       for (int i = 0; i < 256; ++i) {
-        standing.push_back(queue.schedule_at(
-            EventKind::kCycleBoundary, static_cast<std::size_t>(i % 3),
-            1000000 + i, [] {}));
+        standing.push_back(queue.schedule_at(EventKind::kCycleBoundary,
+                                             static_cast<std::size_t>(i % 3),
+                                             1000000 + i));
       }
       EventId trigger = 0;
       for (int i = 0; i < churn; ++i) {
         queue.cancel(trigger);
         trigger = queue.schedule_at(EventKind::kDeadlineTrigger, kNoZone,
-                                    2000000 + i, [] {});
+                                    2000000 + i);
       }
       backlog = queue.backlog();
       live = queue.pending_count();

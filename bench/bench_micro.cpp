@@ -30,16 +30,21 @@ const SpotMarket& shared_market() {
   return market;
 }
 
+/// Counts dispatches: the calendar benches' stand-in for the engine.
+struct CountingSink final : EventSink {
+  int fired = 0;
+  void on_queue_event(const Event&) override { ++fired; }
+};
+
 void BM_EventCalendar(benchmark::State& state) {
   for (auto _ : state) {
-    EventQueue queue(0);
-    int fired = 0;
+    CountingSink sink;
+    EventQueue queue(0, sink);
     for (int i = 0; i < 1000; ++i)
-      queue.schedule_at(EventKind::kPriceTick, kNoZone, i,
-                        [&fired] { ++fired; });
+      queue.schedule_at(EventKind::kPriceTick, kNoZone, i);
     while (queue.step()) {
     }
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }
@@ -51,19 +56,18 @@ void BM_EventCalendarCancelChurn(benchmark::State& state) {
   // heap compaction the backlog grows with every cancel; with it the heap
   // stays near the live-event count.
   for (auto _ : state) {
-    EventQueue queue(0);
-    int fired = 0;
+    CountingSink sink;
+    EventQueue queue(0, sink);
     for (int i = 0; i < 100; ++i)
-      queue.schedule_at(EventKind::kCycleBoundary, 0, 1'000'000 + i,
-                        [&fired] { ++fired; });
+      queue.schedule_at(EventKind::kCycleBoundary, 0, 1'000'000 + i);
     for (int i = 0; i < 1000; ++i) {
       EventId id = queue.schedule_at(EventKind::kDeadlineTrigger, kNoZone,
-                                     2'000'000 + i, [&fired] { ++fired; });
+                                     2'000'000 + i);
       queue.cancel(id);
     }
     while (queue.step()) {
     }
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.fired);
     benchmark::DoNotOptimize(queue.backlog());
   }
   state.SetItemsProcessed(state.iterations() * 1000);

@@ -20,15 +20,14 @@ SimTime CheckpointCoordinator::done_time() const {
 }
 
 void CheckpointCoordinator::begin(EventQueue& queue, std::size_t zone,
-                                  Duration value, Duration write_cost,
-                                  EventQueue::Callback on_done) {
+                                  Duration value, Duration write_cost) {
   REDSPOT_CHECK(!in_flight_);
   in_flight_ = true;
   zone_ = zone;
   value_ = value;
   done_time_ = queue.now() + write_cost;
-  done_event_ = queue.schedule_at(EventKind::kCheckpointDone, zone,
-                                  done_time_, std::move(on_done));
+  done_event_ =
+      queue.schedule_at(EventKind::kCheckpointDone, zone, done_time_);
 }
 
 CheckpointCommit::Outcome CheckpointCoordinator::commit(

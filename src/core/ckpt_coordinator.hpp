@@ -19,6 +19,7 @@
 #include "ckpt/store.hpp"
 #include "common/time.hpp"
 #include "core/events/event_queue.hpp"
+#include "core/events/observer.hpp"
 #include "fault/fault_injector.hpp"
 
 namespace redspot {
@@ -36,10 +37,10 @@ class CheckpointCoordinator {
   /// When the write finishes. Requires in_flight().
   SimTime done_time() const;
 
-  /// Starts a write of `value` for `zone`, scheduling `on_done` (the
-  /// kCheckpointDone event) after `write_cost`. Requires !in_flight().
+  /// Starts a write of `value` for `zone`, scheduling its kCheckpointDone
+  /// event after `write_cost`. Requires !in_flight().
   void begin(EventQueue& queue, std::size_t zone, Duration value,
-             Duration write_cost, EventQueue::Callback on_done);
+             Duration write_cost);
 
   /// Settles a finished write: draws validation faults and commits to
   /// `store` on success (a corrupt write commits then rolls back, keeping

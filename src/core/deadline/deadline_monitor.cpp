@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.hpp"
-
 namespace redspot {
 
 SimTime deadline_switch_time(const DeadlineParams& params,
@@ -54,20 +52,10 @@ DeadlineAction decide_at_trigger(const DeadlineParams& params,
   return DeadlineAction::kSwitchToOnDemand;
 }
 
-DeadlineMonitor::DeadlineMonitor(EventQueue& queue, DeadlineParams params,
-                                 std::function<void()> on_trigger)
-    : queue_(queue), params_(params), on_trigger_(std::move(on_trigger)) {
-  REDSPOT_CHECK(on_trigger_ != nullptr);
-}
-
 void DeadlineMonitor::rearm(Duration committed) {
   queue_.cancel(event_);
   event_ = queue_.schedule_at(EventKind::kDeadlineTrigger, kNoZone,
-                              std::max(queue_.now(), switch_time(committed)),
-                              [this] {
-                                event_ = 0;
-                                on_trigger_();
-                              });
+                              std::max(queue_.now(), switch_time(committed)));
 }
 
 void DeadlineMonitor::disarm() { queue_.cancel(event_); }

@@ -19,7 +19,6 @@
 // be worth protecting, otherwise switch.
 #pragma once
 
-#include <functional>
 #include <optional>
 
 #include "common/time.hpp"
@@ -71,11 +70,12 @@ DeadlineAction decide_at_trigger(const DeadlineParams& params,
                                  SimTime leader_doom_at = kNever);
 
 /// Owns the deadline-trigger calendar event: armed at switch_time (clamped
-/// to now) and re-armed on every checkpoint commit.
+/// to now) and re-armed on every checkpoint commit. The kDeadlineTrigger
+/// entry dispatches through the queue's sink like every other kind.
 class DeadlineMonitor {
  public:
-  DeadlineMonitor(EventQueue& queue, DeadlineParams params,
-                  std::function<void()> on_trigger);
+  DeadlineMonitor(EventQueue& queue, DeadlineParams params)
+      : queue_(queue), params_(params) {}
 
   const DeadlineParams& params() const { return params_; }
 
@@ -92,12 +92,13 @@ class DeadlineMonitor {
   /// Cancels the trigger (switchover under way; no more spot decisions).
   void disarm();
 
-  bool armed() const { return event_ != 0; }
+  /// True while the trigger is pending: false once it fired or was
+  /// disarmed.
+  bool armed() const { return queue_.pending(event_); }
 
  private:
   EventQueue& queue_;
   DeadlineParams params_;
-  std::function<void()> on_trigger_;
   EventId event_ = 0;
 };
 

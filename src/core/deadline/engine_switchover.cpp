@@ -72,8 +72,7 @@ void Engine::complete_on_demand_switch() {
   REDSPOT_CHECK_MSG(finish_at <= experiment_.deadline_time(),
                     "deadline guarantee violated by " << format_duration(
                         finish_at - experiment_.deadline_time()));
-  queue_.schedule_at(EventKind::kOnDemandFinish, kNoZone, finish_at,
-                     [this] { finish(now(), true); });
+  queue_.schedule_at(EventKind::kOnDemandFinish, kNoZone, finish_at);
 }
 
 }  // namespace redspot

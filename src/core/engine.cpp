@@ -19,6 +19,31 @@ namespace {
 /// Queue-delay draws get their own RNG stream id.
 constexpr std::uint64_t kQueueStream = 0x51DE;
 
+/// Tallies `fault` into `stats` under its kind (backoff included).
+void record_fault(FaultStats& stats, const FaultEvent& fault) {
+  switch (fault.kind) {
+    case FaultEvent::Kind::kCkptWriteFailure:
+      ++stats.ckpt_write_failures;
+      break;
+    case FaultEvent::Kind::kCkptCorruption:
+      ++stats.ckpt_corruptions;
+      break;
+    case FaultEvent::Kind::kRestartFailure:
+      ++stats.restart_failures;
+      break;
+    case FaultEvent::Kind::kRequestRejection:
+      ++stats.request_rejections;
+      stats.backoff_total += fault.backoff;
+      break;
+    case FaultEvent::Kind::kNoticeDropped:
+      ++stats.notices_dropped;
+      break;
+    case FaultEvent::Kind::kNoticeLate:
+      ++stats.notices_late;
+      break;
+  }
+}
+
 }  // namespace
 
 Engine::Engine(const SpotMarket& market, Experiment experiment,
@@ -27,7 +52,7 @@ Engine::Engine(const SpotMarket& market, Experiment experiment,
       experiment_(experiment),
       strategy_(&strategy),
       options_(options),
-      queue_(experiment.start),
+      queue_(experiment.start, *this),
       queue_rng_(experiment.seed, kQueueStream),
       injector_(options.faults, experiment.seed),
       monitor_(queue_,
@@ -35,9 +60,7 @@ Engine::Engine(const SpotMarket& market, Experiment experiment,
                               experiment.costs.checkpoint,
                               experiment.costs.restart,
                               experiment.deadline_time(),
-                              options.regime.rebalance_notice},
-               [this] { on_deadline_trigger(); }),
-      fault_recorder_(&result_.faults) {
+                              options.regime.rebalance_notice}) {
   experiment_.validate();
   billing_.set_rules(options_.regime.billing);
   REDSPOT_CHECK_MSG(market.trace_start() <= experiment_.start,
@@ -50,15 +73,12 @@ Engine::Engine(const SpotMarket& market, Experiment experiment,
   billing_.set_sink([this](const LineItem& item) {
     for (EngineObserver* o : observers_) o->on_billing(item);
   });
-  // The engine's own fault accounting rides the observer layer too. It is
-  // not a queue observer (no on_event need), keeping the calendar's
-  // zero-observer fast path for unobserved runs.
-  observers_.push_back(&fault_recorder_);
-  queue_.set_sink(this);
 }
 
-void Engine::on_queue_event(EventKind kind, std::size_t zone) {
-  switch (kind) {
+void Engine::on_queue_event(const Event& event) {
+  for (EngineObserver* o : observers_) o->on_event(event);
+  const std::size_t zone = event.zone;
+  switch (event.kind) {
     case EventKind::kPriceTick:
       on_price_tick();
       return;
@@ -86,9 +106,18 @@ void Engine::on_queue_event(EventKind kind, std::size_t zone) {
     case EventKind::kScheduledCheckpoint:
       on_scheduled_checkpoint();
       return;
-    default:
-      REDSPOT_CHECK_MSG(false, "event kind without a fixed handler scheduled "
-                               "without a callback");
+    case EventKind::kCheckpointDone:
+      on_checkpoint_done();
+      return;
+    case EventKind::kEmergencyCheckpoint:
+      on_emergency_checkpoint(zone);
+      return;
+    case EventKind::kDeadlineTrigger:
+      on_deadline_trigger();
+      return;
+    case EventKind::kOnDemandFinish:
+      finish(now(), true);
+      return;
   }
 }
 
@@ -96,7 +125,6 @@ void Engine::add_observer(EngineObserver* observer) {
   REDSPOT_CHECK_MSG(!ran_, "observers must attach before run()");
   REDSPOT_CHECK(observer != nullptr);
   observers_.push_back(observer);
-  queue_.add_observer(observer);
 }
 
 // ---------------------------------------------------------------------------
@@ -110,6 +138,7 @@ void Engine::on_zone_transition(std::size_t zone, ZoneState from,
 void Engine::notify_fault(FaultEvent::Kind kind, std::size_t zone,
                           Duration backoff) {
   const FaultEvent fault{kind, now(), zone, backoff};
+  record_fault(result_.faults, fault);
   for (EngineObserver* o : observers_) o->on_fault(fault);
 }
 

@@ -9,8 +9,9 @@
 // The engine is a thin orchestrator over four modules (see DESIGN.md §3):
 //
 //   core/events/          EventQueue — the typed (time, seq)-FIFO calendar
-//                         every handler schedules into — plus the
-//                         EngineObserver hook layer (add_observer).
+//                         of (kind, zone) entries every handler schedules
+//                         into, dispatched back through on_queue_event —
+//                         plus the EngineObserver hook layer (add_observer).
 //   core/zone/            ZoneMachine — per-zone state machine
 //                         (kDown/kWaiting/kQueued/kRestarting/kRunning/
 //                         kCheckpointing/kStopped) with checked transitions
@@ -26,9 +27,10 @@
 // The engine itself keeps only the cross-module choreography: Algorithm 1's
 // handlers (price ticks, instance lifecycle, cycle boundaries, completion)
 // and the CheckpointCoordinator for the single write that may be in flight.
-// Everything that merely watches a run — fault accounting, run validation
+// Everything that merely watches a run — run validation
 // (fault/audit_observer.hpp), the event-trace recorder — attaches through
-// EngineObserver rather than bespoke hooks.
+// EngineObserver rather than bespoke hooks; the engine is the one place
+// that fans events out to observers.
 //
 // The engine is also the one owner of decision-path state. Policies read
 // S_min (min_observed_price) and E[Tu] (expected_uptime) through
@@ -172,11 +174,11 @@ class Engine final : public EngineView,
 
  private:
   // --- event dispatch ------------------------------------------------------
-  /// EventSink: calendar entries scheduled by (kind, zone) alone land here
-  /// and fan out to the fixed handler for their kind — the hot-path events
-  /// (ticks, lifecycle, boundaries) skip per-event closure construction
-  /// this way. Handlers needing extra captures still schedule callbacks.
-  void on_queue_event(EventKind kind, std::size_t zone) override;
+  /// EventSink: every calendar entry lands here. Observers see it first
+  /// (on_event), then it runs the fixed handler for its kind — the switch
+  /// covers every EventKind with no default, so -Wswitch rejects a kind
+  /// without a handler.
+  void on_queue_event(const Event& event) override;
 
   // --- event handlers (zone/engine_lifecycle.cpp unless noted) -------------
   void on_price_tick();
@@ -192,6 +194,9 @@ class Engine final : public EngineView,
   /// and, when the remaining warning fits one, schedules the emergency
   /// checkpoint.
   void on_rebalance_notice(std::size_t zone);
+  /// The notice-driven write timed to end at the kill instant, unless a
+  /// write is in flight or the committed progress already covers it.
+  void on_emergency_checkpoint(std::size_t zone);
   void on_doom(std::size_t zone);
   /// Announces `zone`'s out-of-bid kill at a price tick: fixes the kill
   /// instant (kDoom) and schedules the notice, injecting dropped/late
@@ -282,8 +287,7 @@ class Engine final : public EngineView,
   bool ran_ = false;
 
   RunResult result_;
-  FaultStatsRecorder fault_recorder_;  ///< declared after result_ (points in)
-  std::vector<EngineObserver*> observers_;
+  std::vector<EngineObserver*> observers_;  ///< attached ones only
 };
 
 /// Cost of the naive on-demand baseline: run C + nothing else at the fixed

@@ -45,7 +45,7 @@ void Engine::start_checkpoint(std::optional<std::size_t> target) {
 
   coord_.begin(queue_, *target,
                iteration_aligned(experiment_.app, z.progress_base()),
-               experiment_.costs.checkpoint, [this] { on_checkpoint_done(); });
+               experiment_.costs.checkpoint);
 }
 
 bool Engine::commit_in_flight_checkpoint() {

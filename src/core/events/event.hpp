@@ -3,10 +3,11 @@
 // Every event the engine schedules — price ticks, instance arrivals,
 // checkpoint completions, billing-cycle boundaries, the deadline trigger —
 // is tagged with an EventKind and the zone it concerns (kNoZone for global
-// events). The tags exist for the observer layer: dispatch order is still
-// strictly (time, scheduling sequence) FIFO, never kind-based, because the
-// engine's determinism contract is "whoever scheduled first at an instant
-// fires first" (see event_queue.hpp).
+// events). The tags are the whole entry: the engine routes each dispatched
+// event to its handler by kind, and observers see the same tags. Dispatch
+// order is still strictly (time, scheduling sequence) FIFO, never
+// kind-based, because the engine's determinism contract is "whoever
+// scheduled first at an instant fires first" (see event_queue.hpp).
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,8 @@ enum class EventKind : std::uint8_t {
 
 const char* to_string(EventKind kind);
 
-/// One dispatched event, as seen by observers (EngineObserver::on_event).
+/// One dispatched event, as the sink (EventSink::on_queue_event) and
+/// observers (EngineObserver::on_event) see it.
 struct Event {
   SimTime time = 0;
   EventKind kind = EventKind::kPriceTick;

@@ -20,42 +20,18 @@ void EventQueue::release(EventId id, Slot& slot) {
   --live_;
 }
 
-EventId EventQueue::schedule_at(EventKind kind, std::size_t zone, SimTime t,
-                                Callback cb) {
-  REDSPOT_CHECK(cb != nullptr);
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  return arm(s, slot, kind, zone, t);
-}
-
 EventId EventQueue::schedule_at(EventKind kind, std::size_t zone, SimTime t) {
-  REDSPOT_CHECK_MSG(sink_ != nullptr,
-                    "callback-less schedule without a sink");
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
-  }
-  Slot& s = slots_[slot];
-  s.cb = nullptr;
-  return arm(s, slot, kind, zone, t);
-}
-
-EventId EventQueue::arm(Slot& s, std::uint32_t slot, EventKind kind,
-                        std::size_t zone, SimTime t) {
   REDSPOT_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t << " now="
                                                               << now_);
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
   ++s.gen;  // invalidates every stale handle to this slot
   s.kind = kind;
   s.zone = zone;
@@ -69,7 +45,6 @@ EventId EventQueue::arm(Slot& s, std::uint32_t slot, EventKind kind,
 
 void EventQueue::cancel(EventId& id) {
   if (Slot* s = find(id)) {
-    s->cb = nullptr;  // drop any owned captures now, not at slot reuse
     release(id, *s);
     maybe_compact();
   }
@@ -89,11 +64,6 @@ void EventQueue::maybe_compact() {
 
 bool EventQueue::pending(EventId id) const { return find(id) != nullptr; }
 
-void EventQueue::add_observer(EngineObserver* observer) {
-  REDSPOT_CHECK(observer != nullptr);
-  observers_.push_back(observer);
-}
-
 bool EventQueue::step() {
   while (!heap_.empty()) {
     const Entry top = heap_.front();
@@ -101,23 +71,12 @@ bool EventQueue::step() {
     heap_.pop_back();
     Slot* s = find(top.id);
     if (s == nullptr) continue;  // cancelled
-    const EventKind kind = s->kind;
-    const std::size_t zone = s->zone;
-    Callback cb;
-    if (s->cb) cb = std::move(s->cb);
+    const Event event{top.time, s->kind, s->zone, top.seq};
     release(top.id, *s);
     REDSPOT_CHECK(top.time >= now_);
     now_ = top.time;
     ++executed_;
-    if (!observers_.empty()) {
-      const Event event{now_, kind, zone, top.seq};
-      for (EngineObserver* o : observers_) o->on_event(event);
-    }
-    if (cb) {
-      cb();
-    } else {
-      sink_->on_queue_event(kind, zone);
-    }
+    sink_->on_queue_event(event);
     return true;
   }
   return false;

@@ -1,9 +1,10 @@
 // The engine's typed event calendar.
 //
-// A (time, seq)-ordered calendar of callbacks with two additions the
-// engine needs: every entry carries its EventKind and zone for the
-// observer layer, and cancel() takes the handle by reference and zeroes
-// it — the engine's universal "cancel and forget" idiom.
+// A (time, seq)-ordered heap of (kind, zone) entries with one dispatch
+// path: step() hands each due entry to the EventSink given at
+// construction, which owns the fixed handler per kind (and any observer
+// fan-out). cancel() takes the handle by reference and zeroes it — the
+// engine's universal "cancel and forget" idiom.
 //
 // Determinism contract (the tie-break the whole engine is built on):
 // events at equal timestamps fire in scheduling order, strictly FIFO —
@@ -31,22 +32,19 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/time.hpp"
 #include "core/events/event.hpp"
-#include "core/events/observer.hpp"
 
 namespace redspot {
 
-/// Receiver for callback-less events (see EventQueue::set_sink): entries
-/// scheduled by (kind, zone) alone dispatch here instead of through a
-/// std::function, skipping the per-event closure construction on the hot
-/// paths where the handler is a fixed member function anyway.
+/// Receiver of every dispatched calendar entry: the handler for each
+/// EventKind is a fixed member of the sink, so an entry needs nothing
+/// beyond its (kind, zone) — no per-event closure.
 class EventSink {
  public:
-  virtual void on_queue_event(EventKind kind, std::size_t zone) = 0;
+  virtual void on_queue_event(const Event& event) = 0;
 
  protected:
   ~EventSink() = default;
@@ -54,30 +52,16 @@ class EventSink {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
-  explicit EventQueue(SimTime start = 0) : now_(start) {}
+  /// `sink` receives every dispatch and must outlive the queue's use.
+  EventQueue(SimTime start, EventSink& sink) : now_(start), sink_(&sink) {}
 
   SimTime now() const { return now_; }
 
-  /// Registers the receiver for callback-less schedules. Must outlive the
-  /// queue's use; required before the (kind, zone)-only overloads.
-  void set_sink(EventSink* sink) { sink_ = sink; }
-
-  /// Schedules `cb` at absolute time `t` (>= now()). Returns a handle.
-  EventId schedule_at(EventKind kind, std::size_t zone, SimTime t,
-                      Callback cb);
-
-  /// Schedules `cb` after `d` (>= 0) of simulated time.
-  EventId schedule_in(EventKind kind, std::size_t zone, Duration d,
-                      Callback cb) {
-    return schedule_at(kind, zone, now_ + d, std::move(cb));
-  }
-
-  /// Callback-less variants: the event dispatches through the sink as
-  /// on_queue_event(kind, zone). Identical (time, seq) ordering to the
-  /// callback form — only the dispatch mechanism differs.
+  /// Schedules a (kind, zone) entry at absolute time `t` (>= now()).
+  /// Returns a handle.
   EventId schedule_at(EventKind kind, std::size_t zone, SimTime t);
+
+  /// Schedules a (kind, zone) entry after `d` (>= 0) of simulated time.
   EventId schedule_in(EventKind kind, std::size_t zone, Duration d) {
     return schedule_at(kind, zone, now_ + d);
   }
@@ -89,9 +73,8 @@ class EventQueue {
   /// True when `id` is still pending.
   bool pending(EventId id) const;
 
-  /// Dispatches the next event: advances the clock, notifies every
-  /// observer (on_event), then runs the callback. Returns false when the
-  /// calendar is empty.
+  /// Dispatches the next event: advances the clock and hands the entry to
+  /// the sink. Returns false when the calendar is empty.
   bool step();
 
   /// Timestamp of the next event step() would dispatch, or kNever when the
@@ -106,10 +89,6 @@ class EventQueue {
     }
     return heap_.empty() ? kNever : heap_.front().time;
   }
-
-  /// Attaches an observer notified on every dispatch. Must outlive the
-  /// queue's use.
-  void add_observer(EngineObserver* observer);
 
   /// Pending (non-cancelled) event count.
   std::size_t pending_count() const { return live_; }
@@ -138,13 +117,12 @@ class EventQueue {
   /// a freed slot bumps its generation on reuse, so a stale handle — a
   /// cancelled or already-run event still sitting in the heap — simply
   /// fails the generation check. The pool grows to the peak concurrent
-  /// event count and then schedules allocation-free (the engine's lambdas
-  /// fit std::function's inline buffer), which matters: the calendar is
-  /// the per-event floor under every simulation, batched sweeps included.
+  /// event count and then schedules allocation-free, which matters: the
+  /// calendar is the per-event floor under every simulation, batched
+  /// sweeps included.
   struct Slot {
     EventKind kind = EventKind::kPriceTick;
     std::size_t zone = 0;
-    Callback cb;  ///< empty = dispatch via the sink (kind, zone)
     std::uint32_t gen = 0;  ///< starts at 1 on first use; 0 never matches
     bool live = false;
   };
@@ -170,27 +148,20 @@ class EventQueue {
     return const_cast<EventQueue*>(this)->find(id);
   }
 
-  /// Returns a live slot to the free list (caller already moved the
-  /// callback out or wants it dropped).
+  /// Returns a live slot to the free list.
   void release(EventId id, Slot& slot);
-
-  /// Shared tail of the schedule_at overloads: stamps the slot (the caller
-  /// already set cb), allocates the handle, and pushes the heap entry.
-  EventId arm(Slot& s, std::uint32_t slot, EventKind kind, std::size_t zone,
-              SimTime t);
 
   /// Drops cancelled heap entries when they dominate the backlog.
   void maybe_compact();
 
   SimTime now_;
-  EventSink* sink_ = nullptr;
+  EventSink* sink_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t live_ = 0;
-  std::vector<EngineObserver*> observers_;
 };
 
 }  // namespace redspot

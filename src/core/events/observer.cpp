@@ -32,28 +32,4 @@ const char* to_string(FaultEvent::Kind kind) {
   return "?";
 }
 
-void FaultStatsRecorder::on_fault(const FaultEvent& fault) {
-  switch (fault.kind) {
-    case FaultEvent::Kind::kCkptWriteFailure:
-      ++stats_->ckpt_write_failures;
-      break;
-    case FaultEvent::Kind::kCkptCorruption:
-      ++stats_->ckpt_corruptions;
-      break;
-    case FaultEvent::Kind::kRestartFailure:
-      ++stats_->restart_failures;
-      break;
-    case FaultEvent::Kind::kRequestRejection:
-      ++stats_->request_rejections;
-      stats_->backoff_total += fault.backoff;
-      break;
-    case FaultEvent::Kind::kNoticeDropped:
-      ++stats_->notices_dropped;
-      break;
-    case FaultEvent::Kind::kNoticeLate:
-      ++stats_->notices_late;
-      break;
-  }
-}
-
 }  // namespace redspot

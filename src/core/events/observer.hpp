@@ -1,11 +1,10 @@
 // Observer hooks over a running engine.
 //
 // EngineObserver is the one attachment surface for everything that watches
-// a run without steering it: the event trace recorder, fault accounting,
-// post-run auditing (fault/audit_observer.hpp), and future tooling. The
-// engine fans out
+// a run without steering it: the event trace recorder, post-run auditing
+// (fault/audit_observer.hpp), and future tooling. The engine fans out
 //
-//   on_event             every dispatched calendar event (from EventQueue)
+//   on_event             every dispatched calendar event, before its handler
 //   on_transition        every zone state-machine transition
 //   on_billing           every LineItem the moment it is charged
 //   on_checkpoint_commit every settled checkpoint write (incl. failures)
@@ -16,7 +15,8 @@
 //
 // Observers are notified in attachment order, synchronously, and must not
 // mutate engine state. All hooks default to no-ops so an observer overrides
-// only what it needs.
+// only what it needs. The engine's own RunResult accounting (FaultStats
+// included) is not an observer: an unobserved run fans out to nobody.
 #pragma once
 
 #include <cstddef>
@@ -88,17 +88,6 @@ class EngineObserver {
     (void)t, (void)config;
   }
   virtual void on_finish(const RunResult& result) { (void)result; }
-};
-
-/// Built-in observer accumulating FaultStats — the engine's own fault
-/// accounting attaches through the observer layer like everything else.
-class FaultStatsRecorder final : public EngineObserver {
- public:
-  explicit FaultStatsRecorder(FaultStats* stats) : stats_(stats) {}
-  void on_fault(const FaultEvent& fault) override;
-
- private:
-  FaultStats* stats_;
 };
 
 }  // namespace redspot

@@ -204,18 +204,20 @@ void Engine::on_rebalance_notice(std::size_t zone) {
   const SimTime ckpt_start = z.doom_at() - experiment_.costs.checkpoint;
   if (ckpt_start >= now() && policy_checkpoint_allowed()) {
     z.emergency_ckpt_event = queue_.schedule_at(
-        EventKind::kEmergencyCheckpoint, zone, ckpt_start, [this, zone] {
-          ZoneMachine& doomed_zone = zone_at(zone);
-          doomed_zone.emergency_ckpt_event = 0;
-          if (done_ || coord_.in_flight() || !doomed_zone.computing()) return;
-          // A policy write that landed since the notice may already hold
-          // everything this one would capture.
-          if (iteration_aligned(experiment_.app, zone_progress(zone)) <=
-              store_.latest_progress())
-            return;
-          start_checkpoint(zone);
-        });
+        EventKind::kEmergencyCheckpoint, zone, ckpt_start);
   }
+}
+
+void Engine::on_emergency_checkpoint(std::size_t zone) {
+  ZoneMachine& z = zone_at(zone);
+  z.emergency_ckpt_event = 0;
+  if (done_ || coord_.in_flight() || !z.computing()) return;
+  // A policy write that landed since the notice may already hold
+  // everything this one would capture.
+  if (iteration_aligned(experiment_.app, zone_progress(zone)) <=
+      store_.latest_progress())
+    return;
+  start_checkpoint(zone);
 }
 
 void Engine::on_doom(std::size_t zone) {

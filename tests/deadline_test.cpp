@@ -70,10 +70,18 @@ TEST(Deadline, LateTriggerNeverForcesACheckpoint) {
             DeadlineAction::kSwitchToOnDemand);
 }
 
-TEST(DeadlineMonitor, ArmsAtSwitchTimeAndFiresOnce) {
-  EventQueue queue(0);
+/// Counts the kDeadlineTrigger entries the calendar dispatches.
+struct TriggerCounter final : EventSink {
   int fired = 0;
-  DeadlineMonitor monitor(queue, params(), [&fired] { ++fired; });
+  void on_queue_event(const Event& event) override {
+    if (event.kind == EventKind::kDeadlineTrigger) ++fired;
+  }
+};
+
+TEST(DeadlineMonitor, ArmsAtSwitchTimeAndFiresOnce) {
+  TriggerCounter sink;
+  EventQueue queue(0, sink);
+  DeadlineMonitor monitor(queue, params());
   EXPECT_FALSE(monitor.armed());
 
   monitor.rearm(0);
@@ -81,15 +89,15 @@ TEST(DeadlineMonitor, ArmsAtSwitchTimeAndFiresOnce) {
   EXPECT_EQ(monitor.switch_time(0), 3600);
   while (queue.step()) {
   }
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sink.fired, 1);
   EXPECT_EQ(queue.now(), 3600);
   EXPECT_FALSE(monitor.armed());  // one-shot until re-armed
 }
 
 TEST(DeadlineMonitor, RearmReplacesThePendingTrigger) {
-  EventQueue queue(0);
-  int fired = 0;
-  DeadlineMonitor monitor(queue, params(), [&fired] { ++fired; });
+  TriggerCounter sink;
+  EventQueue queue(0, sink);
+  DeadlineMonitor monitor(queue, params());
 
   monitor.rearm(0);
   // A commit re-arms for the later switch time; the old trigger must not
@@ -98,33 +106,31 @@ TEST(DeadlineMonitor, RearmReplacesThePendingTrigger) {
   EXPECT_EQ(queue.pending_count(), 1u);
   while (queue.step()) {
   }
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sink.fired, 1);
   EXPECT_EQ(queue.now(), 6900);
 }
 
 TEST(DeadlineMonitor, OverdueRearmClampsToNow) {
-  EventQueue queue(0);
-  int fired = 0;
-  DeadlineMonitor monitor(queue, params(), [&fired] { ++fired; });
+  TriggerCounter sink;
+  EventQueue queue(0, sink);
+  DeadlineMonitor monitor(queue, params());
 
   // Advance the clock past the uncommitted switch time.
-  EventId filler = queue.schedule_at(EventKind::kPriceTick, kNoZone, 5000,
-                                     [] {});
-  (void)filler;
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, 5000);
   ASSERT_TRUE(queue.step());
   ASSERT_EQ(queue.now(), 5000);
 
   monitor.rearm(0);  // switch_time 3600 < now: must not schedule in the past
   ASSERT_TRUE(queue.step());
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sink.fired, 1);
   EXPECT_EQ(queue.now(), 5000);
   EXPECT_EQ(monitor.margin(0), -1400);
 }
 
 TEST(DeadlineMonitor, DisarmCancelsTheTrigger) {
-  EventQueue queue(0);
-  int fired = 0;
-  DeadlineMonitor monitor(queue, params(), [&fired] { ++fired; });
+  TriggerCounter sink;
+  EventQueue queue(0, sink);
+  DeadlineMonitor monitor(queue, params());
 
   monitor.rearm(0);
   monitor.disarm();
@@ -132,7 +138,7 @@ TEST(DeadlineMonitor, DisarmCancelsTheTrigger) {
   EXPECT_EQ(queue.pending_count(), 0u);
   while (queue.step()) {
   }
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sink.fired, 0);
   // Disarm is idempotent.
   monitor.disarm();
   EXPECT_FALSE(monitor.armed());

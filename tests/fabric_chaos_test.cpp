@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -80,10 +81,13 @@ FleetRun run_unix_fleet(const fs::path& base, const std::string& tag,
   const std::string socket = (base / (tag + ".sock")).string();
   const std::string journal_file =
       journal_dir.empty() ? "" : journal_dir + "/run.journal";
-  return run_fleet(
+  const FleetRun run = run_fleet(
       base, tag, coordinator_args(socket, journal_dir),
       [&](std::size_t) { return worker_args(socket, chaos); }, num_workers,
       journal_file, kill_coordinator_at);
+  std::cerr << tag << ": " << run.teardown_kills
+            << " worker(s) SIGKILLed at teardown\n";
+  return run;
 }
 
 class FabricChaosTest : public ::testing::Test {

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -123,6 +124,9 @@ struct FleetRun {
   std::string output;  ///< coordinator stdout+stderr
   int coordinator_status = 0;
   int worker_respawns = 0;
+  /// Workers still alive after the teardown grace and SIGKILLed; each is
+  /// diagnosed on stderr (slot, time lingered, its log).
+  int teardown_kills = 0;
 };
 
 /// Builds one worker's argv; `slot` distinguishes fleet members that want
@@ -154,10 +158,11 @@ inline FleetRun run_fleet(const std::filesystem::path& base,
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   std::vector<pid_t> workers(static_cast<std::size_t>(num_workers), -1);
+  auto worker_log = [&](std::size_t slot) {
+    return (base / (tag + "_worker" + std::to_string(slot) + ".txt")).string();
+  };
   auto spawn_worker = [&](std::size_t slot) {
-    const std::string out =
-        (base / (tag + "_worker" + std::to_string(slot) + ".txt")).string();
-    workers[slot] = spawn(worker_argv(slot), out);
+    workers[slot] = spawn(worker_argv(slot), worker_log(slot));
     EXPECT_GT(workers[slot], 0);
   };
   for (std::size_t i = 0; i < workers.size(); ++i) spawn_worker(i);
@@ -212,9 +217,10 @@ inline FleetRun run_fleet(const std::filesystem::path& base,
 
   // Fleet teardown: workers get Done and exit on their own; anything
   // still alive after a grace period is put down (not a test failure —
-  // e.g. a worker mid-backoff when the run ended).
-  const auto worker_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // e.g. a worker mid-backoff when the run ended), but diagnosed here:
+  // its log dies with the suite's directory.
+  const auto teardown_start = std::chrono::steady_clock::now();
+  const auto worker_deadline = teardown_start + std::chrono::seconds(30);
   for (std::size_t i = 0; i < workers.size(); ++i) {
     while (workers[i] > 0) {
       int wstatus = 0;
@@ -222,10 +228,21 @@ inline FleetRun run_fleet(const std::filesystem::path& base,
         workers[i] = -1;
         break;
       }
-      if (std::chrono::steady_clock::now() > worker_deadline) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now > worker_deadline) {
         ::kill(workers[i], SIGKILL);
         wait_for(workers[i]);
         workers[i] = -1;
+        ++run.teardown_kills;
+        const auto lingered_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                now - teardown_start)
+                .count();
+        std::cerr << tag << ": teardown SIGKILLed worker slot " << i
+                  << " after lingering " << lingered_ms
+                  << " ms past the coordinator's exit; its log "
+                  << worker_log(i) << ":\n"
+                  << slurp(worker_log(i)) << std::endl;
         break;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -94,9 +95,12 @@ FleetRun run_tcp_fleet(const fs::path& base, const std::string& tag,
 
   const std::string journal_file =
       cfg.journal_dir.empty() ? "" : cfg.journal_dir + "/run.journal";
-  return run_fleet(
+  const FleetRun run = run_fleet(
       base, tag, coord, [&](std::size_t) { return worker; }, cfg.num_workers,
       journal_file, cfg.kill_coordinator_at);
+  std::cerr << tag << ": " << run.teardown_kills
+            << " worker(s) SIGKILLed at teardown\n";
+  return run;
 }
 
 /// True when any worker's captured output mentions the fault plan — the

@@ -237,10 +237,13 @@ TEST(ZoneMachine, TerminateClearsManualStopFlag) {
 TEST(ZoneMachine, CancelEventsClearsHandlesAndDoom) {
   RecordingSink sink;
   ZoneMachine z(0, &sink);
-  EventQueue queue(0);
-  z.ready_event = queue.schedule_at(EventKind::kInstanceReady, 0, 10, [] {});
-  z.cycle_event = queue.schedule_at(EventKind::kCycleBoundary, 0, 20, [] {});
-  z.doom_event = queue.schedule_at(EventKind::kDoom, 0, 30, [] {});
+  struct NoOpSink final : EventSink {
+    void on_queue_event(const Event&) override {}
+  } no_op;
+  EventQueue queue(0, no_op);
+  z.ready_event = queue.schedule_at(EventKind::kInstanceReady, 0, 10);
+  z.cycle_event = queue.schedule_at(EventKind::kCycleBoundary, 0, 20);
+  z.doom_event = queue.schedule_at(EventKind::kDoom, 0, 30);
   z.mark_doomed(30);
   EXPECT_TRUE(z.doomed());
   EXPECT_EQ(z.doom_at(), 30);
