@@ -17,6 +17,12 @@
 //                       tcp_fabric_dispatch_overhead_ratio.
 //   2. codec          — encode+decode of a lease/partial/ack exchange per
 //                       shard, isolating serialization from the socket.
+//   3. worker shard   — one 4-replication shard (the fabric-tcp benchmark
+//                       shard) computed serially and through a
+//                       hardware-sized pool, as a worker does, interleaved
+//                       per rep: worker_shard_speedup is the median of the
+//                       per-rep ratios, gated by a floor. It scales with
+//                       the core count, so only the floor is pinned.
 //
 // Usage: bench_fabric [--quick] [--out report.json]
 #include <sys/wait.h>
@@ -33,6 +39,7 @@
 #include "app/ensemble_cli.hpp"
 #include "bench_report.hpp"
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/shard_exec.hpp"
 #include "fabric/coordinator.hpp"
@@ -93,6 +100,8 @@ double fabric_run_ns(const EnsembleSpec& spec, const std::string& endpoint) {
   options.lease.lease_duration_ms = 120'000;
   options.lease.heartbeat_timeout_ms = 60'000;
   options.fallback_wait_ms = 60'000;
+  // One replication per shard: the serial loop, as in-process.
+  options.threads = 1;
 
   // The constructor binds the listener, so forking right after can never
   // race the bind — connect retries would otherwise pollute the dispatch
@@ -197,6 +206,34 @@ int main(int argc, char** argv) {
       }
     });
     report.set("wire_roundtrip_ns", codec_ns / n);
+  }
+
+  // --- 3. worker shard: serial vs pooled compute of one leased shard --------
+  {
+    EnsembleCliArgs args;
+    args.policy = "periodic";
+    args.zones = {0, 1, 2};
+    args.replications = 4;
+    args.shards = 1;
+    args.no_cache = true;
+    const EnsembleSpec spec = make_ensemble_spec(args);
+    const ShardExecutor exec(spec);
+    ThreadPool pool(0);
+    const std::string serial = exec.compute(0);
+    REDSPOT_CHECK_MSG(exec.compute(0, {}, &pool) == serial,
+                      "pooled shard differs from the serial one");
+    std::vector<double> ratios;
+    for (int r = 0; r < (quick ? 9 : 15); ++r) {
+      const double serial_ns = run_ns([&] {
+        g_sink += static_cast<std::int64_t>(exec.compute(0).size());
+      });
+      const double pooled_ns = run_ns([&] {
+        g_sink += static_cast<std::int64_t>(exec.compute(0, {}, &pool).size());
+      });
+      ratios.push_back(serial_ns / pooled_ns);
+    }
+    report.set("worker_shard_threads", static_cast<double>(pool.size()));
+    report.set("worker_shard_speedup", median(std::move(ratios)));
   }
 
   benchreport::write_report(report, out_path);

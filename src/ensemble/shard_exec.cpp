@@ -1,5 +1,8 @@
 #include "ensemble/shard_exec.hpp"
 
+#include <exception>
+#include <mutex>
+
 #include "common/check.hpp"
 #include "common/parallel.hpp"
 #include "core/batch/batched_engine.hpp"
@@ -32,6 +35,8 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
       batchable_.push_back(c);
   }
   if (batchable_.size() < 2) batchable_.clear();
+  is_batched_.assign(spec_.configs.size(), 0);
+  for (const std::size_t c : batchable_) is_batched_[c] = 1;
 }
 
 std::pair<std::size_t, std::size_t> ShardExecutor::bounds(
@@ -63,61 +68,94 @@ Experiment ShardExecutor::make_experiment(std::size_t r) const {
                            seeder_.seed(r, SeedDomain::kQueueDelay));
 }
 
-std::string ShardExecutor::compute(std::size_t s,
-                                   const ProgressFn& progress) const {
-  const auto [lo, hi] = bounds(s);
-  ShardRecordBuilder builder(spec_hash_, s, lo, hi,
-                             static_cast<std::uint32_t>(num_configs()));
-  std::vector<RunResult> results(spec_.configs.size());
-  std::vector<char> is_batched(spec_.configs.size(), 0);
-  for (const std::size_t c : batchable_) is_batched[c] = 1;
-  for (std::size_t r = lo; r < hi; ++r) {
-    // This replication's independent substreams.
-    SyntheticTraceSpec trace_spec = trace_template_;
-    trace_spec.seed = seeder_.seed(r, SeedDomain::kTrace);
-    const SpotMarket market(generate_traces(trace_spec), instance_,
-                            QueueDelayModel());
-    const Experiment experiment = make_experiment(r);
-    // One auditor per config: the audit follows each run live, so lanes
-    // stepping in lockstep must not share one.
-    std::vector<AuditObserver> audits;
-    audits.reserve(spec_.configs.size());
-    for (std::size_t c = 0; c < spec_.configs.size(); ++c)
-      audits.emplace_back(experiment, instance_.on_demand_rate,
-                          AuditMode::kFull, spec_.engine.regime);
-    // Fixed-policy lanes advance in lockstep over this replication's
-    // trace (bit-identical to the scalar runs below).
-    if (!batchable_.empty()) {
-      const batch::BatchedSweepEngine batcher(market, spec_.engine);
-      for (std::size_t g = 0; g < batchable_.size(); g += kBatchWidth) {
-        const std::size_t end = std::min(g + kBatchWidth, batchable_.size());
-        std::vector<batch::BatchConfig> lanes;
-        lanes.reserve(end - g);
-        for (std::size_t k = g; k < end; ++k) {
-          const EnsembleConfig& cfg = spec_.configs[batchable_[k]];
-          lanes.push_back(batch::BatchConfig{experiment, cfg.policy, cfg.bid,
-                                             cfg.zones,
-                                             &audits[batchable_[k]]});
-        }
-        const std::vector<RunResult> runs = batcher.run(lanes);
-        for (std::size_t k = g; k < end; ++k)
-          results[batchable_[k]] = runs[k - g];
+void ShardExecutor::run_replication(std::size_t r,
+                                    std::span<RunResult> results) const {
+  // This replication's independent substreams.
+  SyntheticTraceSpec trace_spec = trace_template_;
+  trace_spec.seed = seeder_.seed(r, SeedDomain::kTrace);
+  const SpotMarket market(generate_traces(trace_spec), instance_,
+                          QueueDelayModel());
+  const Experiment experiment = make_experiment(r);
+  // One auditor per config: the audit follows each run live, so lanes
+  // stepping in lockstep must not share one.
+  std::vector<AuditObserver> audits;
+  audits.reserve(spec_.configs.size());
+  for (std::size_t c = 0; c < spec_.configs.size(); ++c)
+    audits.emplace_back(experiment, instance_.on_demand_rate,
+                        AuditMode::kFull, spec_.engine.regime);
+  // Fixed-policy lanes advance in lockstep over this replication's trace
+  // (bit-identical to the scalar runs below).
+  if (!batchable_.empty()) {
+    const batch::BatchedSweepEngine batcher(market, spec_.engine);
+    for (std::size_t g = 0; g < batchable_.size(); g += kBatchWidth) {
+      const std::size_t end = std::min(g + kBatchWidth, batchable_.size());
+      std::vector<batch::BatchConfig> lanes;
+      lanes.reserve(end - g);
+      for (std::size_t k = g; k < end; ++k) {
+        const EnsembleConfig& cfg = spec_.configs[batchable_[k]];
+        lanes.push_back(batch::BatchConfig{experiment, cfg.policy, cfg.bid,
+                                           cfg.zones, &audits[batchable_[k]]});
       }
+      const std::vector<RunResult> runs = batcher.run(lanes);
+      for (std::size_t k = g; k < end; ++k)
+        results[batchable_[k]] = runs[k - g];
     }
-    // Scalar lanes (adaptive, large-bid, or a lone fixed policy), then
-    // the canonical add_run order: configs in index order, per
-    // replication.
-    for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
-      if (is_batched[c] == 0) {
-        auto strategy = spec_.configs[c].make_strategy();
-        Engine engine(market, experiment, *strategy, spec_.engine);
-        engine.add_observer(&audits[c]);
-        results[c] = engine.run();
-      }
-      builder.add_run(results[c]);
-    }
-    if (progress) progress(r - lo + 1);
   }
+  // Scalar lanes: adaptive, large-bid, or a lone fixed policy.
+  for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
+    if (is_batched_[c] != 0) continue;
+    auto strategy = spec_.configs[c].make_strategy();
+    Engine engine(market, experiment, *strategy, spec_.engine);
+    engine.add_observer(&audits[c]);
+    results[c] = engine.run();
+  }
+}
+
+std::string ShardExecutor::compute(std::size_t s, const ProgressFn& progress,
+                                   ThreadPool* pool) const {
+  const auto [lo, hi] = bounds(s);
+  const std::size_t configs = num_configs();
+  ShardRecordBuilder builder(spec_hash_, s, lo, hi,
+                             static_cast<std::uint32_t>(configs));
+  // Every replication writes its own result slots; the record is built
+  // afterwards in the canonical add_run order (replication ascending,
+  // configs in index order), so the pooled payload is the serial one.
+  std::vector<RunResult> results((hi - lo) * configs);
+  std::mutex mutex;
+  std::size_t done = 0;
+  auto run = [&](std::size_t r) {
+    run_replication(r, std::span<RunResult>(results).subspan(
+                           (r - lo) * configs, configs));
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++done;
+    if (progress) progress(done);
+  };
+  if (pool == nullptr) {
+    for (std::size_t r = lo; r < hi; ++r) run(r);
+  } else {
+    // parallel_for wraps a body's exception in ParallelError; rethrow the
+    // original instead, from the lowest failing replication — the serial
+    // loop's failure, since chunks are claimed in ascending order and
+    // claimed chunks always drain. One slot per replication: no thread
+    // releases an exception another may still be reading.
+    std::vector<std::exception_ptr> failures(hi - lo);
+    try {
+      parallel_for(*pool, lo, hi, [&](std::size_t r) {
+        try {
+          run(r);
+        } catch (...) {
+          failures[r - lo] = std::current_exception();
+          throw;
+        }
+      });
+    } catch (const ParallelError&) {
+      for (const std::exception_ptr& failure : failures) {
+        if (failure != nullptr) std::rethrow_exception(failure);
+      }
+      throw;
+    }
+  }
+  for (const RunResult& result : results) builder.add_run(result);
   return builder.payload();
 }
 

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +36,8 @@
 #include "trace/synthetic.hpp"
 
 namespace redspot {
+
+class ThreadPool;
 
 class ShardExecutor {
  public:
@@ -63,15 +66,23 @@ class ShardExecutor {
   };
   Acc make_acc() const;
 
-  /// Called after each completed replication with the count of
-  /// replications finished so far in this shard — the fabric worker's
-  /// heartbeat/chaos hook. Must not throw.
+  /// Called once per finished replication with the count of this shard's
+  /// replications finished so far (1, 2, ..., hi - lo): a completion
+  /// count, not a replication index. Never called concurrently, even on
+  /// the pooled path — the fabric worker's heartbeat/chaos hook. Must not
+  /// throw.
   using ProgressFn = std::function<void(std::size_t replications_done)>;
 
   /// Simulates shard `s` and returns its canonical kEnsembleShard record
   /// payload (journal format == wire format). Deterministic: depends only
-  /// on (spec, s). Throws on simulation/audit failure.
-  std::string compute(std::size_t s, const ProgressFn& progress = {}) const;
+  /// on (spec, s). With a `pool`, the shard's replications run through
+  /// parallel_for and the record is still built in the canonical order, so
+  /// the payload is byte-identical to the serial one. The pool must not be
+  /// one whose task is making this call. Throws on simulation/audit
+  /// failure: the lowest failing replication's original exception, on
+  /// either path.
+  std::string compute(std::size_t s, const ProgressFn& progress = {},
+                      ThreadPool* pool = nullptr) const;
 
   /// True when `rec` addresses this exact spec and shard partition
   /// (spec_hash, shard index, replication bounds, config count). A foreign
@@ -93,12 +104,17 @@ class ShardExecutor {
 
  private:
   Experiment make_experiment(std::size_t r) const;
+  /// Simulates replication `r` of every config into `results` (one slot
+  /// per config, in index order). Touches no shared mutable state.
+  void run_replication(std::size_t r, std::span<RunResult> results) const;
 
   const EnsembleSpec& spec_;
   std::uint64_t spec_hash_;
   /// Indices into spec_.configs on the batched path: the fixed policies,
   /// whatever the engine options; empty when fewer than two.
   std::vector<std::size_t> batchable_;
+  /// Per config: 1 when it is in batchable_.
+  std::vector<char> is_batched_;
   std::vector<SimTime> starts_;
   SyntheticTraceSpec trace_template_;
   ReplicationSeeder seeder_;

@@ -12,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/transport/transport.hpp"
 #include "ensemble/shard_exec.hpp"
 #include "fabric/wire.hpp"
@@ -266,9 +267,13 @@ struct Coordinator::Impl {
              << " shard(s) in-process";
     report.used_fallback = true;
     close_all();
+    // Each remaining shard's replications run on every core; shards are
+    // still journaled and recorded one at a time, in shard order.
+    const std::unique_ptr<ThreadPool> pool = make_compute_pool(opt.threads);
     for (std::uint64_t s = 0; s < table.num_shards(); ++s) {
       if (recs[s].has_value()) continue;
-      const std::string payload = exec.compute(static_cast<std::size_t>(s));
+      const std::string payload =
+          exec.compute(static_cast<std::size_t>(s), {}, pool.get());
       auto rec = decode_ensemble_shard(payload);
       REDSPOT_CHECK_MSG(rec.has_value() && exec.matches(*rec),
                         "fallback shard record failed to decode");

@@ -17,9 +17,9 @@
 //     counters — the ChaosPlan's key — survive the restart.
 //
 // Liveness: if no worker is connected for fallback_wait_ms the
-// coordinator logs a warning and finishes the run in-process via
-// EnsembleRunner (journal-aware, so fleet-computed shards still count).
-// It never hangs on an empty fleet.
+// coordinator logs a warning and computes the remaining shards in-process
+// (each shard's replications on FabricOptions::threads threads; shards
+// already folded still count). It never hangs on an empty fleet.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,14 @@
 #include <cerrno>
 #include <ctime>
 
+#include "common/parallel.hpp"
+
 namespace redspot::fabric {
+
+std::unique_ptr<ThreadPool> make_compute_pool(std::size_t threads) {
+  if (threads == 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
+}
 
 std::int64_t mono_ms() {
   timespec ts{};

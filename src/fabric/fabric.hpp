@@ -9,11 +9,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/transport/fault.hpp"
 #include "fabric/lease.hpp"
 #include "fault/fault_plan.hpp"
+
+namespace redspot {
+class ThreadPool;
+}
 
 namespace redspot::fabric {
 
@@ -22,6 +27,10 @@ struct FabricOptions {
   /// "unix:PATH", "tcp:HOST:PORT", or a bare unix-socket path.
   std::string endpoint;
   LeaseConfig lease;
+  /// Worker, and the coordinator's in-process fallback: threads computing
+  /// one shard's replications (0 = hardware, 1 = the serial loop). The
+  /// ensemble options' --threads; not part of the spec.
+  std::size_t threads = 0;
   /// Coordinator: with zero workers connected for this long, give up on
   /// the fleet and finish the run in-process (never hang).
   std::int64_t fallback_wait_ms = 3'000;
@@ -40,6 +49,10 @@ struct FabricOptions {
   /// worker makes is wrapped. Test instrumentation — null in production.
   transport::NetFaultInjector* net_fault = nullptr;
 };
+
+/// The pool a shard's replications are computed on for `threads` (see
+/// FabricOptions::threads): null for 1, which selects the serial loop.
+std::unique_ptr<ThreadPool> make_compute_pool(std::size_t threads);
 
 /// Monotonic wall clock in milliseconds (CLOCK_MONOTONIC; immune to
 /// wall-time jumps — all lease/heartbeat arithmetic uses this).

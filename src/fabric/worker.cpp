@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/transport/transport.hpp"
 #include "ensemble/shard_exec.hpp"
@@ -26,7 +27,8 @@ namespace {
 /// when the connection dies.
 void compute_and_send(const ShardExecutor& exec, const FabricOptions& opt,
                       const ChaosPlan& chaos, transport::Stream& stream,
-                      const LeaseMsg& lease, std::uint64_t shard) {
+                      const LeaseMsg& lease, std::uint64_t shard,
+                      ThreadPool* pool) {
   const auto [lo, hi] = exec.bounds(static_cast<std::size_t>(shard));
   // Chaos verdict is fixed before compute starts: die after roughly half
   // the shard's replications, so the kill lands mid-shard — after work
@@ -34,9 +36,12 @@ void compute_and_send(const ShardExecutor& exec, const FabricOptions& opt,
   const std::size_t kill_after =
       should_kill(chaos, shard, lease.attempt) ? (hi - lo + 1) / 2 : 0;
 
+  // The callback runs on pool threads, but never concurrently: heartbeat
+  // frames cannot interleave on the stream.
   std::int64_t last_hb = mono_ms();
   const std::string payload = exec.compute(
-      static_cast<std::size_t>(shard), [&](std::size_t done) {
+      static_cast<std::size_t>(shard),
+      [&](std::size_t done) {
         if (kill_after != 0 && done >= kill_after) {
           // Simulated crash: no goodbye, no flush, exactly SIGKILL.
           ::raise(SIGKILL);
@@ -50,7 +55,8 @@ void compute_and_send(const ShardExecutor& exec, const FabricOptions& opt,
           // Coordinator gone mid-compute; the partial send below will
           // surface it. Progress callbacks must not throw.
         }
-      });
+      },
+      pool);
   transport::send_frame(stream,
                         encode_partial({lease.lease_id, shard, payload}));
 }
@@ -60,7 +66,8 @@ void compute_and_send(const ShardExecutor& exec, const FabricOptions& opt,
 /// order. Sets *welcomed once the handshake succeeds.
 int serve(const ShardExecutor& exec, const EnsembleSpec& spec,
           const FabricOptions& opt, const ChaosPlan& chaos,
-          transport::Stream& stream, bool* welcomed) {
+          transport::Stream& stream, bool* welcomed,
+          std::unique_ptr<ThreadPool>* pool) {
   try {
     HelloMsg hello;
     hello.spec_hash = exec.spec_hash();
@@ -117,8 +124,12 @@ int serve(const ShardExecutor& exec, const EnsembleSpec& spec,
         case MsgType::kLease: {
           const auto lease = decode_lease(frame);
           if (!lease) return -1;
+          // Built on the first lease, not before connecting: the handshake
+          // never waits on thread start-up.
+          if (*pool == nullptr) *pool = make_compute_pool(opt.threads);
           for (std::uint64_t s = lease->shard_lo; s < lease->shard_hi; ++s)
-            compute_and_send(exec, opt, chaos, stream, *lease, s);
+            compute_and_send(exec, opt, chaos, stream, *lease, s,
+                             pool->get());
           break;
         }
         case MsgType::kAck:
@@ -148,6 +159,8 @@ int run_worker(const EnsembleSpec& spec, const FabricOptions& options,
   // Jitter only desynchronizes reconnect stampedes; per-process seeding
   // is exactly what we want (shard results never depend on it).
   Rng rng(static_cast<std::uint64_t>(::getpid()), /*stream=*/0xFAB);
+  // Outlives reconnects: a worker starts its threads once.
+  std::unique_ptr<ThreadPool> pool;
 
   int attempt = 1;
   std::int64_t give_up_at = mono_ms() + options.give_up_ms;
@@ -158,7 +171,7 @@ int run_worker(const EnsembleSpec& spec, const FabricOptions& options,
         stream = options.net_fault->wrap(std::move(stream));
       bool welcomed = false;
       const int rc =
-          serve(exec, spec, options, chaos, *stream, &welcomed);
+          serve(exec, spec, options, chaos, *stream, &welcomed, &pool);
       stream.reset();
       if (rc >= 0) return rc;
       if (welcomed) {

@@ -3,7 +3,11 @@
 // A worker is a deliberately simple, expendable process: one blocking
 // unix-socket connection, one lease at a time, shards computed strictly
 // in lease order through the same ShardExecutor the coordinator and the
-// in-process runner use. Heartbeats ride the compute progress callback
+// in-process runner use. Within a shard, the replications run on a pool
+// of FabricOptions::threads threads (built on the first lease); the
+// partial is still the canonical record, byte for byte. A failing
+// simulation or audit (CheckFailure) ends the process rather than looking
+// like a lost connection. Heartbeats ride the compute progress callback
 // (sent at most every heartbeat_interval_ms), so a wedged simulation is
 // indistinguishable from a dead worker — which is exactly the coordinator
 // policy we want.

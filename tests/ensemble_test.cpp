@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <set>
 #include <string>
+#include <thread>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -18,6 +24,7 @@
 #include "ensemble/cache.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/seeder.hpp"
+#include "ensemble/shard_exec.hpp"
 #include "ensemble/streaming.hpp"
 #include "exp/scenario.hpp"
 #include "stats/descriptive.hpp"
@@ -490,6 +497,117 @@ TEST(EnsembleCacheTest, EvictedEntrySharedPtrStaysValid) {
   EXPECT_EQ(cache.lookup(1), nullptr);
   // The caller's shared ownership outlives the eviction.
   EXPECT_EQ(held->configs[0].label(), "filler");
+}
+
+// ---------------------------------------------------------- ShardExecutor --
+
+/// Adaptive, the four fixed policies at $0.81 on zones 0,1,2 (the
+/// redundancy min-group) and Large-bid: every lane kind of a replication.
+/// Shard 1 of 2 covers replications [n, 2n), so its lo is not 0.
+EnsembleSpec mixed_lane_spec(std::size_t n) {
+  EnsembleSpec spec;
+  spec.window = VolatilityWindow::kHigh;
+  spec.slack_fraction = 0.15;
+  spec.checkpoint_cost = 300;
+  spec.seed = 2024;
+  spec.replications = 2 * n;
+  spec.num_shards = 2;
+  spec.bootstrap_replicates = 50;
+  spec.use_cache = false;
+  EnsembleConfig adaptive;
+  adaptive.kind = EnsembleConfig::Kind::kAdaptive;
+  spec.configs.push_back(adaptive);
+  MinGroup redundancy{"redundancy", {}};
+  for (PolicyKind p : {PolicyKind::kPeriodic, PolicyKind::kMarkovDaly,
+                       PolicyKind::kRisingEdge, PolicyKind::kThreshold}) {
+    EnsembleConfig c;
+    c.policy = p;
+    c.bid = Money::cents(81);
+    c.zones = {0, 1, 2};
+    redundancy.members.push_back(spec.configs.size());
+    spec.configs.push_back(c);
+  }
+  EnsembleConfig large;
+  large.kind = EnsembleConfig::Kind::kLargeBid;
+  large.threshold = Money::cents(81);
+  large.zones = {0};
+  spec.configs.push_back(large);
+  spec.min_groups.push_back(redundancy);
+  spec.validate();
+  return spec;
+}
+
+TEST(ShardExecutorTest, PooledComputeIsByteIdenticalToSerial) {
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  for (const std::size_t n : {1u, 3u, 4u}) {
+    const EnsembleSpec spec = mixed_lane_spec(n);
+    const ShardExecutor exec(spec);
+    ASSERT_EQ(exec.bounds(1), std::make_pair(n, 2 * n));
+    const std::string serial = exec.compute(1);
+    const auto rec = decode_ensemble_shard(serial);
+    ASSERT_TRUE(rec.has_value() && exec.matches(*rec) && exec.audit(*rec));
+    for (ThreadPool* pool : {&one, &two, &four}) {
+      EXPECT_EQ(exec.compute(1, {}, pool), serial)
+          << n << " replications on " << pool->size() << " threads";
+    }
+  }
+}
+
+TEST(ShardExecutorTest, ProgressCountsCompletionsOneCallAtATime) {
+  const EnsembleSpec spec = mixed_lane_spec(4);
+  const ShardExecutor exec(spec);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &four}) {
+    std::atomic<bool> in_callback{false};
+    std::atomic<int> overlaps{0};
+    std::vector<std::size_t> counts;
+    exec.compute(
+        1,
+        [&](std::size_t done) {
+          if (in_callback.exchange(true)) ++overlaps;
+          counts.push_back(done);
+          // Widen the window a concurrent call would land in.
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          in_callback.store(false);
+        },
+        pool);
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_EQ(counts, (std::vector<std::size_t>{1, 2, 3, 4}))
+        << (pool == nullptr ? "serial" : "pooled");
+  }
+}
+
+/// Dynamic type and message of what `fn` throws.
+template <typename F>
+std::pair<std::string, std::string> thrown_by(F&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  ADD_FAILURE() << "nothing was thrown";
+  return {};
+}
+
+TEST(ShardExecutorTest, PooledFailureRethrowsTheOriginalException) {
+  // A duplicate zone passes spec validation but fails the scalar engine's
+  // config check (a CheckFailure) in every replication; a lone fixed
+  // policy runs on the scalar engine.
+  EnsembleSpec spec = mixed_lane_spec(3);
+  EnsembleConfig broken;
+  broken.policy = PolicyKind::kPeriodic;
+  broken.zones = {1, 1};
+  spec.configs = {spec.configs.front(), broken};
+  spec.min_groups.clear();
+  spec.validate();
+  const ShardExecutor exec(spec);
+  ThreadPool four(4);
+  const auto serial = thrown_by([&] { exec.compute(1); });
+  const auto pooled = thrown_by([&] { exec.compute(1, {}, &four); });
+  EXPECT_EQ(serial.first, typeid(CheckFailure).name()) << serial.second;
+  EXPECT_EQ(pooled, serial);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // printed ensemble summary is bit-identical to a single-process
 // `redspot-sim ensemble` run (REDSPOT_SIM_BIN) —
 //
-//   * for 1, 2 and 8 workers with no faults;
+//   * for 1, 2 and 8 workers with no faults, computing each shard's
+//     replications on a 3-thread pool, and for 2 serial workers;
 //   * with a ChaosPlan SIGKILLing workers mid-shard every round (the
 //     harness respawns them until the coordinator finishes);
 //   * with the coordinator itself SIGKILLed mid-run and restarted on its
@@ -22,6 +23,7 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet_harness.hpp"
@@ -63,12 +65,15 @@ std::vector<std::string> coordinator_args(const std::string& socket,
   return args;
 }
 
+/// Workers compute a shard's 3 replications on `threads` threads: 3 runs
+/// the pooled path even on a 1-vCPU machine, 1 the serial loop.
 std::vector<std::string> worker_args(const std::string& socket,
-                                     const std::string& chaos) {
+                                     const std::string& chaos,
+                                     const std::string& threads) {
   std::vector<std::string> args = {REDSPOT_FABRIC_BIN, "worker", "--socket",
                                    socket};
   args.insert(args.end(), kSpecArgs.begin(), kSpecArgs.end());
-  args.insert(args.end(), {"--give-up-ms", "120000"});
+  args.insert(args.end(), {"--give-up-ms", "120000", "--threads", threads});
   if (!chaos.empty()) args.insert(args.end(), {"--chaos", chaos});
   return args;
 }
@@ -77,13 +82,15 @@ std::vector<std::string> worker_args(const std::string& socket,
 FleetRun run_unix_fleet(const fs::path& base, const std::string& tag,
                         int num_workers, const std::string& chaos,
                         const std::string& journal_dir = "",
-                        std::size_t kill_coordinator_at = 0) {
+                        std::size_t kill_coordinator_at = 0,
+                        const std::string& threads = "3") {
   const std::string socket = (base / (tag + ".sock")).string();
   const std::string journal_file =
       journal_dir.empty() ? "" : journal_dir + "/run.journal";
   const FleetRun run = run_fleet(
       base, tag, coordinator_args(socket, journal_dir),
-      [&](std::size_t) { return worker_args(socket, chaos); }, num_workers,
+      [&](std::size_t) { return worker_args(socket, chaos, threads); },
+      num_workers,
       journal_file, kill_coordinator_at);
   std::cerr << tag << ": " << run.teardown_kills
             << " worker(s) SIGKILLed at teardown\n";
@@ -124,14 +131,21 @@ fs::path* FabricChaosTest::base_ = nullptr;
 std::string* FabricChaosTest::reference_ = nullptr;
 
 TEST_F(FabricChaosTest, NoFaultsBitIdenticalAcrossFleetSizes) {
-  for (const int n : {1, 2, 8}) {
-    const FleetRun run =
-        run_unix_fleet(*base_, "plain" + std::to_string(n), n, /*chaos=*/"");
+  // Pooled workers at every fleet size, plus one fleet on the serial loop.
+  const std::vector<std::pair<int, std::string>> fleets = {
+      {1, "3"}, {2, "3"}, {8, "3"}, {2, "1"}};
+  for (const auto& [n, threads] : fleets) {
+    const std::string tag =
+        "plain" + std::to_string(n) + "x" + threads;
+    const FleetRun run = run_unix_fleet(*base_, tag, n, /*chaos=*/"",
+                                        /*journal_dir=*/"",
+                                        /*kill_coordinator_at=*/0, threads);
     ASSERT_TRUE(WIFEXITED(run.coordinator_status) &&
                 WEXITSTATUS(run.coordinator_status) == 0)
         << run.output;
     EXPECT_EQ(normalize(run.output), *reference_)
-        << n << " workers diverged from the single-process reference";
+        << n << " workers on " << threads
+        << " thread(s) diverged from the single-process reference";
     // The fleet, not the fallback, must have computed the shards.
     EXPECT_NE(run.output.find("fleet 12"), std::string::npos) << run.output;
   }

@@ -5,6 +5,11 @@
 // identical values — the spec-hash handshake rejects a worker describing
 // a different run.
 //
+// `--threads N` (an ensemble option; 0 = hardware, the default) sizes the
+// pool a worker computes each leased shard's replications on, and the
+// coordinator's in-process fallback likewise; 1 computes them serially.
+// Results are bit-identical for any value.
+//
 // `--socket` takes a transport endpoint: a unix-socket path (bare or
 // "unix:PATH") or "tcp:HOST:PORT" for off-box fleets (tcp:0.0.0.0:PORT to
 // accept workers from other hosts).
@@ -193,7 +198,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> extra;
   const EnsembleCliArgs args =
       parse_ensemble_args(argc - 1, argv + 1, &extra);
-  const FabricArgs fargs = parse_fabric_extra(extra, is_worker);
+  FabricArgs fargs = parse_fabric_extra(extra, is_worker);
+  fargs.options.threads = args.threads;
   return is_worker ? run_worker_cmd(args, fargs)
                    : run_coordinator(args, fargs);
 }
