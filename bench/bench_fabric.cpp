@@ -2,8 +2,8 @@
 // for the CI tolerance gate (same conventions as bench_event_core; see
 // tools/bench_report.hpp).
 //
-// Two suites pin what the distributed fabric costs over the in-process
-// path it must stay bit-identical to:
+// Four suites pin what the distributed fabric costs over the in-process
+// path it must stay bit-identical to, and what a worker's shard costs:
 //
 //   1. dispatch       — a one-replication-per-shard ensemble (compute is
 //                       negligible) run through a real coordinator plus
@@ -23,6 +23,11 @@
 //                       per rep: worker_shard_speedup is the median of the
 //                       per-rep ratios, gated by a floor. It scales with
 //                       the core count, so only the floor is pinned.
+//   4. trace span     — the traces of one such shard's replications
+//                       synthesized as the whole trimmed window and as the
+//                       span each experiment reads (experiment_traces),
+//                       interleaved per rep: shard_trace_span_speedup is
+//                       the median of the per-rep ratios, gated by a floor.
 //
 // Usage: bench_fabric [--quick] [--out report.json]
 #include <sys/wait.h>
@@ -40,11 +45,15 @@
 #include "bench_report.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "core/experiment.hpp"
 #include "ensemble/runner.hpp"
+#include "ensemble/seeder.hpp"
 #include "ensemble/shard_exec.hpp"
+#include "exp/scenario.hpp"
 #include "fabric/coordinator.hpp"
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
+#include "trace/synthetic.hpp"
 
 namespace redspot {
 
@@ -234,6 +243,55 @@ int main(int argc, char** argv) {
     }
     report.set("worker_shard_threads", static_cast<double>(pool.size()));
     report.set("worker_shard_speedup", median(std::move(ratios)));
+  }
+
+  // --- 4. trace span: a shard's traces, whole window vs experiment span -----
+  {
+    const EnsembleSpec spec = make_ensemble_spec(EnsembleCliArgs{});
+    const std::vector<SimTime> starts =
+        Scenario{spec.window, spec.slack_fraction, spec.checkpoint_cost,
+                 spec.starts_grid}
+            .starts();
+    const SyntheticTraceSpec window =
+        trimmed_spec(paper_trace_spec(0), window_end(spec.window));
+    const ReplicationSeeder seeder(spec.seed);
+    const auto replication = [&](std::size_t r) {
+      SyntheticTraceSpec trace = window;
+      trace.seed = seeder.seed(r, SeedDomain::kTrace);
+      return std::make_pair(
+          trace, Experiment::paper(starts[r % starts.size()],
+                                   spec.slack_fraction, spec.checkpoint_cost));
+    };
+    {
+      const auto [trace, experiment] = replication(0);
+      const ZoneTraceSet full = generate_traces(trace);
+      const ZoneTraceSet span = experiment_traces(trace, experiment);
+      const ZoneTraceSet slice = full.window(span.start(), span.end());
+      for (std::size_t z = 0; z < full.num_zones(); ++z) {
+        const auto a = span.zone(z).samples();
+        const auto b = slice.zone(z).samples();
+        REDSPOT_CHECK_MSG(std::equal(a.begin(), a.end(), b.begin(), b.end()),
+                          "the span differs from the full trace's slice");
+      }
+    }
+    // Each rep synthesizes the next 4-replication shard both ways.
+    const std::size_t per_shard = 4;
+    std::vector<double> ratios;
+    for (int r = 0; r < (quick ? 9 : 15); ++r) {
+      const std::size_t lo = static_cast<std::size_t>(r) * per_shard;
+      const double full_ns = run_ns([&] {
+        for (std::size_t k = lo; k < lo + per_shard; ++k)
+          g_sink += generate_traces(replication(k).first).end();
+      });
+      const double span_ns = run_ns([&] {
+        for (std::size_t k = lo; k < lo + per_shard; ++k) {
+          const auto [trace, experiment] = replication(k);
+          g_sink += experiment_traces(trace, experiment).end();
+        }
+      });
+      ratios.push_back(full_ns / span_ns);
+    }
+    report.set("shard_trace_span_speedup", median(std::move(ratios)));
   }
 
   benchreport::write_report(report, out_path);

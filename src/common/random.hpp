@@ -9,11 +9,11 @@
 //
 // Generator: xoshiro256++ (Blackman & Vigna), seeded via SplitMix64.
 //
-// The per-sample draws (next_u64, uniform, bernoulli, normal) are defined
-// inline here: trace synthesis makes several per price sample, and a call
-// per draw was a measurable share of it. Their arithmetic and draw order
-// are pinned by Rng.StreamIsPinned (a digest of two streams' first draws)
-// and, through the generator, by Synthetic.TracesArePinned.
+// The per-sample draws (next_u64, uniform, bernoulli, normal, skip_normal)
+// are defined inline here: trace synthesis makes several per price sample,
+// and a call per draw was a measurable share of it. Their arithmetic and
+// draw order are pinned by Rng.StreamIsPinned (a digest of two streams'
+// first draws) and, through the generator, by Synthetic.TracesArePinned.
 #pragma once
 
 #include <cmath>
@@ -73,6 +73,15 @@ class Rng {
     const double u2 = uniform();
     return std::sqrt(-2.0 * std::log(u1)) *
            std::cos(2.0 * std::numbers::pi * u2);
+  }
+
+  /// Consumes exactly the draws normal() consumes, computing nothing: the
+  /// stream ends where normal() leaves it, with no libm call. For callers
+  /// that must keep their place in a stream without reading the value.
+  void skip_normal() {
+    while (uniform() <= 0.0) {
+    }
+    next_u64();
   }
 
   /// Normal with given mean and standard deviation.

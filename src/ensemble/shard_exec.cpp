@@ -15,6 +15,20 @@
 
 namespace redspot {
 
+ZoneTraceSet experiment_traces(const SyntheticTraceSpec& spec,
+                               const Experiment& experiment) {
+  const SimTime from = experiment.start - experiment.history_span;
+  ZoneTraceSet traces =
+      generate_traces(spec, from, experiment.deadline_time() + spec.step);
+  // Engine::history clamps at the trace start without a word, so a span
+  // cut short would shorten the history instead of failing.
+  REDSPOT_CHECK_MSG(traces.start() <= from,
+                    "the trace starts at " << traces.start()
+                                           << ", after the history start "
+                                           << from);
+  return traces;
+}
+
 ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
     : spec_(spec),
       spec_hash_(spec.spec_hash()),
@@ -23,8 +37,8 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
       seeder_(spec.seed),
       instance_(cc2_instance()) {
   // starts() is a pure function of the scenario cell; the trace spec
-  // template is re-seeded per replication and trimmed so only the
-  // evaluation window is synthesized.
+  // template is re-seeded per replication, and each replication
+  // synthesizes only the span its experiment reads.
   const Scenario scenario{spec_.window, spec_.slack_fraction,
                           spec_.checkpoint_cost, spec_.starts_grid};
   starts_ = scenario.starts();
@@ -73,9 +87,9 @@ void ShardExecutor::run_replication(std::size_t r,
   // This replication's independent substreams.
   SyntheticTraceSpec trace_spec = trace_template_;
   trace_spec.seed = seeder_.seed(r, SeedDomain::kTrace);
-  const SpotMarket market(generate_traces(trace_spec), instance_,
-                          QueueDelayModel());
   const Experiment experiment = make_experiment(r);
+  const SpotMarket market(experiment_traces(trace_spec, experiment),
+                          instance_, QueueDelayModel());
   // One auditor per config: the audit follows each run live, so lanes
   // stepping in lockstep must not share one.
   std::vector<AuditObserver> audits;

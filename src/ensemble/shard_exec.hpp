@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/seeder.hpp"
 #include "ensemble/spec.hpp"
@@ -38,6 +39,14 @@
 namespace redspot {
 
 class ThreadPool;
+
+/// The traces `experiment` reads, synthesized from `spec`: the span from
+/// the start of its price history (start - history_span) to one step past
+/// its deadline (the engine still reads the price at the deadline),
+/// bit-identical to that slice of generate_traces(spec). Throws if the
+/// span would start after the history does.
+ZoneTraceSet experiment_traces(const SyntheticTraceSpec& spec,
+                               const Experiment& experiment);
 
 class ShardExecutor {
  public:

@@ -42,9 +42,121 @@ Duration sample_dwell(Rng& rng, Duration mean) {
   return std::max<Duration>(kPriceStep, static_cast<Duration>(d));
 }
 
+/// What every zone's step reads and no step changes.
+struct StepContext {
+  const SyntheticTraceSpec& spec;
+  std::vector<SimTime> month_ends;  // exclusive end of each month
+  double floor;
+  double cap;
+
+  /// Per-step probability that a Poisson spike starts in a (zone, month).
+  double spike_start_prob(const ZoneMonthParams& p) const {
+    return p.spikes.per_day_rate * static_cast<double>(spec.step) /
+           static_cast<double>(kDay);
+  }
+};
+
+/// One zone's generator, standing before step `next`: its private stream,
+/// its ZoneState and its month. A copy is a point to restart from.
+struct ZoneCursor {
+  std::size_t zone;
+  Rng rng;
+  ZoneState st;
+  std::size_t next = 0;
+  std::size_t month = 0;
+  double p_start;
+
+  ZoneCursor(const StepContext& ctx, std::size_t z)
+      : zone(z),
+        rng(ctx.spec.seed, /*stream=*/1 + z),
+        p_start(ctx.spike_start_prob(ctx.spec.params[0][z])) {
+    st.regime_until = sample_dwell(rng, ctx.spec.params[0][z].calm_mean_dwell);
+  }
+
+  /// Runs step `next` and returns the price in effect after it. Exact mode
+  /// computes the price (`shared` is the step's common innovation). Skip
+  /// mode makes exactly the exact step's draws, in the same order, but
+  /// calls no libm and computes no price; when the step switches regime it
+  /// first copies the cursor, as it stands, into `*restart`.
+  template <bool kExact>
+  Money advance(const StepContext& ctx, double shared, ZoneCursor* restart) {
+    const SyntheticTraceSpec& spec = ctx.spec;
+    const SimTime t = static_cast<SimTime>(next) * spec.step;
+    while (month + 1 < ctx.month_ends.size() && t >= ctx.month_ends[month]) {
+      ++month;
+      p_start = ctx.spike_start_prob(spec.params[month][zone]);
+    }
+    const ZoneMonthParams& p = spec.params[month][zone];
+
+    // Regime transitions (semi-Markov with exponential dwells). A month
+    // with high_fraction == 0 forces the calm regime. A switch resets the
+    // AR(1) deviation, so an exact pass started from the cursor as it
+    // stands here reproduces every later price.
+    const bool regime_switched =
+        p.high_fraction == 0.0 ? st.in_high : t >= st.regime_until;
+    if (regime_switched) {
+      if constexpr (!kExact) *restart = *this;
+      st.in_high = !st.in_high;
+      st.deviation = 0.0;
+      st.regime_until =
+          t + sample_dwell(rng, st.in_high ? high_mean_dwell(p)
+                                           : p.calm_mean_dwell);
+    }
+
+    const RegimeParams& regime = st.in_high ? p.high : p.calm;
+    if constexpr (kExact) {
+      const double own = rng.normal();
+      const double innov =
+          (1.0 - spec.cross_coupling) * own + spec.cross_coupling * shared;
+      st.deviation =
+          regime.reversion * st.deviation + regime.innovation_sd * innov;
+    } else {
+      rng.skip_normal();
+    }
+
+    // Poisson spike overlay.
+    if (t >= st.spike_until && p.spikes.per_day_rate > 0.0) {
+      if (rng.bernoulli(p_start)) {
+        st.spike_price = rng.uniform(p.spikes.mag_lo, p.spikes.mag_hi);
+        st.spike_until = t + sample_dwell(rng, p.spikes.mean_duration);
+      }
+    }
+    const bool spiking = t < st.spike_until;
+
+    // Publish a new price only on regime/spike boundaries or with the
+    // regime's change probability; otherwise the market holds the last
+    // published price (spot prices are piecewise-constant in reality).
+    // Which draws a step makes depends on regime and spike state only,
+    // never on a price: that is what lets a skip step keep the stream in
+    // place.
+    const bool must_publish = st.published < Money() || regime_switched ||
+                              spiking != st.was_spiking;
+    if (must_publish || rng.bernoulli(regime.change_prob)) {
+      if constexpr (kExact) {
+        const double latent = regime.level + st.deviation;
+        const double price =
+            spiking ? std::max(latent, st.spike_price) : latent;
+        st.published = quantize(std::clamp(price, ctx.floor, ctx.cap));
+      } else {
+        // Only the sign of a skipped price is ever read: the exact pass
+        // restarts at a regime switch, which publishes.
+        st.published = Money();
+      }
+    }
+    st.was_spiking = spiking;
+    ++next;
+    return st.published;
+  }
+};
+
 }  // namespace
 
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
+  return generate_traces(spec, 0, kNever);
+}
+
+ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec, SimTime from,
+                             SimTime until) {
   REDSPOT_CHECK(spec.num_zones > 0);
   REDSPOT_CHECK(!spec.params.empty());
   for (const auto& month : spec.params)
@@ -52,119 +164,78 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
                       "params row does not match num_zones");
   REDSPOT_CHECK(spec.floor <= spec.cap);
 
-  const std::size_t num_months = spec.params.size();
   // Months beyond the built-in calendar reuse 30-day lengths; the paper span
   // (14 months) is fully covered by the calendar.
+  StepContext ctx{spec, {}, spec.floor.to_double(), spec.cap.to_double()};
   SimTime span = 0;
-  std::vector<SimTime> month_ends(num_months);
-  for (std::size_t m = 0; m < num_months; ++m) {
+  for (std::size_t m = 0; m < spec.params.size(); ++m) {
     span += (m < kTraceMonths ? days_in_month(m) : 30) * kDay;
-    month_ends[m] = span;
+    ctx.month_ends.push_back(span);
   }
   const auto num_steps = static_cast<std::size_t>(span / spec.step);
-
-  // The shared innovation stream models the weak common demand factor that
-  // gives the real data its faint cross-zone dependence.
-  std::vector<double> shared(num_steps);
-  Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
-  for (double& x : shared) x = common_rng.normal();
-
-  const double floor = spec.floor.to_double();
-  const double cap = spec.cap.to_double();
-  // Per-step probability that a Poisson spike starts in a (zone, month).
-  const auto spike_start_prob = [&](const ZoneMonthParams& p) {
-    return p.spikes.per_day_rate * static_cast<double>(spec.step) /
-           static_cast<double>(kDay);
-  };
   // First step index at or after time t (clamped to the trace).
   const auto step_at = [&](SimTime t) {
     if (t <= 0) return std::size_t{0};
-    return std::min(num_steps,
-                    static_cast<std::size_t>((t + spec.step - 1) / spec.step));
+    if (t >= static_cast<SimTime>(num_steps) * spec.step) return num_steps;
+    return static_cast<std::size_t>((t + spec.step - 1) / spec.step);
   };
+  // The step covering `from`, and the first step at or after `until`.
+  const std::size_t first =
+      from <= 0 ? 0
+                : std::min(num_steps,
+                           static_cast<std::size_t>(from / spec.step));
+  const std::size_t last = step_at(until);
+  REDSPOT_CHECK_MSG(first < last,
+                    "empty span [" << from << "," << until << ")");
+
+  // Skip pass: each zone walks up to the span drawing what it would draw,
+  // and keeps the cursor at its last regime switch before the span.
+  std::vector<ZoneCursor> cursors;
+  cursors.reserve(spec.num_zones);
+  std::size_t shared_from = first;
+  for (std::size_t z = 0; z < spec.num_zones; ++z) {
+    ZoneCursor cursor(ctx, z);
+    cursors.push_back(cursor);
+    while (cursor.next < first)
+      cursor.advance<false>(ctx, 0.0, &cursors.back());
+    shared_from = std::min(shared_from, cursors.back().next);
+  }
+
+  // The shared innovation stream models the weak common demand factor that
+  // gives the real data its faint cross-zone dependence. One normal per
+  // step; only the steps some zone computes exactly are evaluated.
+  Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
+  for (std::size_t i = 0; i < shared_from; ++i) common_rng.skip_normal();
+  std::vector<double> shared(last - shared_from);
+  for (double& x : shared) x = common_rng.normal();
 
   std::vector<PriceSeries> series;
   std::vector<std::string> names;
   series.reserve(spec.num_zones);
 
-  for (std::size_t z = 0; z < spec.num_zones; ++z) {
-    Rng rng(spec.seed, /*stream=*/1 + z);
-    ZoneState st;
-    st.regime_until = sample_dwell(rng, spec.params[0][z].calm_mean_dwell);
-
-    std::vector<Money> samples(num_steps);
-    std::size_t month = 0;
-    double p_start = spike_start_prob(spec.params[0][z]);
-    for (std::size_t i = 0; i < num_steps; ++i) {
-      const SimTime t = static_cast<SimTime>(i) * spec.step;
-      while (month + 1 < num_months && t >= month_ends[month]) {
-        ++month;
-        p_start = spike_start_prob(spec.params[month][z]);
-      }
-      const ZoneMonthParams& p = spec.params[month][z];
-
-      // Regime transitions (semi-Markov with exponential dwells). A month
-      // with high_fraction == 0 forces the calm regime.
-      bool regime_switched = false;
-      if (p.high_fraction == 0.0) {
-        if (st.in_high) {
-          st.in_high = false;
-          st.deviation = 0.0;
-          st.regime_until = t + sample_dwell(rng, p.calm_mean_dwell);
-          regime_switched = true;
-        }
-      } else if (t >= st.regime_until) {
-        st.in_high = !st.in_high;
-        st.deviation = 0.0;
-        st.regime_until =
-            t + sample_dwell(rng, st.in_high ? high_mean_dwell(p)
-                                             : p.calm_mean_dwell);
-        regime_switched = true;
-      }
-
-      const RegimeParams& regime = st.in_high ? p.high : p.calm;
-      const double own = rng.normal();
-      const double innov = (1.0 - spec.cross_coupling) * own +
-                           spec.cross_coupling * shared[i];
-      st.deviation =
-          regime.reversion * st.deviation + regime.innovation_sd * innov;
-      const double latent = regime.level + st.deviation;
-
-      // Poisson spike overlay.
-      if (t >= st.spike_until && p.spikes.per_day_rate > 0.0) {
-        if (rng.bernoulli(p_start)) {
-          st.spike_price = rng.uniform(p.spikes.mag_lo, p.spikes.mag_hi);
-          st.spike_until = t + sample_dwell(rng, p.spikes.mean_duration);
-        }
-      }
-      const bool spiking = t < st.spike_until;
-
-      // Publish a new price only on regime/spike boundaries or with the
-      // regime's change probability; otherwise the market holds the last
-      // published price (spot prices are piecewise-constant in reality).
-      const bool must_publish = st.published < Money() || regime_switched ||
-                                spiking != st.was_spiking;
-      if (must_publish || rng.bernoulli(regime.change_prob)) {
-        const double price =
-            spiking ? std::max(latent, st.spike_price) : latent;
-        st.published = quantize(std::clamp(price, floor, cap));
-      }
-      st.was_spiking = spiking;
-      samples[i] = st.published;
-    }
+  for (ZoneCursor& cursor : cursors) {
+    const auto exact = [&] {
+      return cursor.advance<true>(ctx, shared[cursor.next - shared_from],
+                                  nullptr);
+    };
+    while (cursor.next < first) exact();
+    std::vector<Money> samples(last - first);
+    for (Money& sample : samples) sample = exact();
 
     // Forced spikes are written last so they override everything (they
     // model specific historical events such as the $20.02 spike of Mar
     // 13-14 2013).
     for (const ForcedSpike& fs : spec.forced_spikes) {
-      if (fs.zone != z) continue;
+      if (fs.zone != cursor.zone) continue;
       REDSPOT_CHECK(fs.duration > 0);
-      const std::size_t end = step_at(fs.start + fs.duration);
-      for (std::size_t i = step_at(fs.start); i < end; ++i)
-        samples[i] = fs.price;
+      const std::size_t end = std::min(last, step_at(fs.start + fs.duration));
+      for (std::size_t i = std::max(first, step_at(fs.start)); i < end; ++i)
+        samples[i - first] = fs.price;
     }
-    series.emplace_back(0, spec.step, std::move(samples));
-    names.push_back("zone-" + std::string(1, static_cast<char>('a' + z)));
+    series.emplace_back(static_cast<SimTime>(first) * spec.step, spec.step,
+                        std::move(samples));
+    names.push_back("zone-" +
+                    std::string(1, static_cast<char>('a' + cursor.zone)));
   }
   return ZoneTraceSet(std::move(names), std::move(series));
 }

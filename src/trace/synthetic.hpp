@@ -100,12 +100,28 @@ struct SyntheticTraceSpec {
 /// Synthetic.TracesArePinned pins the output bit for bit.
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec);
 
+/// The span [from, until) of generate_traces(spec), widened outward to the
+/// sampling grid and clamped to the spec's span: bit for bit the same
+/// samples as that slice of the full trace, at a fraction of its cost.
+///
+/// Why it is exact: which draws a step makes depends only on regime and
+/// spike state, never on a price. So before the span each zone runs its
+/// step in a skip mode that consumes exactly the same draws but makes no
+/// libm call (Rng::skip_normal). A price depends on earlier draws only
+/// through the AR(1) deviation, which every regime switch resets, so the
+/// exact computation restarts at the zone's last regime switch before the
+/// span (or at step 0). The shared stream is skipped up to the earliest
+/// such restart, generation stops at `until`, and forced spikes are clipped
+/// to the span.
+ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec, SimTime from,
+                             SimTime until);
+
 /// Returns `spec` truncated to the fewest whole months covering
 /// [0, keep_until): later months' parameters and forced spikes starting at
 /// or after the kept span are dropped. The generator's per-zone streams
 /// consume randomness strictly in step order, so the trimmed spec produces
-/// bit-identical prices over the kept prefix — the ensemble layer uses this
-/// to synthesize only the evaluation window of each replication.
+/// bit-identical prices over the kept prefix — the ensemble layer trims to
+/// the evaluation window, then synthesizes each replication's span of it.
 SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until);
 
 /// The calibrated 14-month, 3-zone specification reproducing the paper's

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -282,6 +283,29 @@ TEST(Rng, StreamIsPinned) {
   EXPECT_EQ(Rng(42, 0).next_u64(), 0xad0e48b6c455d511ULL);
   EXPECT_EQ(draw_digest(42, 0), 0x957151d08fe2b14fULL);
   EXPECT_EQ(draw_digest(7, 3), 0x270a890d72e91a9dULL);
+}
+
+// skip_normal() is normal() without the value: after any mix of the two,
+// interleaved with other draws, the stream stands where normal() alone
+// leaves it.
+TEST(Rng, SkipNormalLeavesTheStreamWhereNormalDoes) {
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng exact(seed, seed % 5);
+    Rng skip(seed, seed % 5);
+    for (int i = 0; i < 200; ++i) {
+      if (i % 3 == 0) {
+        ASSERT_EQ(exact.uniform(), skip.uniform()) << seed << " " << i;
+      }
+      const double value = exact.normal();
+      ASSERT_TRUE(std::isfinite(value));
+      if (i % 7 == 0) {
+        ASSERT_EQ(skip.normal(), value) << seed << " " << i;
+      } else {
+        skip.skip_normal();
+      }
+    }
+    EXPECT_EQ(exact.next_u64(), skip.next_u64()) << "seed " << seed;
+  }
 }
 
 // --- Logging ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the Monte-Carlo ensemble subsystem: counter-based seeding,
 // streaming estimators vs. their batch counterparts (property tests),
-// trace trimming, thread-count invariance of EnsembleRunner, the result
-// cache, and min-group semantics.
+// trace trimming and experiment spans, thread-count invariance of
+// EnsembleRunner, the result cache, and min-group semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,12 +21,19 @@
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/time.hpp"
+#include "core/engine.hpp"
+#include "core/experiment.hpp"
 #include "ensemble/cache.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/seeder.hpp"
 #include "ensemble/shard_exec.hpp"
 #include "ensemble/streaming.hpp"
 #include "exp/scenario.hpp"
+#include "fault/audit_observer.hpp"
+#include "journal/run_record.hpp"
+#include "market/instance_type.hpp"
+#include "market/queue_delay.hpp"
+#include "market/spot_market.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/streaming.hpp"
 #include "trace/synthetic.hpp"
@@ -608,6 +615,75 @@ TEST(ShardExecutorTest, PooledFailureRethrowsTheOriginalException) {
   const auto pooled = thrown_by([&] { exec.compute(1, {}, &four); });
   EXPECT_EQ(serial.first, typeid(CheckFailure).name()) << serial.second;
   EXPECT_EQ(pooled, serial);
+}
+
+/// Shard `s` of `spec` computed from the whole trimmed-window trace of each
+/// replication — what the executor synthesized before it cut each trace to
+/// its experiment's span — with every config on the scalar engine (the
+/// batched lanes are bit-identical to it), audited live, and added in the
+/// canonical order.
+std::string full_window_payload(const EnsembleSpec& spec, std::size_t s) {
+  const auto [lo, hi] = shard_bounds(spec.replications, spec.num_shards, s);
+  const std::vector<SimTime> starts =
+      Scenario{spec.window, spec.slack_fraction, spec.checkpoint_cost,
+               spec.starts_grid}
+          .starts();
+  const ReplicationSeeder seeder(spec.seed);
+  const InstanceType& instance = cc2_instance();
+  ShardRecordBuilder builder(spec.spec_hash(), s, lo, hi,
+                             static_cast<std::uint32_t>(spec.configs.size()));
+  for (std::size_t r = lo; r < hi; ++r) {
+    const SpotMarket market(
+        generate_traces(trimmed_spec(
+            paper_trace_spec(seeder.seed(r, SeedDomain::kTrace)),
+            window_end(spec.window))),
+        instance, QueueDelayModel());
+    const Experiment experiment = Experiment::paper(
+        starts[r % starts.size()], spec.slack_fraction, spec.checkpoint_cost,
+        seeder.seed(r, SeedDomain::kQueueDelay));
+    for (const EnsembleConfig& config : spec.configs) {
+      AuditObserver audit(experiment, instance.on_demand_rate,
+                          AuditMode::kFull, spec.engine.regime);
+      const auto strategy = config.make_strategy();
+      Engine engine(market, experiment, *strategy, spec.engine);
+      engine.add_observer(&audit);
+      builder.add_run(engine.run());
+    }
+  }
+  return builder.payload();
+}
+
+TEST(ShardExecutorTest, ComputeMatchesTheFullWindowTrace) {
+  for (const VolatilityWindow window :
+       {VolatilityWindow::kLow, VolatilityWindow::kHigh}) {
+    for (const double slack : {0.15, 0.5}) {
+      EnsembleSpec spec = mixed_lane_spec(2);
+      spec.window = window;
+      spec.slack_fraction = slack;
+      spec.validate();
+      const ShardExecutor exec(spec);
+      for (std::size_t s = 0; s < spec.num_shards; ++s) {
+        EXPECT_EQ(exec.compute(s), full_window_payload(spec, s))
+            << (window == VolatilityWindow::kLow ? "low" : "high")
+            << " window, slack " << slack << ", shard " << s;
+      }
+    }
+  }
+}
+
+// The executor's span starts exactly at the history's start; a span that
+// would start later (an experiment less than history_span into the trace)
+// is refused, not silently served a shorter history.
+TEST(ExperimentTracesTest, CoversTheHistoryOrRefuses) {
+  const SyntheticTraceSpec spec =
+      trimmed_spec(paper_trace_spec(3), window_end(VolatilityWindow::kHigh));
+  Experiment experiment = Experiment::paper(2 * kDay + 7 * kHour, 0.15, 300);
+  const ZoneTraceSet traces = experiment_traces(spec, experiment);
+  EXPECT_EQ(traces.start(), experiment.start - experiment.history_span);
+  EXPECT_EQ(traces.end(), experiment.deadline_time() + kPriceStep);
+
+  experiment.start = experiment.history_span - kPriceStep;
+  EXPECT_THROW(experiment_traces(spec, experiment), CheckFailure);
 }
 
 }  // namespace

@@ -172,10 +172,14 @@ TEST_F(FabricChaosTest, CoordinatorKilledAndResumedFromJournal) {
   const std::string journal_dir = (*base_ / "coordkill_journal").string();
   fs::create_directories(journal_dir);
   // Wait for a couple of shard records (a shard record is ~1 KiB; lease
-  // records are tens of bytes) so the resume provably replays work.
+  // records are tens of bytes) so the resume provably replays work. The
+  // workers run the serial loop: on pooled workers the remaining shards
+  // can all land between two polls of the journal, and the coordinator
+  // then finishes before it is killed.
   const FleetRun run =
       run_unix_fleet(*base_, "coordkill", /*num_workers=*/2, /*chaos=*/"",
-                     journal_dir, /*kill_coordinator_at=*/2048);
+                     journal_dir, /*kill_coordinator_at=*/2048,
+                     /*threads=*/"1");
   ASSERT_TRUE(WIFEXITED(run.coordinator_status) &&
               WEXITSTATUS(run.coordinator_status) == 0)
       << run.output;

@@ -212,7 +212,10 @@ inline FleetRun run_fleet(const std::filesystem::path& base,
         }
       }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    // Poll the journal closely while its kill is pending, so the kill
+    // lands mid-run rather than after the last shard.
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(kill_coordinator_at > 0 ? 1 : 10));
   }
 
   // Fleet teardown: workers get Done and exit on their own; anything

@@ -65,6 +65,7 @@ struct NetFleetConfig {
   /// be *detected*, not merely survived.
   std::string heartbeat_timeout_ms = "30000";
   std::string handshake_timeout_ms = "2000";
+  std::string worker_threads = "0";  ///< --threads (0 = hardware)
 };
 
 FleetRun run_tcp_fleet(const fs::path& base, const std::string& tag,
@@ -87,7 +88,8 @@ FleetRun run_tcp_fleet(const fs::path& base, const std::string& tag,
   worker.insert(worker.end(), kSpecArgs.begin(), kSpecArgs.end());
   worker.insert(worker.end(), {"--give-up-ms", "120000",
                                "--handshake-timeout-ms",
-                               cfg.handshake_timeout_ms});
+                               cfg.handshake_timeout_ms, "--threads",
+                               cfg.worker_threads});
   if (!cfg.chaos.empty())
     worker.insert(worker.end(), {"--chaos", cfg.chaos});
   if (!cfg.net_chaos.empty())
@@ -222,6 +224,9 @@ TEST_F(NetChaosTest, TcpCoordinatorKilledAndResumedFromJournal) {
   cfg.num_workers = 2;
   cfg.journal_dir = journal_dir;
   cfg.kill_coordinator_at = 2048;
+  // Serial workers, so the kill lands mid-run: pooled ones can finish the
+  // remaining shards between two polls of the journal.
+  cfg.worker_threads = "1";
   const FleetRun run = run_tcp_fleet(*base_, "tcp_coordkill", cfg);
   expect_identical(run, "TCP coordinator kill-and-resume");
   EXPECT_NE(run.output.find("journal: replayed"), std::string::npos)

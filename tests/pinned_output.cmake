@@ -1,7 +1,7 @@
-# Pinned outputs: runs every figure/table bench and one redspot-sim
-# ensemble table, and compares each stdout byte-for-byte with its golden
-# file under tests/golden/. A mismatch prints `diff -u golden actual` and
-# fails the test after every command has run.
+# Pinned outputs: runs every figure/table bench and redspot-sim ensemble
+# tables on both volatility windows, and compares each stdout byte-for-byte
+# with its golden file under tests/golden/. A mismatch prints
+# `diff -u golden actual` and fails the test after every command has run.
 #
 #   cmake -DBENCH_DIR=<dir of the bench binaries> -DSIM=<redspot-sim>
 #         -DGOLDEN_DIR=<tests/golden> -DOUT_DIR=<scratch dir>
@@ -53,6 +53,18 @@ foreach(shards 4 8)
       --policy markov-daly --zones 0,1,2 --bid 0.81
       --replications 40 --shards ${shards} --threads 2)
 endforeach()
+# The low-volatility window (March): Large-bid across the forced $20.02
+# spike of Mar 13, Rising-edge at the $0.27 floor, and Adaptive, which
+# reads its price history right from the start of a replication's span.
+pin(ensemble_low_large_bid "${SIM}" ensemble --window low
+    --policy large-bid --zones 0 --threshold 2.40
+    --replications 40 --shards 4 --threads 2)
+pin(ensemble_low_rising_edge "${SIM}" ensemble --window low
+    --policy rising-edge --zones 0,1,2 --bid 0.27 --slack 0.5
+    --replications 40 --shards 4 --threads 2)
+pin(ensemble_low_adaptive "${SIM}" ensemble --window low
+    --policy adaptive --slack 0.5 --tc 900
+    --replications 24 --shards 3 --threads 2)
 
 if(failed)
   message(FATAL_ERROR "pinned outputs changed: ${failed}")

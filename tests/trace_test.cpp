@@ -3,7 +3,9 @@
 // and the VAR analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -467,6 +469,72 @@ TEST(Synthetic, TracesArePinned) {
     spec.seed = seeder.seed(r, SeedDomain::kTrace);
     EXPECT_EQ(trace_digest(generate_traces(spec)), want[r]) << "r=" << r;
   }
+}
+
+// A span of the trace is the full trace's slice, sample for sample, over
+// many seeds and every kind of cut: the first step, a span with no regime
+// switch before it, month edges, the forced $20.02 spike straddling either
+// end, a one-step span, the last step, cuts off the sampling grid, and
+// bounds past either end of the trace (clamped).
+TEST(Synthetic, SpanEqualsTheFullTraceSliced) {
+  const SyntheticTraceSpec low =
+      trimmed_spec(paper_trace_spec(0), window_end(VolatilityWindow::kLow));
+  ASSERT_EQ(low.forced_spikes.size(), 1u);
+  const SimTime spike = low.forced_spikes[0].start;
+  const SimTime spike_end = spike + low.forced_spikes[0].duration;
+  const SimTime jan = month_start(kHighVolatilityMonth);
+  const SimTime mar = month_start(kLowVolatilityMonth);
+  const SimTime end = month_end(kLowVolatilityMonth);
+  const std::pair<SimTime, SimTime> cuts[] = {
+      {0, end},
+      {0, kPriceStep},
+      {kPriceStep, 3 * kHour},
+      {jan, month_end(kHighVolatilityMonth)},
+      {jan - kPriceStep, jan + kPriceStep},
+      {mar - 2 * kDay, mar + 30 * kHour},
+      {spike + kHour, spike_end + kDay},
+      {spike - 2 * kDay, spike + kHour},
+      {spike + 2 * kHour, spike + 3 * kHour},
+      {day_start(kHighVolatilityMonth, 10) + 7 * kHour,
+       day_start(kHighVolatilityMonth, 10) + 7 * kHour + kPriceStep},
+      {end - kPriceStep, end},
+      {day_start(kHighVolatilityMonth, 20) + 17,
+       day_start(kHighVolatilityMonth, 23) + 1},
+      {-kDay, kDay},
+      {end - kDay, kNever},
+  };
+  const ReplicationSeeder seeder(42);
+  for (std::uint64_t r = 0; r < 24; ++r) {
+    SyntheticTraceSpec spec = low;
+    spec.seed = seeder.seed(r, SeedDomain::kTrace);
+    const ZoneTraceSet full = generate_traces(spec);
+    ASSERT_EQ(full.end(), end);
+    for (const auto& [from, until] : cuts) {
+      const ZoneTraceSet span = generate_traces(spec, from, until);
+      const SimTime want_start = price_step_floor(std::max<SimTime>(from, 0));
+      const SimTime want_end =
+          until >= end ? end : price_step_floor(until + kPriceStep - 1);
+      ASSERT_EQ(span.num_zones(), full.num_zones());
+      ASSERT_EQ(span.start(), want_start) << from;
+      ASSERT_EQ(span.end(), want_end) << until;
+      const auto first = static_cast<std::size_t>(want_start / kPriceStep);
+      for (std::size_t z = 0; z < full.num_zones(); ++z) {
+        const auto slice = full.zone(z).samples().subspan(
+            first, span.zone(z).size());
+        const auto got = span.zone(z).samples();
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), slice.begin()))
+            << "r=" << r << " zone " << z << " [" << from << "," << until
+            << ")";
+      }
+    }
+  }
+}
+
+TEST(Synthetic, SpanRejectsAnEmptySpan) {
+  const SyntheticTraceSpec spec = paper_trace_spec(1);
+  EXPECT_THROW(generate_traces(spec, kDay, kDay), CheckFailure);
+  EXPECT_THROW(generate_traces(spec, trace_span(), kNever), CheckFailure);
+  EXPECT_THROW(generate_traces(spec, kDay, -kDay), CheckFailure);
 }
 
 TEST(Synthetic, SeedsProduceDifferentPaths) {
