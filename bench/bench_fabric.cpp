@@ -20,14 +20,18 @@
 //   3. worker shard   — one 4-replication shard (the fabric-tcp benchmark
 //                       shard) computed serially and through a
 //                       hardware-sized pool, as a worker does, interleaved
-//                       per rep: worker_shard_speedup is the median of the
-//                       per-rep ratios, gated by a floor. It scales with
-//                       the core count, so only the floor is pinned.
+//                       four pairs per rep: worker_shard_speedup is the
+//                       median of the per-rep ratios, gated by a floor. It
+//                       scales with the core count, so only the floor is
+//                       pinned.
 //   4. trace span     — the traces of one such shard's replications
 //                       synthesized as the whole trimmed window and as the
 //                       span each experiment reads (experiment_traces),
 //                       interleaved per rep: shard_trace_span_speedup is
 //                       the median of the per-rep ratios, gated by a floor.
+//                       Then the window's last step alone (all skip pass)
+//                       against a loop of the raw next_u64 draws it makes:
+//                       trace_skip_draw_ratio, gated by a ceiling.
 //
 // Usage: bench_fabric [--quick] [--out report.json]
 #include <sys/wait.h>
@@ -45,6 +49,7 @@
 #include "bench_report.hpp"
 #include "common/check.hpp"
 #include "common/parallel.hpp"
+#include "common/random.hpp"
 #include "core/experiment.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/seeder.hpp"
@@ -231,14 +236,22 @@ int main(int argc, char** argv) {
     const std::string serial = exec.compute(0);
     REDSPOT_CHECK_MSG(exec.compute(0, {}, &pool) == serial,
                       "pooled shard differs from the serial one");
+    // The shard takes a few ms, so one pool wake-up or host hiccup can
+    // swing a single pair: each ratio sums several interleaved pairs.
+    const int pairs = 4;
     std::vector<double> ratios;
     for (int r = 0; r < (quick ? 9 : 15); ++r) {
-      const double serial_ns = run_ns([&] {
-        g_sink += static_cast<std::int64_t>(exec.compute(0).size());
-      });
-      const double pooled_ns = run_ns([&] {
-        g_sink += static_cast<std::int64_t>(exec.compute(0, {}, &pool).size());
-      });
+      double serial_ns = 0.0;
+      double pooled_ns = 0.0;
+      for (int k = 0; k < pairs; ++k) {
+        serial_ns += run_ns([&] {
+          g_sink += static_cast<std::int64_t>(exec.compute(0).size());
+        });
+        pooled_ns += run_ns([&] {
+          g_sink +=
+              static_cast<std::int64_t>(exec.compute(0, {}, &pool).size());
+        });
+      }
       ratios.push_back(serial_ns / pooled_ns);
     }
     report.set("worker_shard_threads", static_cast<double>(pool.size()));
@@ -292,6 +305,33 @@ int main(int argc, char** argv) {
       ratios.push_back(full_ns / span_ns);
     }
     report.set("shard_trace_span_speedup", median(std::move(ratios)));
+
+    // The skip pass at generator speed: the window's last step alone is
+    // all skip pass, timed against a loop of the raw draws it makes (four
+    // per zone-step and the shared stream's two per step), interleaved.
+    const SimTime end = window_end(spec.window);
+    const auto steps = static_cast<std::size_t>(end / window.step);
+    const std::size_t draws = steps * (4 * window.num_zones + 2);
+    std::vector<double> skip_ratios;
+    for (int r = 0; r < (quick ? 9 : 15); ++r) {
+      const std::size_t lo = static_cast<std::size_t>(r) * per_shard;
+      const double skip_ns = run_ns([&] {
+        for (std::size_t k = lo; k < lo + per_shard; ++k)
+          g_sink += generate_traces(replication(k).first, end - window.step,
+                                    end)
+                        .end();
+      });
+      const double draw_ns = run_ns([&] {
+        for (std::size_t k = lo; k < lo + per_shard; ++k) {
+          Rng rng(seeder.seed(k, SeedDomain::kTrace));
+          std::uint64_t x = 0;
+          for (std::size_t i = 0; i < draws; ++i) x ^= rng.next_u64();
+          g_sink += static_cast<std::int64_t>(x);
+        }
+      });
+      skip_ratios.push_back(skip_ns / draw_ns);
+    }
+    report.set("trace_skip_draw_ratio", median(std::move(skip_ratios)));
   }
 
   benchreport::write_report(report, out_path);

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): the hot paths of the simulator —
 // event calendar throughput, one full engine run, the Markov uptime solve,
-// Daly's interval, the synthetic generator and the VAR fit.
+// Daly's interval, the synthetic generator (a whole month, and a span that
+// is all skip pass) and the VAR fit.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -141,6 +142,20 @@ void BM_SyntheticMonth(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticMonth);
+
+// The last step of the trimmed high window, alone: every earlier step of
+// each zone goes through the skip pass (ZoneCursor::skip_to), bar the few
+// the exact pass redoes from the zone's last regime switch.
+void BM_SyntheticSkip(benchmark::State& state) {
+  const SimTime end = window_end(VolatilityWindow::kHigh);
+  SyntheticTraceSpec spec = trimmed_spec(paper_trace_spec(7), end);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        generate_traces(spec, end - kPriceStep, end).num_zones());
+    ++spec.seed;
+  }
+}
+BENCHMARK(BM_SyntheticSkip);
 
 // --- parallel_for dispatch cost --------------------------------------------
 // parallel_for claims ~4 chunks per worker off one atomic counter; the two

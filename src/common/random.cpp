@@ -24,11 +24,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-double Rng::uniform(double lo, double hi) {
-  REDSPOT_CHECK(lo <= hi);
-  return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
   REDSPOT_CHECK(n > 0);
   // Rejection sampling to remove modulo bias.
@@ -43,15 +38,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
 double Rng::normal(double mean, double stddev) {
   REDSPOT_CHECK(stddev >= 0);
   return mean + stddev * normal();
-}
-
-double Rng::exponential(double lambda) {
-  REDSPOT_CHECK(lambda > 0);
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
 }
 
 double Rng::lognormal(double mu, double sigma) {

@@ -9,16 +9,20 @@
 //
 // Generator: xoshiro256++ (Blackman & Vigna), seeded via SplitMix64.
 //
-// The per-sample draws (next_u64, uniform, bernoulli, normal, skip_normal)
-// are defined inline here: trace synthesis makes several per price sample,
-// and a call per draw was a measurable share of it. Their arithmetic and
-// draw order are pinned by Rng.StreamIsPinned (a digest of two streams'
-// first draws) and, through the generator, by Synthetic.TracesArePinned.
+// The per-sample draws (next_u64, uniform, bernoulli, normal, skip_normal,
+// exponential) are defined inline here: trace synthesis makes several per
+// price sample, and a call per draw was a measurable share of it; a call
+// that takes the generator's address also keeps a caller's local copy of
+// it out of registers. Their arithmetic and draw order are pinned by
+// Rng.StreamIsPinned (a digest of two streams' first draws) and, through
+// the generator, by Synthetic.TracesArePinned.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+
+#include "common/check.hpp"
 
 namespace redspot {
 
@@ -55,7 +59,10 @@ class Rng {
   }
 
   /// Uniform in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    REDSPOT_CHECK(lo <= hi);
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
@@ -88,7 +95,14 @@ class Rng {
   double normal(double mean, double stddev);
 
   /// Exponential with given rate lambda (> 0).
-  double exponential(double lambda);
+  double exponential(double lambda) {
+    REDSPOT_CHECK(lambda > 0);
+    double u;
+    do {
+      u = uniform();
+    } while (u <= 0.0);
+    return -std::log(u) / lambda;
+  }
 
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma);

@@ -36,7 +36,8 @@ Duration high_mean_dwell(const ZoneMonthParams& p) {
                       static_cast<double>(p.calm_mean_dwell) * ratio));
 }
 
-Duration sample_dwell(Rng& rng, Duration mean) {
+/// Inline, so that a caller's local Rng can stay in registers.
+inline Duration sample_dwell(Rng& rng, Duration mean) {
   if (mean <= 0) return kPriceStep;
   const double d = rng.exponential(1.0 / static_cast<double>(mean));
   return std::max<Duration>(kPriceStep, static_cast<Duration>(d));
@@ -73,13 +74,9 @@ struct ZoneCursor {
     st.regime_until = sample_dwell(rng, ctx.spec.params[0][z].calm_mean_dwell);
   }
 
-  /// Runs step `next` and returns the price in effect after it. Exact mode
-  /// computes the price (`shared` is the step's common innovation). Skip
-  /// mode makes exactly the exact step's draws, in the same order, but
-  /// calls no libm and computes no price; when the step switches regime it
-  /// first copies the cursor, as it stands, into `*restart`.
-  template <bool kExact>
-  Money advance(const StepContext& ctx, double shared, ZoneCursor* restart) {
+  /// Runs step `next` and returns the price in effect after it (`shared`
+  /// is the step's common innovation).
+  Money advance(const StepContext& ctx, double shared) {
     const SyntheticTraceSpec& spec = ctx.spec;
     const SimTime t = static_cast<SimTime>(next) * spec.step;
     while (month + 1 < ctx.month_ends.size() && t >= ctx.month_ends[month]) {
@@ -95,7 +92,6 @@ struct ZoneCursor {
     const bool regime_switched =
         p.high_fraction == 0.0 ? st.in_high : t >= st.regime_until;
     if (regime_switched) {
-      if constexpr (!kExact) *restart = *this;
       st.in_high = !st.in_high;
       st.deviation = 0.0;
       st.regime_until =
@@ -104,15 +100,11 @@ struct ZoneCursor {
     }
 
     const RegimeParams& regime = st.in_high ? p.high : p.calm;
-    if constexpr (kExact) {
-      const double own = rng.normal();
-      const double innov =
-          (1.0 - spec.cross_coupling) * own + spec.cross_coupling * shared;
-      st.deviation =
-          regime.reversion * st.deviation + regime.innovation_sd * innov;
-    } else {
-      rng.skip_normal();
-    }
+    const double own = rng.normal();
+    const double innov =
+        (1.0 - spec.cross_coupling) * own + spec.cross_coupling * shared;
+    st.deviation =
+        regime.reversion * st.deviation + regime.innovation_sd * innov;
 
     // Poisson spike overlay.
     if (t >= st.spike_until && p.spikes.per_day_rate > 0.0) {
@@ -127,25 +119,82 @@ struct ZoneCursor {
     // regime's change probability; otherwise the market holds the last
     // published price (spot prices are piecewise-constant in reality).
     // Which draws a step makes depends on regime and spike state only,
-    // never on a price: that is what lets a skip step keep the stream in
-    // place.
+    // never on a price: that is what lets skip_to keep the stream in place.
     const bool must_publish = st.published < Money() || regime_switched ||
                               spiking != st.was_spiking;
     if (must_publish || rng.bernoulli(regime.change_prob)) {
-      if constexpr (kExact) {
-        const double latent = regime.level + st.deviation;
-        const double price =
-            spiking ? std::max(latent, st.spike_price) : latent;
-        st.published = quantize(std::clamp(price, ctx.floor, ctx.cap));
-      } else {
-        // Only the sign of a skipped price is ever read: the exact pass
-        // restarts at a regime switch, which publishes.
-        st.published = Money();
-      }
+      const double latent = regime.level + st.deviation;
+      const double price = spiking ? std::max(latent, st.spike_price) : latent;
+      st.published = quantize(std::clamp(price, ctx.floor, ctx.cap));
     }
     st.was_spiking = spiking;
     ++next;
     return st.published;
+  }
+
+  /// Walks the cursor up to step `first`, making exactly the draws that
+  /// advance() makes, in the same order, but computing no price. Before
+  /// each step that switches regime it copies itself, as it stands, into
+  /// `restart`.
+  ///
+  /// The stream, the state and the month live in locals here so that they
+  /// stay in registers; a month's parameters are read once per month. Only
+  /// the draws that decide state are examined: the spike-start Bernoulli,
+  /// and the dwell and spike price drawn on a switch or a spike start. The
+  /// normal's two uniforms (keeping its zero-uniform rejection) and the
+  /// publish Bernoulli are only stepped past: their values decide no draw.
+  void skip_to(const StepContext& ctx, std::size_t first,
+               ZoneCursor& restart) {
+    const Duration step = ctx.spec.step;
+    const std::size_t months = ctx.month_ends.size();
+    Rng r = rng;
+    ZoneState s = st;
+    std::size_t i = next;
+    std::size_t m = month;
+    double start_prob = p_start;
+    SimTime t = static_cast<SimTime>(i) * step;
+    const auto store = [&](ZoneCursor& to) {
+      to.rng = r;
+      to.st = s;
+      to.next = i;
+      to.month = m;
+      to.p_start = start_prob;
+    };
+    while (i < first) {
+      while (m + 1 < months && t >= ctx.month_ends[m]) {
+        ++m;
+        start_prob = ctx.spike_start_prob(ctx.spec.params[m][zone]);
+      }
+      const ZoneMonthParams& p = ctx.spec.params[m][zone];
+      const SimTime month_end = m + 1 < months ? ctx.month_ends[m] : kNever;
+      const bool calm_only = p.high_fraction == 0.0;
+      const bool spikes = p.spikes.per_day_rate > 0.0;
+      for (; i < first && t < month_end; ++i, t += step) {
+        const bool switched = calm_only ? s.in_high : t >= s.regime_until;
+        if (switched) {
+          store(restart);
+          s.in_high = !s.in_high;
+          s.deviation = 0.0;
+          s.regime_until =
+              t + sample_dwell(r, s.in_high ? high_mean_dwell(p)
+                                            : p.calm_mean_dwell);
+        }
+        r.skip_normal();
+        if (spikes && t >= s.spike_until && r.bernoulli(start_prob)) {
+          s.spike_price = r.uniform(p.spikes.mag_lo, p.spikes.mag_hi);
+          s.spike_until = t + sample_dwell(r, p.spikes.mean_duration);
+        }
+        const bool spiking = t < s.spike_until;
+        // The publish Bernoulli's draw, when advance() makes it. Only the
+        // sign of a skipped price is ever read: the exact pass restarts at
+        // a regime switch, which publishes.
+        if (s.published >= Money() && !switched && spiking == s.was_spiking)
+          r.next_u64();
+        s.published = Money();
+        s.was_spiking = spiking;
+      }
+    }
+    store(*this);
   }
 };
 
@@ -196,8 +245,7 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec, SimTime from,
   for (std::size_t z = 0; z < spec.num_zones; ++z) {
     ZoneCursor cursor(ctx, z);
     cursors.push_back(cursor);
-    while (cursor.next < first)
-      cursor.advance<false>(ctx, 0.0, &cursors.back());
+    cursor.skip_to(ctx, first, cursors.back());
     shared_from = std::min(shared_from, cursors.back().next);
   }
 
@@ -215,8 +263,7 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec, SimTime from,
 
   for (ZoneCursor& cursor : cursors) {
     const auto exact = [&] {
-      return cursor.advance<true>(ctx, shared[cursor.next - shared_from],
-                                  nullptr);
+      return cursor.advance(ctx, shared[cursor.next - shared_from]);
     };
     while (cursor.next < first) exact();
     std::vector<Money> samples(last - first);

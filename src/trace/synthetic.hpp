@@ -105,14 +105,16 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec);
 /// samples as that slice of the full trace, at a fraction of its cost.
 ///
 /// Why it is exact: which draws a step makes depends only on regime and
-/// spike state, never on a price. So before the span each zone runs its
-/// step in a skip mode that consumes exactly the same draws but makes no
-/// libm call (Rng::skip_normal). A price depends on earlier draws only
-/// through the AR(1) deviation, which every regime switch resets, so the
-/// exact computation restarts at the zone's last regime switch before the
-/// span (or at step 0). The shared stream is skipped up to the earliest
-/// such restart, generation stops at `until`, and forced spikes are clipped
-/// to the span.
+/// spike state, never on a price. So before the span each zone runs a skip
+/// loop that makes exactly the same draws but computes no price: it reads
+/// the spike-start Bernoulli and, on a regime switch or a spike start, the
+/// dwell and spike price; the normal's uniforms and the publish Bernoulli
+/// it only steps past. A price depends on earlier draws only through the
+/// AR(1) deviation, which every regime switch resets, so the exact
+/// computation restarts at the zone's last regime switch before the span
+/// (or at step 0). The shared stream is skipped up to the earliest such
+/// restart, generation stops at `until`, and forced spikes are clipped to
+/// the span.
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec, SimTime from,
                              SimTime until);
 

@@ -6,10 +6,13 @@
 #include <algorithm>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "core/experiment.hpp"
 #include "ensemble/seeder.hpp"
+#include "ensemble/spec.hpp"
 #include "exp/scenario.hpp"
 #include "stats/descriptive.hpp"
 #include "test_util.hpp"
@@ -471,11 +474,75 @@ TEST(Synthetic, TracesArePinned) {
   }
 }
 
+using Cut = std::pair<SimTime, SimTime>;
+
+/// Asserts that each span [from, until) of `spec` is the slice of `full`
+/// (generate_traces(spec)) it names, widened to the grid and clamped.
+void expect_spans_are_slices(const SyntheticTraceSpec& spec,
+                             const ZoneTraceSet& full,
+                             const std::vector<Cut>& cuts) {
+  const SimTime end = full.end();
+  for (const auto& [from, until] : cuts) {
+    const ZoneTraceSet span = generate_traces(spec, from, until);
+    const SimTime want_start = price_step_floor(std::max<SimTime>(from, 0));
+    const SimTime want_end =
+        until >= end ? end : price_step_floor(until + kPriceStep - 1);
+    ASSERT_EQ(span.num_zones(), full.num_zones());
+    ASSERT_EQ(span.start(), want_start) << from;
+    ASSERT_EQ(span.end(), want_end) << until;
+    const auto first = static_cast<std::size_t>(want_start / kPriceStep);
+    for (std::size_t z = 0; z < full.num_zones(); ++z) {
+      const auto slice =
+          full.zone(z).samples().subspan(first, span.zone(z).size());
+      const auto got = span.zone(z).samples();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), slice.begin()))
+          << "seed " << spec.seed << " zone " << z << " [" << from << ","
+          << until << ")";
+    }
+  }
+}
+
+/// A four-month spec whose regimes and spikes can be read off its prices:
+/// calm prices sit near $0.50, high ones near $1.50, spikes at $2.00 and
+/// up. December switches regime and spikes often, with long spikes;
+/// January is calm only with no spike starts, so any spike seen in it
+/// began in December; February switches with no spikes, so every switch
+/// shows; March spikes again.
+SyntheticTraceSpec readable_spec() {
+  ZoneMonthParams switching;
+  switching.calm = {0.50, 0.01, 0.8, 0.2};
+  switching.high = {1.50, 0.01, 0.8, 0.3};
+  switching.high_fraction = 0.4;
+  switching.calm_mean_dwell = 3 * kHour;
+  switching.spikes = {0.0, 2.0, 3.0, 6 * kHour};
+  ZoneMonthParams dec = switching;
+  dec.spikes.per_day_rate = 4.0;
+  ZoneMonthParams jan = switching;
+  jan.high_fraction = 0.0;
+  ZoneMonthParams mar = switching;
+  mar.spikes.per_day_rate = 2.0;
+  SyntheticTraceSpec spec;
+  spec.params = {std::vector<ZoneMonthParams>(spec.num_zones, dec),
+                 std::vector<ZoneMonthParams>(spec.num_zones, jan),
+                 std::vector<ZoneMonthParams>(spec.num_zones, switching),
+                 std::vector<ZoneMonthParams>(spec.num_zones, mar)};
+  return spec;
+}
+
+/// readable_spec()'s price bands: 0 calm, 1 high, 2 spiking.
+int band(Money price) {
+  return price < Money::dollars(1.0) ? 0 : price < Money::dollars(2.0) ? 1 : 2;
+}
+
 // A span of the trace is the full trace's slice, sample for sample, over
 // many seeds and every kind of cut: the first step, a span with no regime
 // switch before it, month edges, the forced $20.02 spike straddling either
 // end, a one-step span, the last step, cuts off the sampling grid, and
-// bounds past either end of the trace (clamped).
+// bounds past either end of the trace (clamped); every span an ensemble
+// replication of the high window reads; and, on a spec whose state shows
+// in its prices, spans starting inside a spike that began before them, on
+// and right after a regime switch, and on the first step of a month whose
+// spike rate differs from the month before.
 TEST(Synthetic, SpanEqualsTheFullTraceSliced) {
   const SyntheticTraceSpec low =
       trimmed_spec(paper_trace_spec(0), window_end(VolatilityWindow::kLow));
@@ -485,7 +552,7 @@ TEST(Synthetic, SpanEqualsTheFullTraceSliced) {
   const SimTime jan = month_start(kHighVolatilityMonth);
   const SimTime mar = month_start(kLowVolatilityMonth);
   const SimTime end = month_end(kLowVolatilityMonth);
-  const std::pair<SimTime, SimTime> cuts[] = {
+  const std::vector<Cut> cuts = {
       {0, end},
       {0, kPriceStep},
       {kPriceStep, 3 * kHour},
@@ -509,25 +576,77 @@ TEST(Synthetic, SpanEqualsTheFullTraceSliced) {
     spec.seed = seeder.seed(r, SeedDomain::kTrace);
     const ZoneTraceSet full = generate_traces(spec);
     ASSERT_EQ(full.end(), end);
-    for (const auto& [from, until] : cuts) {
-      const ZoneTraceSet span = generate_traces(spec, from, until);
-      const SimTime want_start = price_step_floor(std::max<SimTime>(from, 0));
-      const SimTime want_end =
-          until >= end ? end : price_step_floor(until + kPriceStep - 1);
-      ASSERT_EQ(span.num_zones(), full.num_zones());
-      ASSERT_EQ(span.start(), want_start) << from;
-      ASSERT_EQ(span.end(), want_end) << until;
-      const auto first = static_cast<std::size_t>(want_start / kPriceStep);
-      for (std::size_t z = 0; z < full.num_zones(); ++z) {
-        const auto slice = full.zone(z).samples().subspan(
-            first, span.zone(z).size());
-        const auto got = span.zone(z).samples();
-        ASSERT_TRUE(std::equal(got.begin(), got.end(), slice.begin()))
-            << "r=" << r << " zone " << z << " [" << from << "," << until
-            << ")";
+    ASSERT_NO_FATAL_FAILURE(expect_spans_are_slices(spec, full, cuts));
+  }
+
+  // The ensemble's own spans: history start to one step past the deadline
+  // of each of the 80 experiment starts of the high window.
+  const EnsembleSpec ensemble;
+  std::vector<Cut> spans;
+  for (const SimTime start :
+       Scenario{ensemble.window, ensemble.slack_fraction,
+                ensemble.checkpoint_cost, ensemble.starts_grid}
+           .starts()) {
+    const Experiment e = Experiment::paper(start, ensemble.slack_fraction,
+                                           ensemble.checkpoint_cost);
+    spans.emplace_back(start - e.history_span, e.deadline_time() + kPriceStep);
+  }
+  ASSERT_EQ(spans.size(), 80u);
+  const SyntheticTraceSpec high =
+      trimmed_spec(paper_trace_spec(0), window_end(ensemble.window));
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    SyntheticTraceSpec spec = high;
+    spec.seed = seeder.seed(r, SeedDomain::kTrace);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_spans_are_slices(spec, generate_traces(spec), spans));
+  }
+
+  const auto step_of = [](SimTime t) {
+    return static_cast<std::size_t>(t / kPriceStep);
+  };
+  const auto time_of = [](std::size_t i) {
+    return static_cast<SimTime>(i) * kPriceStep;
+  };
+  std::size_t carried_spikes = 0;
+  std::size_t switches = 0;
+  for (std::uint64_t r = 0; r < 8; ++r) {
+    SyntheticTraceSpec spec = readable_spec();
+    spec.seed = seeder.seed(r, SeedDomain::kTrace);
+    const ZoneTraceSet full = generate_traces(spec);
+    std::vector<Cut> edges = {
+        {month_start(1), month_start(1) + 2 * kHour},
+        {month_start(1) + kPriceStep, month_start(1) + 2 * kHour},
+        {month_start(3) - kPriceStep, month_start(3) + 2 * kHour},
+        {month_start(3), month_start(3) + 2 * kHour},
+    };
+    for (std::size_t z = 0; z < full.num_zones(); ++z) {
+      const auto p = full.zone(z).samples();
+      // A January step (past the first) inside a spike: January starts
+      // none, so the spike began in December, before the span.
+      for (std::size_t i = step_of(month_start(1)) + 1;
+           i < step_of(month_end(1)); ++i) {
+        if (band(p[i]) == 2 && band(p[i - 1]) == 2) {
+          edges.emplace_back(time_of(i), time_of(i) + 2 * kHour);
+          ++carried_spikes;
+          break;
+        }
+      }
+      // A February regime switch: a move between the calm and high bands.
+      for (std::size_t i = step_of(month_start(2)) + 1;
+           i < step_of(month_end(2)); ++i) {
+        if (band(p[i]) != 2 && band(p[i - 1]) != 2 &&
+            band(p[i]) != band(p[i - 1])) {
+          edges.emplace_back(time_of(i), time_of(i) + 2 * kHour);
+          edges.emplace_back(time_of(i + 1), time_of(i + 1) + 2 * kHour);
+          ++switches;
+          break;
+        }
       }
     }
+    ASSERT_NO_FATAL_FAILURE(expect_spans_are_slices(spec, full, edges));
   }
+  EXPECT_GT(carried_spikes, 0u);
+  EXPECT_GT(switches, 0u);
 }
 
 TEST(Synthetic, SpanRejectsAnEmptySpan) {
