@@ -120,8 +120,9 @@ class FdListener final : public Listener {
         return nullptr;
       fail("accept");
     }
-    // Accepted fds stay blocking (Linux does not inherit O_NONBLOCK),
-    // which is what the frame send/read helpers expect.
+    // Accepted fds stay blocking (Linux does not inherit O_NONBLOCK), so
+    // write_all/read_some keep their blocking contract; FramedLoop never
+    // calls them and sends and receives with MSG_DONTWAIT instead.
     if (bound_.kind == Endpoint::Kind::kTcp) tune_tcp_stream(fd);
     return std::make_unique<FdStream>(fd);
   }

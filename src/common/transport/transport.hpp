@@ -10,12 +10,15 @@
 //   tcp:HOST:PORT           (PORT 0 binds an ephemeral port; see
 //                            Listener::local_endpoint())
 //
-// Semantics every implementation keeps, because the poll loops above rely
-// on them:
+// Semantics every implementation keeps, because the layers above rely on
+// them:
 //
-//   * Streams are blocking; fd() exposes the descriptor so callers can
-//     poll() for readability before read_some(). Listeners are
-//     non-blocking: accept() returns nullptr when nothing is pending.
+//   * Streams are blocking descriptors: the dialing side (fabric worker,
+//     serve client) writes with write_all() and reads after poll(). The
+//     daemons' side never blocks on them: FramedLoop (framed_loop.hpp)
+//     drives accepted streams through fd() with MSG_DONTWAIT sends and
+//     receives. Listeners are non-blocking: accept() returns nullptr when
+//     nothing is pending.
 //   * write_all() sends every byte or throws (dead peer = EPIPE/
 //     ECONNRESET surfaces as std::runtime_error, never SIGPIPE), resuming
 //     across EINTR and short writes like the common/fs helpers.
@@ -92,7 +95,8 @@ class Listener {
 
   /// Accepts one pending connection, or nullptr when none is pending (or
   /// the attempt was transiently interrupted). Throws on listener
-  /// breakage. Accepted streams are blocking, and TCP ones get the same
+  /// breakage. Accepted streams are blocking descriptors (FramedLoop does
+  /// non-blocking I/O on them per call), and TCP ones get the same
   /// TCP_NODELAY tuning as a connect()ed stream.
   virtual std::unique_ptr<Stream> accept() = 0;
 

@@ -1,19 +1,16 @@
 #include "fabric/coordinator.hpp"
 
-#include <poll.h>
-
-#include <cerrno>
-
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/transport/transport.hpp"
+#include "common/transport/framed_loop.hpp"
 #include "ensemble/shard_exec.hpp"
 #include "fabric/wire.hpp"
 #include "journal/journal.hpp"
@@ -23,13 +20,13 @@ namespace redspot::fabric {
 
 namespace {
 
-struct Conn {
-  std::unique_ptr<transport::Stream> stream;
-  FrameBuffer in;
-  std::uint64_t worker = 0;       ///< 0 until the Hello/Welcome handshake
-  bool dead = false;              ///< marked for removal at end of iteration
-  std::int64_t accepted_at = 0;   ///< for the pre-handshake deadline
-};
+using ConnId = transport::FramedLoop::ConnId;
+
+transport::Endpoint parse_or_throw(const std::string& endpoint) {
+  const auto ep = transport::parse_endpoint(endpoint);
+  if (!ep) throw std::runtime_error("fabric: bad endpoint: " + endpoint);
+  return *ep;
+}
 
 }  // namespace
 
@@ -42,8 +39,10 @@ struct Coordinator::Impl {
   /// Canonical record per completed shard, whatever path delivered it.
   std::vector<std::optional<EnsembleShardRecord>> recs;
   CoordinatorReport report;
-  std::unique_ptr<transport::Listener> listener;
-  std::vector<Conn> conns;
+  /// A welcomed worker's id in the lease table is its connection id.
+  transport::FramedLoop loop;
+  /// Accept time of every connection that has not said Hello yet.
+  std::unordered_map<ConnId, std::int64_t> awaiting_hello;
 
   Impl(const EnsembleSpec& s, FabricOptions o, RunJournal* j)
       : spec(s),
@@ -51,22 +50,17 @@ struct Coordinator::Impl {
         journal(j),
         exec(spec),
         table(spec.num_shards, opt.lease),
-        recs(spec.num_shards) {
-    const auto ep = transport::parse_endpoint(opt.endpoint);
-    if (!ep)
-      throw std::runtime_error("fabric: bad endpoint: " + opt.endpoint);
-    // Bind in the constructor, before run(): callers that fork workers
-    // right after constructing the coordinator must never race the bind,
-    // and tcp:HOST:0 callers need local_endpoint() to learn the port.
-    listener = transport::listen(*ep);
+        recs(spec.num_shards),
+        // Bind in the constructor, before run(): callers that fork workers
+        // right after constructing the coordinator must never race the
+        // bind, and tcp:HOST:0 callers need the resolved port.
+        loop(parse_or_throw(opt.endpoint),
+             {.on_frame = [this](ConnId c,
+                                 std::string_view p) { dispatch(c, p); },
+              .on_open =
+                  [this](ConnId c) { awaiting_hello.emplace(c, mono_ms()); },
+              .on_close = [this](ConnId c) { on_close(c); }}) {
     replay_journal();
-  }
-
-  ~Impl() { close_all(); }
-
-  void close_all() {
-    conns.clear();
-    listener.reset();
   }
 
   /// Restores completed shards and attempt counters from the journal.
@@ -105,27 +99,18 @@ struct Coordinator::Impl {
     }
   }
 
-  /// Best-effort send; a dead peer marks the connection, never throws out.
-  void send_to(Conn& c, const std::string& payload) {
-    if (c.dead) return;
-    try {
-      transport::send_frame(*c.stream, payload);
-    } catch (const std::runtime_error&) {
-      c.dead = true;
-    }
-  }
-
-  void dispatch(Conn& c, std::string_view payload, std::int64_t now) {
+  void dispatch(ConnId c, std::string_view payload) {
+    const std::int64_t now = mono_ms();
     const auto type = msg_type(payload);
     if (!type) {
-      c.dead = true;
+      loop.close(c);
       return;
     }
     switch (*type) {
       case MsgType::kHello: {
         const auto hello = decode_hello(payload);
         if (!hello) {
-          c.dead = true;
+          loop.close(c);
           return;
         }
         if (hello->protocol != kProtocolVersion ||
@@ -135,27 +120,26 @@ struct Coordinator::Impl {
             hello->num_configs != exec.num_configs()) {
           LOG_WARN << "fabric: rejecting worker pid " << hello->pid
                    << " (spec/protocol mismatch)";
-          send_to(c, encode_reject({"spec or protocol mismatch"}));
-          c.dead = true;
+          loop.post(c, encode_reject({"spec or protocol mismatch"}));
+          loop.close(c);
           return;
         }
         // Registration is idempotent: a duplicate-delivered Hello (or a
         // worker retrying an uncertain handshake) gets the same worker id
         // re-welcomed rather than a dead connection.
-        if (c.worker == 0) {
-          c.worker = table.add_worker(now);
+        if (awaiting_hello.erase(c) > 0) {
+          table.add_worker(c, now);
           ++report.workers_seen;
         }
-        send_to(c, encode_welcome({kProtocolVersion, exec.spec_hash(),
-                                   c.worker}));
+        loop.post(c, encode_welcome({kProtocolVersion, exec.spec_hash(), c}));
         break;
       }
       case MsgType::kHeartbeat:
-        if (c.worker == 0) {
-          c.dead = true;
+        if (!table.has_worker(c)) {
+          loop.close(c);
           return;
         }
-        table.touch(c.worker, now);
+        table.touch(c, now);
         break;
       case MsgType::kPartial:
         handle_partial(c, payload, now);
@@ -163,35 +147,34 @@ struct Coordinator::Impl {
       case MsgType::kGoodbye: {
         const auto bye = decode_goodbye(payload);
         if (bye && !bye->reason.empty()) {
-          LOG_WARN << "fabric: worker " << c.worker
-                   << " left: " << bye->reason;
+          LOG_WARN << "fabric: worker " << c << " left: " << bye->reason;
         }
-        c.dead = true;
+        loop.close(c);
         break;
       }
       default:
         // Coordinator-bound traffic only; anything else is a broken peer.
-        c.dead = true;
+        loop.close(c);
         break;
     }
   }
 
-  void handle_partial(Conn& c, std::string_view payload, std::int64_t now) {
+  void handle_partial(ConnId c, std::string_view payload, std::int64_t now) {
     const auto partial = decode_partial(payload);
-    if (!partial || c.worker == 0) {
-      c.dead = true;
+    if (!partial || !table.has_worker(c)) {
+      loop.close(c);
       return;
     }
-    table.touch(c.worker, now);
+    table.touch(c, now);
     // Trust nothing: the nested record must be a well-formed shard record
     // for this exact spec, claim the shard the envelope claims, and pass
     // the replay audit — the same bar journal replay sets.
     auto rec = decode_ensemble_shard(partial->record);
     if (!rec || !exec.matches(*rec) || rec->shard != partial->shard ||
         !exec.audit(*rec)) {
-      LOG_WARN << "fabric: dropping worker " << c.worker
+      LOG_WARN << "fabric: dropping worker " << c
                << " (invalid partial for shard " << partial->shard << ")";
-      c.dead = true;
+      loop.close(c);
       return;
     }
     switch (table.complete(partial->shard, now)) {
@@ -201,19 +184,29 @@ struct Coordinator::Impl {
         if (journal != nullptr) journal->append(partial->record);
         recs[static_cast<std::size_t>(partial->shard)] = std::move(rec);
         ++report.shards_from_fleet;
-        send_to(c, encode_ack({partial->shard, false}));
+        loop.post(c, encode_ack({partial->shard, false}));
         break;
       case LeaseTable::Partial::kDuplicate:
         // A reassignment raced the original owner — or the network
         // delivered the frame twice; the work is already folded, so just
         // confirm receipt.
         ++report.duplicate_partials;
-        send_to(c, encode_ack({partial->shard, true}));
+        loop.post(c, encode_ack({partial->shard, true}));
         break;
       case LeaseTable::Partial::kInvalid:
-        c.dead = true;
+        loop.close(c);
         break;
     }
+  }
+
+  /// A connection is gone. A worker still in the table leaves it (its
+  /// lease returns to the pool) and counts as lost; one the table already
+  /// declared dead was counted when it expired.
+  void on_close(ConnId c) {
+    awaiting_hello.erase(c);
+    if (!table.has_worker(c)) return;
+    table.remove_worker(c, mono_ms());
+    ++report.workers_lost;
   }
 
   /// Grants a lease to every welcomed, idle worker. The grant is
@@ -225,9 +218,8 @@ struct Coordinator::Impl {
   /// back-to-back writes before the next read (a write-write-read
   /// exchange), which is why accepted TCP streams must be TCP_NODELAY.
   void grant_leases(std::int64_t now) {
-    for (Conn& c : conns) {
-      if (c.dead || c.worker == 0) continue;
-      const auto g = table.grant(c.worker, now);
+    for (const ConnId c : loop.connections()) {
+      const auto g = table.grant(c, now);
       if (!g) continue;
       if (journal != nullptr) {
         FabricLeaseRecord rec;
@@ -236,27 +228,13 @@ struct Coordinator::Impl {
         rec.shard_lo = g->shard_lo;
         rec.shard_hi = g->shard_hi;
         rec.attempt = g->attempt;
-        rec.worker = c.worker;
+        rec.worker = c;
         journal->append(encode_fabric_lease(rec));
       }
-      send_to(c, encode_lease(
-                     {g->lease_id, g->shard_lo, g->shard_hi, g->attempt,
-                      static_cast<std::uint64_t>(opt.lease.lease_duration_ms)}));
+      loop.post(c, encode_lease(
+                       {g->lease_id, g->shard_lo, g->shard_hi, g->attempt,
+                        static_cast<std::uint64_t>(opt.lease.lease_duration_ms)}));
     }
-  }
-
-  void reap_dead(std::int64_t now, bool count_as_lost) {
-    for (Conn& c : conns) {
-      if (!c.dead) continue;
-      if (c.worker != 0) {
-        table.remove_worker(c.worker, now);
-        if (count_as_lost) ++report.workers_lost;
-      }
-      c.stream.reset();
-    }
-    conns.erase(std::remove_if(conns.begin(), conns.end(),
-                               [](const Conn& c) { return !c.stream; }),
-                conns.end());
   }
 
   /// Zero-fleet escape hatch: compute the remaining shards right here,
@@ -266,7 +244,7 @@ struct Coordinator::Impl {
              << " ms; finishing " << (table.num_shards() - table.done_count())
              << " shard(s) in-process";
     report.used_fallback = true;
-    close_all();
+    loop.close_all();
     // Each remaining shard's replications run on every core; shards are
     // still journaled and recorded one at a time, in shard order.
     const std::unique_ptr<ThreadPool> pool = make_compute_pool(opt.threads);
@@ -289,8 +267,9 @@ struct Coordinator::Impl {
 
     while (!table.all_done()) {
       std::int64_t now = mono_ms();
+      const bool fleet = !loop.connections().empty();
 
-      if (!conns.empty()) {
+      if (fleet) {
         last_fleet = now;
       } else if (now - last_fleet >= opt.fallback_wait_ms) {
         run_fallback();
@@ -302,58 +281,21 @@ struct Coordinator::Impl {
       // a logic error can never turn into an infinite sleep.
       std::int64_t wake = now + 1'000;
       if (const auto d = table.next_deadline(now)) wake = std::min(wake, *d);
-      if (conns.empty())
-        wake = std::min(wake, last_fleet + opt.fallback_wait_ms);
-
-      std::vector<pollfd> fds;
-      fds.push_back({listener->fd(), POLLIN, 0});
-      for (const Conn& c : conns) fds.push_back({c.stream->fd(), POLLIN, 0});
-      const int timeout = static_cast<int>(std::max<std::int64_t>(
-          0, std::min<std::int64_t>(wake - now, 1'000)));
-      const int rc = ::poll(fds.data(), fds.size(), timeout);
-      if (rc < 0 && errno != EINTR)
-        throw std::runtime_error("fabric: poll failed");
+      if (!fleet) wake = std::min(wake, last_fleet + opt.fallback_wait_ms);
+      loop.poll_once(static_cast<int>(std::max<std::int64_t>(
+          0, std::min<std::int64_t>(wake - now, 1'000))));
 
       now = mono_ms();
-
-      if (fds[0].revents & POLLIN) {
-        while (auto stream = listener->accept()) {
-          Conn c;
-          c.stream = std::move(stream);
-          c.accepted_at = now;
-          conns.push_back(std::move(c));
-          // Newly pushed conn has no pollfd this round; next iteration
-          // reads its Hello.
-          if (conns.size() >= 1024) break;  // defensive fd cap
-        }
-      }
-
-      for (std::size_t i = 0; i < conns.size() && i + 1 < fds.size(); ++i) {
-        Conn& c = conns[i];
-        if (!(fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-        try {
-          if (!c.stream->read_into(c.in)) c.dead = true;  // EOF
-        } catch (const std::runtime_error&) {
-          c.dead = true;
-        }
-        std::string frame;
-        while (!c.dead && c.in.next(&frame) == FrameStatus::kOk)
-          dispatch(c, frame, now);
-        if (c.in.corrupt()) c.dead = true;
-      }
-
       // A connection that never completes its Hello is not a slow worker
       // — it is a half-open peer (its Hello may have vanished into a
       // one-way partition). EOF never comes on such a socket; the
       // heartbeat deadline is the only honest death verdict.
-      for (Conn& c : conns) {
-        if (c.dead || c.worker != 0) continue;
-        if (now - c.accepted_at >= opt.lease.heartbeat_timeout_ms) {
+      for (const auto& [c, accepted_at] : awaiting_hello) {
+        if (now - accepted_at >= opt.lease.heartbeat_timeout_ms) {
           LOG_WARN << "fabric: dropping connection that never said hello";
-          c.dead = true;
+          loop.close(c);
         }
       }
-      reap_dead(now, /*count_as_lost=*/true);
 
       const auto expired = table.tick(now);
       if (!expired.dead_workers.empty() || expired.reclaimed_shards > 0) {
@@ -361,19 +303,17 @@ struct Coordinator::Impl {
                  << " shard(s) from " << expired.dead_workers.size()
                  << " silent worker(s)";
         report.workers_lost += expired.dead_workers.size();
-        for (Conn& c : conns)
-          if (c.worker != 0 && !table.has_worker(c.worker)) c.dead = true;
-        reap_dead(now, /*count_as_lost=*/false);
+        for (const std::uint64_t w : expired.dead_workers) loop.close(w);
       }
 
       grant_leases(now);
-      reap_dead(now, /*count_as_lost=*/true);
     }
 
-    // Fleet path finished: release everyone still connected.
-    for (Conn& c : conns)
-      send_to(c, encode_done({table.num_shards()}));
-    close_all();
+    // Fleet path finished: release everyone still connected. close_all
+    // flushes each kDone before the EOF that follows it.
+    for (const ConnId c : loop.connections())
+      loop.post(c, encode_done({table.num_shards()}));
+    loop.close_all();
 
     // Deterministic reduction, identical to the in-process runner: one
     // canonical record per shard, folded in shard order.
@@ -401,8 +341,7 @@ Coordinator::Coordinator(const EnsembleSpec& spec, FabricOptions options,
 Coordinator::~Coordinator() = default;
 
 std::string Coordinator::endpoint() const {
-  return impl_->listener ? impl_->listener->local_endpoint().str()
-                         : impl_->opt.endpoint;
+  return impl_->loop.local_endpoint();
 }
 
 CoordinatorReport Coordinator::run() { return impl_->run(); }

@@ -1,8 +1,9 @@
 // Fabric coordinator: leases shards to a worker fleet, folds the partials.
 //
-// Single-threaded poll() loop over one transport listener (unix socket or
-// TCP — common/transport) plus every connected worker. The coordinator
-// owns no simulation code of its own —
+// Single-threaded: it drives a transport::FramedLoop (unix socket or TCP —
+// common/transport) over every connected worker and keeps only the
+// dispatch of worker messages. The coordinator owns no simulation code of
+// its own —
 // validation, folding and the final reduction all go through
 // ShardExecutor, and each accepted partial is journaled verbatim as the
 // kEnsembleShard record the worker produced, so:

@@ -17,13 +17,13 @@ LeaseTable::LeaseTable(std::uint64_t num_shards, LeaseConfig config)
   REDSPOT_CHECK(config_.shards_per_lease > 0);
 }
 
-std::uint64_t LeaseTable::add_worker(std::int64_t now_ms) {
+void LeaseTable::add_worker(std::uint64_t worker, std::int64_t now_ms) {
+  REDSPOT_CHECK(worker != 0 && !has_worker(worker));
   Worker w;
-  w.id = next_worker_++;
+  w.id = worker;
   w.last_seen = now_ms;
   w.alive = true;
   workers_.push_back(w);
-  return w.id;
 }
 
 void LeaseTable::remove_worker(std::uint64_t worker, std::int64_t now_ms) {

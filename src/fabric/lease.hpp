@@ -34,8 +34,9 @@ class LeaseTable {
   LeaseTable(std::uint64_t num_shards, LeaseConfig config);
 
   // -- worker sessions ------------------------------------------------
-  /// Registers a session; returns its id (1-based, never reused).
-  std::uint64_t add_worker(std::int64_t now_ms);
+  /// Registers a session under the caller's nonzero id, never reused
+  /// (the coordinator passes the worker's connection id).
+  void add_worker(std::uint64_t worker, std::int64_t now_ms);
   /// Drops a session (connection closed): live leases return to the pool.
   void remove_worker(std::uint64_t worker, std::int64_t now_ms);
   bool has_worker(std::uint64_t worker) const;
@@ -119,7 +120,6 @@ class LeaseTable {
   std::vector<std::uint64_t> attempts_;
   std::vector<Lease> leases_;
   std::vector<Worker> workers_;
-  std::uint64_t next_worker_ = 1;
   std::uint64_t next_lease_ = 1;
   std::uint64_t done_ = 0;
 };

@@ -1,10 +1,5 @@
 #include "serve/server.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -22,7 +17,7 @@
 #include "common/interrupt.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "common/transport/transport.hpp"
+#include "common/transport/framed_loop.hpp"
 #include "serve/advisor.hpp"
 #include "serve/proto.hpp"
 #include "serve/registry.hpp"
@@ -35,19 +30,17 @@ namespace redspot::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using ConnId = transport::FramedLoop::ConnId;
 
-struct Conn {
-  std::unique_ptr<transport::Stream> stream;
-  FrameBuffer in;
-  std::mutex write_mutex;
-  std::atomic<bool> dead{false};
-};
+/// Sweep rounds the SIGTERM drain spends reading what clients wrote
+/// before the signal.
+constexpr int kDrainRounds = 100;
 
-/// One queued advise request. request_id 0 with a null conn is a
-/// tick-driven slide: it advances the shared model so the next real
-/// request starts from a pre-slid state, and produces no response.
+/// One queued advise request. request_id 0 with conn 0 is a tick-driven
+/// slide: it advances the shared model so the next real request starts
+/// from a pre-slid state, and produces no response.
 struct AdviseWork {
-  std::shared_ptr<Conn> conn;
+  ConnId conn = 0;
   std::uint64_t request_id = 0;
   JobParams job;
   Clock::time_point submitted;
@@ -71,67 +64,24 @@ class Server {
     if (!ep)
       throw std::runtime_error("redspot-serve: bad endpoint: " +
                                opt_.endpoint);
-    listener_ = transport::listen(*ep);
-    const std::string bound = listener_->local_endpoint().str();
+    loop_.emplace(*ep, transport::FramedLoop::Handlers{
+                           .on_frame = [this](ConnId c, std::string_view p) {
+                             dispatch(c, p);
+                           },
+                           .on_open = nullptr,
+                           .on_close = nullptr});
+    const std::string& bound = loop_->local_endpoint();
     LOG_INFO << "redspot-serve: listening on " << bound;
     if (opt_.on_bound) opt_.on_bound(bound);
 
-    while (!interrupt_requested()) {
-      poll_once(/*timeout_ms=*/200);
-    }
+    while (!interrupt_requested()) loop_->poll_once(/*timeout_ms=*/200);
     return shutdown_drain();
   }
 
  private:
-  // --- poll loop ------------------------------------------------------------
-
-  void poll_once(int timeout_ms) {
-    std::vector<pollfd> fds;
-    fds.reserve(conns_.size() + 1);
-    fds.push_back({listener_->fd(), POLLIN, 0});
-    for (const auto& c : conns_) fds.push_back({c->stream->fd(), POLLIN, 0});
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) return;  // signal: loop re-checks the flag
-      throw std::runtime_error("redspot-serve: poll failed");
-    }
-
-    if (fds[0].revents & POLLIN) {
-      while (auto stream = listener_->accept()) {
-        auto c = std::make_shared<Conn>();
-        c->stream = std::move(stream);
-        conns_.push_back(std::move(c));
-        if (conns_.size() >= 4096) break;  // defensive fd cap
-      }
-    }
-
-    for (std::size_t i = 0; i < conns_.size() && i + 1 < fds.size(); ++i) {
-      if (fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR))
-        service_conn(conns_[i]);
-    }
-    reap_dead();
-  }
-
-  void service_conn(const std::shared_ptr<Conn>& c) {
-    try {
-      if (!c->stream->read_into(c->in)) c->dead.store(true);
-    } catch (const std::runtime_error&) {
-      c->dead.store(true);
-    }
-    std::string frame;
-    while (!c->dead.load() && c->in.next(&frame) == FrameStatus::kOk)
-      dispatch(c, frame);
-    if (c->in.corrupt()) c->dead.store(true);
-  }
-
-  void reap_dead() {
-    std::erase_if(conns_,
-                  [](const std::shared_ptr<Conn>& c) { return c->dead.load(); });
-  }
-
   // --- message dispatch -----------------------------------------------------
 
-  void dispatch(const std::shared_ptr<Conn>& c, std::string_view payload) {
+  void dispatch(ConnId c, std::string_view payload) {
     const std::optional<MsgType> type = msg_type(payload);
     if (!type) {
       send_error(c, 0, "unknown message type");
@@ -159,10 +109,10 @@ class Server {
     }
   }
 
-  void on_trace_init(const std::shared_ptr<Conn>& c, std::string_view payload) {
+  void on_trace_init(ConnId c, std::string_view payload) {
     const auto m = decode_trace_init(payload);
     if (!m) {
-      c->dead.store(true);
+      loop_->close(c);
       return;
     }
     if (m->protocol != kProtocolVersion) {
@@ -188,10 +138,10 @@ class Server {
     send_msg(c, encode_trace_ok(TraceOkMsg{store_->end_time()}));
   }
 
-  void on_tick(const std::shared_ptr<Conn>& c, std::string_view payload) {
+  void on_tick(ConnId c, std::string_view payload) {
     const auto m = decode_tick(payload);
     if (!m) {
-      c->dead.store(true);
+      loop_->close(c);
       return;
     }
     if (!store_) {
@@ -213,13 +163,13 @@ class Server {
     // with (and orders before) any queued advises, by FIFO.
     std::unique_lock lock(specs_mutex_);
     for (const auto& [hash, spec] : specs_)
-      batcher_.submit(hash, AdviseWork{nullptr, 0, JobParams{}, Clock::now()});
+      batcher_.submit(hash, AdviseWork{0, 0, JobParams{}, Clock::now()});
   }
 
-  void on_register(const std::shared_ptr<Conn>& c, std::string_view payload) {
+  void on_register(ConnId c, std::string_view payload) {
     const auto m = decode_register(payload);
     if (!m) {
-      c->dead.store(true);
+      loop_->close(c);
       return;
     }
     const ModelSpec& spec = m->spec;
@@ -245,10 +195,10 @@ class Server {
     send_msg(c, encode_register_ok(RegisterOkMsg{hash}));
   }
 
-  void on_advise(const std::shared_ptr<Conn>& c, std::string_view payload) {
+  void on_advise(ConnId c, std::string_view payload) {
     const auto m = decode_advise(payload);
     if (!m) {
-      c->dead.store(true);
+      loop_->close(c);
       return;
     }
     {
@@ -297,7 +247,7 @@ class Server {
       const std::shared_ptr<ModelEntry> entry =
           registry_.acquire(spec, traces.num_zones());
       for (AdviseWork& work : batch) {
-        if (work.conn == nullptr) {
+        if (work.conn == 0) {
           // Tick-driven slide: advance the shared state, no response. The
           // job parameters are irrelevant to the slide (the window is),
           // and the computed advice is discarded.
@@ -338,17 +288,9 @@ class Server {
 
   // --- responses ------------------------------------------------------------
 
-  void send_msg(const std::shared_ptr<Conn>& c, const std::string& payload) {
-    if (c->dead.load()) return;
-    std::lock_guard lock(c->write_mutex);
-    try {
-      transport::send_frame(*c->stream, payload);
-    } catch (const std::runtime_error&) {
-      c->dead.store(true);  // peer gone; poll loop reaps
-    }
-  }
+  void send_msg(ConnId c, const std::string& payload) { loop_->post(c, payload); }
 
-  void send_error(const std::shared_ptr<Conn>& c, std::uint64_t request_id,
+  void send_error(ConnId c, std::uint64_t request_id,
                   std::string message) {
     send_msg(c, encode_error(ErrorMsg{request_id, std::move(message)}));
   }
@@ -376,25 +318,16 @@ class Server {
   // --- graceful shutdown ----------------------------------------------------
 
   /// Answers everything the clients managed to write before the signal,
-  /// then drains and reports. Bounded sweep: each round polls every
-  /// connection non-blockingly and services the readable ones; when a
+  /// then drains, flushes the replies and reports. Bounded sweep: each
+  /// round services every readable connection without waiting; when a
   /// round finds nothing readable, the kernel buffers are empty.
   int shutdown_drain() {
-    listener_.reset();
-    for (int round = 0; round < 100; ++round) {
-      if (conns_.empty()) break;
-      std::vector<pollfd> fds;
-      fds.reserve(conns_.size());
-      for (const auto& c : conns_) fds.push_back({c->stream->fd(), POLLIN, 0});
-      const int rc = ::poll(fds.data(), fds.size(), 0);
-      if (rc <= 0) break;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (fds[i].revents & (POLLIN | POLLHUP | POLLERR))
-          service_conn(conns_[i]);
-      }
-      reap_dead();
+    loop_->stop_accepting();
+    for (int round = 0; round < kDrainRounds && loop_->poll_once(0) > 0;
+         ++round) {
     }
     batcher_.drain();
+    loop_->close_all();
     const StatsReplyMsg s = collect_stats();
     if (opt_.print_stats) {
       std::printf(
@@ -414,15 +347,19 @@ class Server {
             static_cast<unsigned long long>(s.shed_rejected),
             static_cast<unsigned long long>(s.queue_peak));
       }
+      if (loop_->overflow_disconnects() > 0) {
+        std::printf("redspot-serve: overflow — disconnected=%llu\n",
+                    static_cast<unsigned long long>(
+                        loop_->overflow_disconnects()));
+      }
       std::fflush(stdout);
     }
-    conns_.clear();
     return 130;
   }
 
   ServeOptions opt_;
-  std::unique_ptr<transport::Listener> listener_;
-  std::vector<std::shared_ptr<Conn>> conns_;
+  /// Emplaced by run(); pool threads post replies to it.
+  std::optional<transport::FramedLoop> loop_;
 
   ThreadPool pool_;
   ModelRegistry registry_;

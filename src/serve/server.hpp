@@ -2,9 +2,9 @@
 //
 // One process, three moving parts:
 //
-//   * the poll loop (this file) owns the transport listener (unix socket
-//     or TCP — common/transport) and every connection's read side, decodes
-//     frames (serve/proto.hpp) and dispatches: trace traffic is applied
+//   * the connection loop (transport::FramedLoop, common/transport) owns
+//     the listener (unix socket or TCP) and every connection; this file
+//     decodes its frames (serve/proto.hpp) and dispatches: trace traffic is applied
 //     inline (TickStore is the single writer), advise requests pass the
 //     load-shedding gate (serve/shed.hpp) and are submitted to the batcher
 //     keyed by spec hash, stats/register are answered immediately;
@@ -16,13 +16,17 @@
 //     their total footprint (LRU byte accounting; an evicted entry is
 //     rebuilt from the live trace on next use).
 //
-// Responses are written from pool threads under a per-connection write
-// mutex; a dead peer marks the connection for the poll loop to reap.
+// Pool threads post responses to the loop, which never blocks on a
+// peer: a reply the socket cannot take is queued, and a tenant that leaves
+// more than FramedLoop::kMaxOutboundBytes unread is disconnected rather
+// than stalling the batcher worker (and every tenant behind it).
 //
 // Shutdown (SIGINT/SIGTERM via common/interrupt): stop accepting, sweep
 // every connection's already-buffered requests (bounded non-blocking
 // rounds — bytes the clients wrote before the signal are still answered),
-// drain the batcher, print one final stats line, and return exit code 130.
+// drain the batcher, flush the queued replies (bounded by
+// FramedLoop::kCloseFlushMs), print one final stats line, and return exit
+// code 130.
 #pragma once
 
 #include <cstdint>

@@ -26,8 +26,10 @@ LeaseConfig config(std::int64_t lease_ms = 10'000, std::int64_t hb_ms = 2'000,
 
 TEST(LeaseTable, GrantsShardsInOrderOneLeasePerWorker) {
   LeaseTable t(4, config());
-  const auto w1 = t.add_worker(0);
-  const auto w2 = t.add_worker(0);
+  const std::uint64_t w1 = 1;
+  t.add_worker(w1, 0);
+  const std::uint64_t w2 = 2;
+  t.add_worker(w2, 0);
 
   const auto g1 = t.grant(w1, 0);
   ASSERT_TRUE(g1.has_value());
@@ -51,7 +53,8 @@ TEST(LeaseTable, GrantsShardsInOrderOneLeasePerWorker) {
 
 TEST(LeaseTable, RangeLeases) {
   LeaseTable t(5, config(10'000, 2'000, /*per_lease=*/3));
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   const auto g = t.grant(w, 0);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->shard_lo, 0u);
@@ -71,7 +74,8 @@ TEST(LeaseTable, RangeLeases) {
 // reaches it. The shard is done — the later death must not resurrect it.
 TEST(LeaseTable, WorkerDiesAfterPartialBeforeAck) {
   LeaseTable t(2, config());
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   const auto g = t.grant(w, 0);
   ASSERT_TRUE(g.has_value());
 
@@ -84,7 +88,8 @@ TEST(LeaseTable, WorkerDiesAfterPartialBeforeAck) {
   EXPECT_EQ(t.done_count(), 1u);
 
   // The dead worker's shard is NOT re-granted; only shard 1 remains.
-  const auto w2 = t.add_worker(102);
+  const std::uint64_t w2 = 2;
+  t.add_worker(w2, 102);
   const auto g2 = t.grant(w2, 102);
   ASSERT_TRUE(g2.has_value());
   EXPECT_EQ(g2->shard_lo, 1u);
@@ -97,7 +102,8 @@ TEST(LeaseTable, WorkerDiesAfterPartialBeforeAck) {
 // the same shard finally lands. It must dedupe, not double-fold.
 TEST(LeaseTable, DuplicatePartialAfterReassignmentDedupes) {
   LeaseTable t(1, config(/*lease_ms=*/1'000, /*hb_ms=*/600'000));
-  const auto slow = t.add_worker(0);
+  const std::uint64_t slow = 1;
+  t.add_worker(slow, 0);
   const auto g1 = t.grant(slow, 0);
   ASSERT_TRUE(g1.has_value());
   EXPECT_EQ(g1->attempt, 1u);
@@ -107,7 +113,8 @@ TEST(LeaseTable, DuplicatePartialAfterReassignmentDedupes) {
   EXPECT_EQ(expired.reclaimed_shards, 1u);
 
   // Reassigned to a second worker — attempt counter advances.
-  const auto fast = t.add_worker(1'000);
+  const std::uint64_t fast = 2;
+  t.add_worker(fast, 1'000);
   const auto g2 = t.grant(fast, 1'000);
   ASSERT_TRUE(g2.has_value());
   EXPECT_EQ(g2->shard_lo, g1->shard_lo);
@@ -125,11 +132,13 @@ TEST(LeaseTable, DuplicatePartialAfterReassignmentDedupes) {
 // reassigned worker's copy dedupes.
 TEST(LeaseTable, ExpiredLeasePartialStillCounts) {
   LeaseTable t(1, config(1'000, 600'000));
-  const auto slow = t.add_worker(0);
+  const std::uint64_t slow = 1;
+  t.add_worker(slow, 0);
   const auto g1 = t.grant(slow, 0);
   ASSERT_TRUE(g1.has_value());
   t.tick(1'000);
-  const auto fast = t.add_worker(1'000);
+  const std::uint64_t fast = 2;
+  t.add_worker(fast, 1'000);
   const auto g2 = t.grant(fast, 1'000);
   ASSERT_TRUE(g2.has_value());
 
@@ -143,7 +152,8 @@ TEST(LeaseTable, ExpiredLeasePartialStillCounts) {
 // is still alive. Same convention for the heartbeat timeout.
 TEST(LeaseTable, LeaseExpiresOnExactBoundary) {
   LeaseTable t(1, config(/*lease_ms=*/1'000, /*hb_ms=*/600'000));
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   ASSERT_TRUE(t.grant(w, 0).has_value());
 
   // t + D - 1: still live.
@@ -156,7 +166,8 @@ TEST(LeaseTable, LeaseExpiresOnExactBoundary) {
 
 TEST(LeaseTable, HeartbeatTimeoutOnExactBoundary) {
   LeaseTable t(1, config(/*lease_ms=*/600'000, /*hb_ms=*/2'000));
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   ASSERT_TRUE(t.grant(w, 0).has_value());
 
   // Heartbeat at t=1500 pushes the deadline to 3500.
@@ -172,7 +183,8 @@ TEST(LeaseTable, HeartbeatTimeoutOnExactBoundary) {
   EXPECT_FALSE(t.has_worker(w));
 
   // The reclaimed shard is re-grantable with a bumped attempt.
-  const auto w2 = t.add_worker(3'500);
+  const std::uint64_t w2 = 2;
+  t.add_worker(w2, 3'500);
   const auto g = t.grant(w2, 3'500);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->attempt, 2u);
@@ -182,7 +194,8 @@ TEST(LeaseTable, NextDeadlineTracksEarliestEvent) {
   LeaseTable t(2, config(/*lease_ms=*/5'000, /*hb_ms=*/2'000));
   EXPECT_FALSE(t.next_deadline(0).has_value());
 
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   // No lease yet: the worker's heartbeat deadline dominates.
   ASSERT_TRUE(t.next_deadline(0).has_value());
   EXPECT_EQ(*t.next_deadline(0), 2'000);
@@ -210,7 +223,8 @@ TEST(LeaseTable, JournalWarmupRestoresDoneAndAttempts) {
   EXPECT_EQ(t.done_count(), 2u);
   EXPECT_EQ(t.attempts(1), 2u);
 
-  const auto w = t.add_worker(0);
+  const std::uint64_t w = 1;
+  t.add_worker(w, 0);
   const auto g = t.grant(w, 0);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->shard_lo, 1u);

@@ -4,7 +4,8 @@
 //       decision over the same history prefix,
 //   (b) protocol errors and oversized model specs are answered without
 //       dropping the connection or other tenants,
-//   (c) SIGTERM mid-load drains every buffered request and exits 130.
+//   (c) SIGTERM mid-load drains every buffered request and exits 130,
+//   (d) a tenant that never reads its replies cannot stall the others.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -101,15 +102,17 @@ JobParams job_with_deadline(Duration remaining_time) {
 
 class ServeDaemon {
  public:
-  ServeDaemon() {
+  explicit ServeDaemon(const std::vector<std::string>& extra_args = {}) {
     dir_ = fs::temp_directory_path() /
            ("redspot-serve-test-" + std::to_string(::getpid()) + "-" +
             std::to_string(counter_++));
     fs::create_directories(dir_);
     socket_ = (dir_ / "serve.sock").string();
     out_ = (dir_ / "daemon.out").string();
-    pid_ = spawn({REDSPOT_SERVE_BIN, "--socket", socket_, "--threads", "4"},
-                 out_);
+    std::vector<std::string> args = {REDSPOT_SERVE_BIN, "--socket", socket_,
+                                     "--threads", "4"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    pid_ = spawn(args, out_);
   }
 
   ~ServeDaemon() {
@@ -256,6 +259,49 @@ TEST(ServeIntegration, OversizedZoneSubsetSpecIsRefusedAndOthersServed) {
   EXPECT_EQ(feed.stats().models, 1u);
 }
 
+TEST(ServeIntegration, NonReadingTenantDoesNotStallOthersOnTheSameSpec) {
+  // Tenant A pipelines far more advice than one socket send buffer holds
+  // (about 300 replies) and reads none of it. The daemon must queue A's
+  // replies instead of blocking the batcher worker that owns the spec's
+  // key, so tenant B, advising on the same spec hash, is still answered;
+  // and once A reads, every one of its answers arrives exactly once.
+  constexpr std::size_t kSeed = 300;
+  constexpr int kPipelined = 2000;
+  const ZoneTraceSet full = make_traces(kSeed);
+  // Shedding off: every one of A's requests is answered by the batcher
+  // worker that owns the spec's key, the thread a blocking reply write
+  // would stall with B's request queued behind it.
+  ServeDaemon daemon({"--shed-limit", "0"});
+
+  ServeClient feed(daemon.socket());
+  feed.trace_init(make_init(full, kSeed, kSeed + 8));
+  ModelSpec spec;
+  spec.history_span = kDay;
+  const JobParams job = job_with_deadline(12 * kHour);
+  const Advice want = advise_offline(spec, full, job);
+
+  ServeClient tenant_a(daemon.socket());
+  const std::uint64_t hash = tenant_a.register_spec(spec);
+  for (int i = 1; i <= kPipelined; ++i)
+    tenant_a.advise_async(static_cast<std::uint64_t>(i), hash, job);
+
+  ServeClientOptions b_options;
+  b_options.endpoint = daemon.socket();
+  b_options.reply_timeout_ms = 3'000;
+  ServeClient tenant_b(b_options);
+  EXPECT_EQ(tenant_b.advise(1, hash, job).advice, want);
+
+  std::vector<bool> answered(kPipelined + 1, false);
+  for (int i = 1; i <= kPipelined; ++i) {
+    const AdviceMsg r = tenant_a.recv_advice();
+    ASSERT_GT(r.request_id, 0u);
+    ASSERT_LE(r.request_id, static_cast<std::uint64_t>(kPipelined));
+    EXPECT_FALSE(answered[r.request_id]) << "duplicate response";
+    answered[r.request_id] = true;
+    EXPECT_EQ(r.advice, want) << "request " << r.request_id;
+  }
+}
+
 TEST(ServeIntegration, SigtermMidLoadDrainsInFlightAdviceAndExits130) {
   constexpr std::size_t kSeed = 300;
   constexpr int kInFlight = 40;
@@ -295,8 +341,11 @@ TEST(ServeIntegration, SigtermMidLoadDrainsInFlightAdviceAndExits130) {
   const int status = wait_for(daemon.pid());
   ASSERT_TRUE(WIFEXITED(status)) << daemon.output();
   EXPECT_EQ(WEXITSTATUS(status), 130) << daemon.output();
-  // The final stats line made it out before exit.
+  // The final stats line made it out before exit; no tenant was dropped
+  // for an unread backlog, so the overflow line stays out of it.
   EXPECT_NE(daemon.output().find("drained"), std::string::npos)
+      << daemon.output();
+  EXPECT_EQ(daemon.output().find("overflow"), std::string::npos)
       << daemon.output();
 }
 

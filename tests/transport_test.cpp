@@ -3,7 +3,11 @@
 // contract, EOF semantics, TCP_NODELAY on both ends of a TCP stream — and
 // the deterministic fault layer: scripted FaultyStream behavior for all
 // five fault kinds, the purity of fault_at(), NetFaultPlan parsing, and
-// the injector's process-wide budget and arming.
+// the injector's process-wide budget and arming — and the FramedLoop
+// contract both daemons rely on, over unix and TCP: post() never blocks on
+// a peer that does not read, every posted frame arrives intact, in each
+// poster's order, exactly once; a peer past the outbound bound is dropped
+// and counted; and close()/close_all() flush what was posted before EOF.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -12,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -27,6 +32,7 @@
 
 #include "common/frame.hpp"
 #include "common/transport/fault.hpp"
+#include "common/transport/framed_loop.hpp"
 #include "common/transport/transport.hpp"
 
 namespace redspot {
@@ -468,6 +474,184 @@ TEST(NetFaultInjector, UnarmedInjectsNothingUntilArmed) {
   transport::send_frame(*wrapped, "chaos");
   EXPECT_GT(injector.injected(), 0u);
 }
+
+// --- FramedLoop -------------------------------------------------------------
+
+using transport::FramedLoop;
+using ConnId = FramedLoop::ConnId;
+
+/// A FramedLoop on a unix or TCP endpoint, the dialed peer, and the id the
+/// loop gave it. The loop is driven by the test thread until the peer is
+/// accepted; tests that post from other threads then start drive().
+class FramedLoopTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    const std::string ep_text =
+        GetParam() ? std::string("tcp:127.0.0.1:0")
+                   : tmp_sock("loop_" + std::to_string(counter_++));
+    loop_ = std::make_unique<FramedLoop>(
+        *parse_endpoint(ep_text),
+        FramedLoop::Handlers{
+            .on_frame = [](ConnId, std::string_view) {},
+            .on_open = [this](ConnId id) { opened_.store(id); },
+            .on_close = [this](ConnId id) { closed_.store(id); }});
+    peer_ = transport::connect(*parse_endpoint(loop_->local_endpoint()));
+    ASSERT_NE(peer_, nullptr);
+    for (int i = 0; i < 2000 && opened_.load() == 0; ++i) loop_->poll_once(1);
+    ASSERT_NE(opened_.load(), 0u);
+    id_ = opened_.load();
+  }
+
+  void TearDown() override { stop_driving(); }
+
+  /// Runs the loop on its own thread, as a daemon's main thread does.
+  void drive() {
+    loop_thread_ = std::thread([this] {
+      while (!stop_.load()) loop_->poll_once(5);
+    });
+  }
+  void stop_driving() {
+    stop_.store(true);
+    if (loop_thread_.joinable()) loop_thread_.join();
+  }
+
+  /// Reads frames until EOF; throws on a corrupt stream.
+  std::vector<std::string> read_until_eof() {
+    std::vector<std::string> frames;
+    FrameBuffer buf;
+    while (auto f = read_frame(*peer_, buf)) frames.push_back(std::move(*f));
+    return frames;
+  }
+
+  static inline int counter_ = 0;
+  std::unique_ptr<FramedLoop> loop_;
+  std::unique_ptr<transport::Stream> peer_;
+  ConnId id_ = 0;
+  std::atomic<ConnId> opened_{0};
+  std::atomic<ConnId> closed_{0};
+  std::atomic<bool> stop_{false};
+  std::thread loop_thread_;
+};
+
+/// Frame `seq` of poster `thread`: its identity plus a pattern derived
+/// from it, so a torn, shifted or mixed-up frame cannot pass for it.
+std::string poster_frame(int thread, int seq, std::size_t size) {
+  std::string s = std::to_string(thread) + ":" + std::to_string(seq) + ":";
+  for (std::size_t i = 0; s.size() < size; ++i)
+    s.push_back(static_cast<char>('a' + (thread * 7 + seq + i) % 26));
+  return s;
+}
+
+TEST_P(FramedLoopTest, PostFromFourThreadsNeverBlocksOnAPeerThatDoesNotRead) {
+  // 4 x 150 x 8 KiB = 4.7 MiB: past what the socket buffers hold, under
+  // the outbound bound.
+  constexpr int kThreads = 4;
+  constexpr int kFrames = 150;
+  constexpr std::size_t kSize = 8 << 10;
+  drive();
+  std::atomic<int> done{0};
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int i = 0; i < kFrames; ++i)
+        loop_->post(id_, poster_frame(t, i, kSize));
+      done.fetch_add(1);
+    });
+  }
+  // The peer reads nothing until every poster has returned: a post that
+  // blocked on the socket would never return.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (done.load() < kThreads && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(done.load(), kThreads) << "post() blocked on a non-reading peer";
+
+  FrameBuffer buf;
+  std::vector<int> next(kThreads, 0);
+  for (int n = 0; n < kThreads * kFrames; ++n) {
+    const auto frame = read_frame(*peer_, buf);
+    ASSERT_TRUE(frame.has_value()) << "EOF after " << n << " frames";
+    const int t = std::stoi(*frame);
+    ASSERT_GE(t, 0);
+    ASSERT_LT(t, kThreads);
+    ASSERT_LT(next[static_cast<std::size_t>(t)], kFrames) << "extra frame";
+    ASSERT_EQ(*frame,
+              poster_frame(t, next[static_cast<std::size_t>(t)]++, kSize))
+        << "poster " << t << " out of order or torn";
+  }
+  for (std::thread& p : posters) p.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(next[static_cast<std::size_t>(t)], kFrames);
+  EXPECT_EQ(loop_->overflow_disconnects(), 0u);
+  EXPECT_EQ(closed_.load(), 0u);
+}
+
+TEST_P(FramedLoopTest, PeerPastTheOutboundBoundIsDisconnectedAndCounted) {
+  drive();
+  const std::string mib(1 << 20, 'x');
+  // Whatever the socket buffers absorb, 64 MiB unread passes an 8 MiB
+  // queue bound; posts after the disconnect are no-ops.
+  for (int i = 0; i < 64 && loop_->overflow_disconnects() == 0; ++i)
+    loop_->post(id_, mib);
+  ASSERT_EQ(loop_->overflow_disconnects(), 1u);
+  // The peer gets what was sent before the drop, then EOF.
+  const std::vector<std::string> frames = read_until_eof();
+  for (const std::string& f : frames) EXPECT_EQ(f, mib);
+  EXPECT_LT(frames.size() * mib.size(),
+            FramedLoop::kMaxOutboundBytes + (16u << 20));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (closed_.load() == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(closed_.load(), id_);
+}
+
+/// Posts 6 MiB to the non-reading peer plus a last frame, closes the
+/// connection with `close_all` or close(id), and has the peer read only
+/// afterwards: everything must arrive before EOF.
+void expect_flushed_before_eof(FramedLoop& loop, ConnId id,
+                               transport::Stream& peer, bool close_all) {
+  constexpr int kFrames = 96;
+  const std::string chunk(64 << 10, 'q');
+  for (int i = 0; i < kFrames; ++i) loop.post(id, chunk);
+  loop.post(id, "done");
+
+  std::vector<std::string> frames;
+  std::atomic<bool> at_eof{false};
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    FrameBuffer buf;
+    while (auto f = read_frame(peer, buf)) frames.push_back(std::move(*f));
+    at_eof.store(true);
+  });
+  if (close_all) {
+    loop.close_all();
+  } else {
+    loop.close(id);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!at_eof.load() && std::chrono::steady_clock::now() < deadline)
+      loop.poll_once(5);
+  }
+  reader.join();
+  ASSERT_EQ(frames.size(), static_cast<std::size_t>(kFrames + 1));
+  for (int i = 0; i < kFrames; ++i) EXPECT_EQ(frames[i], chunk);
+  EXPECT_EQ(frames.back(), "done");
+}
+
+TEST_P(FramedLoopTest, CloseAfterPostDeliversTheQueuedFramesBeforeEof) {
+  expect_flushed_before_eof(*loop_, id_, *peer_, /*close_all=*/false);
+}
+
+TEST_P(FramedLoopTest, CloseAllAfterPostDeliversTheQueuedFramesBeforeEof) {
+  expect_flushed_before_eof(*loop_, id_, *peer_, /*close_all=*/true);
+  EXPECT_EQ(closed_.load(), 0u) << "close_all fires no on_close";
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, FramedLoopTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return std::string(p.param ? "Tcp" : "Unix");
+                         });
 
 }  // namespace
 }  // namespace redspot
