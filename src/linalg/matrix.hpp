@@ -32,6 +32,10 @@ class Matrix {
   /// Identity matrix of size n.
   static Matrix identity(std::size_t n);
 
+  /// Reshapes to rows x cols, zero-filled, reusing the storage when it is
+  /// large enough (hot paths refit into one matrix without allocating).
+  void resize(std::size_t rows, std::size_t cols);
+
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }

@@ -16,11 +16,11 @@ const MarkovModel& IncrementalMarkovModel::model() const {
   return model_;
 }
 
-std::size_t IncrementalMarkovModel::state_index(Money price) const {
-  const auto it = std::lower_bound(state_micros_.begin(), state_micros_.end(),
-                                   price.micros());
-  if (it == state_micros_.end() || *it != price.micros()) return SIZE_MAX;
-  return static_cast<std::size_t>(std::distance(state_micros_.begin(), it));
+std::size_t IncrementalMarkovModel::level_index(std::int64_t micros) const {
+  const std::vector<std::int64_t>& levels = fit_.levels;
+  const auto it = std::lower_bound(levels.begin(), levels.end(), micros);
+  REDSPOT_CHECK(it != levels.end() && *it == micros);
+  return static_cast<std::size_t>(it - levels.begin());
 }
 
 void IncrementalMarkovModel::remember_window(const PriceView& window) {
@@ -59,198 +59,177 @@ bool IncrementalMarkovModel::try_slide(const PriceView& window) {
   // data_ + shift is within the old span, so this equality is well-defined;
   // it holds exactly when both windows view the same underlying array.
   if (window.data() != data_ + shift) return false;
-
-  return binned_ ? slide_binned(window, shift) : slide_unique(window, shift);
+  slide(window, shift);
+  return true;
 }
 
-bool IncrementalMarkovModel::slide_binned(const PriceView& window,
-                                          std::size_t shift) {
-  // Evict the samples that left the window: decrement each departing
-  // price's level count, dropping the level when it reaches zero (exact
-  // double equality — both sides come from the same Money::to_double of
-  // the same stored micros). A count edit is O(log distinct); only a
-  // level birth/death pays an O(distinct) array shift, versus the
-  // O(window) memmove every sample cost under the old sorted-multiset
-  // maintenance.
-  for (std::size_t i = 0; i < shift; ++i) {
-    const double v = data_[i].to_double();
-    const auto it = std::lower_bound(bin_levels_.begin(), bin_levels_.end(), v);
-    REDSPOT_CHECK(it != bin_levels_.end() && *it == v);
-    const std::size_t pos =
-        static_cast<std::size_t>(std::distance(bin_levels_.begin(), it));
-    if (--bin_counts_[pos] == 0) {
-      bin_levels_.erase(it);
-      bin_counts_.erase(bin_counts_.begin() +
-                        static_cast<std::ptrdiff_t>(pos));
-      --distinct_;
-    }
+void IncrementalMarkovModel::insert_level(std::size_t pos,
+                                          std::int64_t micros) {
+  std::vector<std::int64_t>& levels = fit_.levels;
+  levels.insert(levels.begin() + static_cast<std::ptrdiff_t>(pos), micros);
+  fit_.counts.insert(fit_.counts.begin() + static_cast<std::ptrdiff_t>(pos),
+                     1);
+  if (!tracking_) return;
+  const std::size_t n = levels.size();
+  if (n > max_states_) {
+    // The state set may shrink back within this slide, but the exact
+    // counts no longer fit: the refit recounts them from the levels.
+    tracking_ = false;
+    return;
   }
-  // Count in the appended samples, inserting unseen levels in place.
-  const std::size_t new_abs_end = shift + window.size();
-  for (std::size_t i = size_; i < new_abs_end; ++i) {
-    const double v = window.sample(i - shift).to_double();
-    const auto it = std::lower_bound(bin_levels_.begin(), bin_levels_.end(), v);
-    const std::size_t pos =
-        static_cast<std::size_t>(std::distance(bin_levels_.begin(), it));
-    if (it == bin_levels_.end() || *it != v) {
-      bin_levels_.insert(it, v);
-      bin_counts_.insert(bin_counts_.begin() + static_cast<std::ptrdiff_t>(pos),
-                         1);
-      ++distinct_;
-    } else {
-      ++bin_counts_[pos];
-    }
+  // Re-index the (n-1) x (n-1) counts to n x n with a zero row and column
+  // at `pos`, in place: every entry moves to an equal or later index, so
+  // walking from the end never overwrites an unread entry.
+  std::vector<double>& trans = fit_.trans_counts;
+  const std::size_t old_n = n - 1;
+  trans.resize(n * n);
+  for (std::size_t r = old_n; r-- > 0;) {
+    double* row = trans.data() + (r + (r >= pos ? 1 : 0)) * n;
+    for (std::size_t c = old_n; c-- > pos;) row[c + 1] = trans[r * old_n + c];
+    row[pos] = 0.0;
+    for (std::size_t c = pos; c-- > 0;) row[c] = trans[r * old_n + c];
   }
-  // The window left quantile territory: let the full rebuild re-derive
-  // everything in unique mode (it recounts, so the edits above are moot).
-  if (distinct_ <= max_states_) return false;
+  std::fill_n(trans.begin() + static_cast<std::ptrdiff_t>(pos * n), n, 0.0);
+}
 
-  // Expand the counts back into the sorted buffer the shared mapping pass
-  // consumes: ascending levels repeated by multiplicity ARE the sorted
-  // window, so the refit sees the same input as a from-scratch sort —
-  // same chronological values, same sorted multiset, bit-identical model.
-  fit_.sorted.resize(window.size());
-  double* out = fit_.sorted.data();
-  for (std::size_t b = 0; b < bin_levels_.size(); ++b)
-    out = std::fill_n(out, bin_counts_[b], bin_levels_[b]);
-  REDSPOT_CHECK(out == fit_.sorted.data() + fit_.sorted.size());
-  fit_.values.resize(window.size());
-  for (std::size_t i = 0; i < window.size(); ++i)
-    fit_.values[i] = window.sample(i).to_double();
-  model_ = detail::build_markov_model_presorted(fit_, step_, max_states_,
-                                                kDefaultSmoothing);
+void IncrementalMarkovModel::erase_empty_levels() {
+  std::vector<std::int64_t>& levels = fit_.levels;
+  std::vector<std::int64_t>& counts = fit_.counts;
+  const std::size_t n = levels.size();
+  if (tracking_) {
+    // Drop the emptied states' rows and columns (all zero: every
+    // transition touching an evicted sample was evicted with it), moving
+    // entries to equal or earlier indices.
+    std::vector<double>& trans = fit_.trans_counts;
+    std::size_t out = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (counts[r] == 0) continue;
+      for (std::size_t c = 0; c < n; ++c)
+        if (counts[c] != 0) trans[out++] = trans[r * n + c];
+    }
+    trans.resize(out);
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (counts[i] == 0) continue;
+    levels[kept] = levels[i];
+    counts[kept] = counts[i];
+    ++kept;
+  }
+  levels.resize(kept);
+  counts.resize(kept);
+}
+
+void IncrementalMarkovModel::slide(const PriceView& window,
+                                   std::size_t shift) {
+  // The new window starts `shift` samples into the old span's storage, so
+  // old-local index i < end reads both the evicted and the appended
+  // samples from one array.
+  const Money* s = data_;
+  const std::size_t end = shift + window.size();
+  std::vector<std::int64_t>& levels = fit_.levels;
+  std::vector<std::int64_t>& counts = fit_.counts;
+
+  if (tracking_) counts_before_.assign(counts.begin(), counts.end());
+  bool set_changed = false;
+  // Count in the appended samples, inserting unseen prices as levels.
+  for (std::size_t i = size_; i < end; ++i) {
+    const std::int64_t m = s[i].micros();
+    const auto it = std::lower_bound(levels.begin(), levels.end(), m);
+    const std::size_t pos = static_cast<std::size_t>(it - levels.begin());
+    if (it == levels.end() || *it != m) {
+      insert_level(pos, m);
+      set_changed = true;
+    } else {
+      ++counts[pos];
+    }
+  }
+
+  // Slide the transition counts over the union of old and new states:
+  // evict the pairs leaving with the old samples, add the appended ones.
+  if (tracking_) {
+    const std::size_t n = levels.size();
+    const auto key = [&](std::size_t i) {
+      return static_cast<std::uint32_t>(level_index(s[i].micros()) * n +
+                                        level_index(s[i + 1].micros()));
+    };
+    removed_pairs_.clear();
+    added_pairs_.clear();
+    for (std::size_t i = 0; i < shift; ++i) {
+      removed_pairs_.push_back(key(i));
+      fit_.trans_counts[removed_pairs_.back()] -= 1.0;
+    }
+    for (std::size_t i = size_ - 1; i + 1 < end; ++i) {
+      added_pairs_.push_back(key(i));
+      fit_.trans_counts[added_pairs_.back()] += 1.0;
+    }
+  }
+
+  // Count out the evicted samples; a price whose last occurrence left
+  // loses its level.
+  bool emptied = false;
+  for (std::size_t i = 0; i < shift; ++i)
+    emptied |= --counts[level_index(s[i].micros())] == 0;
+  if (emptied) {
+    erase_empty_levels();
+    set_changed = true;
+  }
+
+  const bool same_size = window.size() == size_;
+  remember_window(window);
+  if (!tracking_) {
+    // Binned, or a unique-mode state set that outgrew max_states mid-slide:
+    // refit from the levels, which also recounts unique-mode transitions.
+    detail::fit_markov_model(fit_, window, max_states_, kDefaultSmoothing,
+                             model_);
+    tracking_ = levels.size() <= max_states_;
+  } else {
+    if (!set_changed && same_size && counts == counts_before_) {
+      // Same occupancy; the model stands if the same transitions left as
+      // arrived (a constant-price slide).
+      std::sort(removed_pairs_.begin(), removed_pairs_.end());
+      std::sort(added_pairs_.begin(), added_pairs_.end());
+      if (removed_pairs_ == added_pairs_) return;
+    }
+    if (set_changed) detail::set_level_prices(model_, levels);
+    detail::refit_markov_model(model_, fit_.trans_counts, counts,
+                               level_index(s[end - 1].micros()),
+                               static_cast<std::int64_t>(size_),
+                               kDefaultSmoothing, fit_.pi);
+  }
   ++model_refreshes_;
   ++epoch_;
-  remember_window(window);
-  return true;
-}
-
-bool IncrementalMarkovModel::slide_unique(const PriceView& window,
-                                          std::size_t shift) {
-  const std::size_t new_abs_end = shift + window.size();  // old-local index
-
-  // An appended sample with an unseen price changes the state set.
-  for (std::size_t i = size_; i < new_abs_end; ++i) {
-    if (state_index(window.sample(i - shift)) == SIZE_MAX) return false;
-  }
-
-  // Occupancy after the slide; a state dropping to zero changes the set.
-  const std::size_t n = state_micros_.size();
-  occ_scratch_.assign(occupancy_.begin(), occupancy_.end());
-  for (std::size_t i = 0; i < shift; ++i) {
-    const std::size_t s = state_index(data_[i]);
-    REDSPOT_CHECK(s != SIZE_MAX);
-    --occ_scratch_[s];
-  }
-  for (std::size_t i = size_; i < new_abs_end; ++i) {
-    ++occ_scratch_[state_index(window.sample(i - shift))];
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (occ_scratch_[s] <= 0) return false;
-  }
-
-  // Commit. Samples at old-local index i: < shift only exist in the old
-  // span, >= shift are window.sample(i - shift).
-  const auto at = [&](std::size_t i) {
-    return i >= shift ? window.sample(i - shift) : data_[i];
-  };
-  removed_pairs_.clear();
-  added_pairs_.clear();
-  for (std::size_t i = 0; i < shift; ++i) {  // evicted transitions
-    const std::uint32_t key = static_cast<std::uint32_t>(
-        state_index(at(i)) * n + state_index(at(i + 1)));
-    --trans_counts_[key];
-    removed_pairs_.push_back(key);
-  }
-  for (std::size_t i = size_ - 1; i + 1 < new_abs_end; ++i) {
-    const std::uint32_t key = static_cast<std::uint32_t>(
-        state_index(at(i)) * n + state_index(at(i + 1)));
-    ++trans_counts_[key];
-    added_pairs_.push_back(key);
-  }
-
-  const bool occupancy_unchanged =
-      window.size() == size_ && occ_scratch_ == occupancy_;
-  occupancy_.swap(occ_scratch_);
-  std::sort(removed_pairs_.begin(), removed_pairs_.end());
-  std::sort(added_pairs_.begin(), added_pairs_.end());
-  const bool counts_unchanged =
-      occupancy_unchanged && removed_pairs_ == added_pairs_;
-
-  remember_window(window);
-  if (!counts_unchanged) {
-    // Counts net-changed: re-finish the matrix and drop the uptime memo.
-    // The state set is unchanged on this path, so the refit rewrites
-    // model_.trans in place — no Matrix/pi/state_prices allocations.
-    detail::refit_markov_model(model_, trans_counts_, occupancy_,
-                               static_cast<std::int64_t>(size_),
-                               kDefaultSmoothing, pi_scratch_);
-    ++model_refreshes_;
-    ++epoch_;
-  }
-  return true;
 }
 
 void IncrementalMarkovModel::rebuild_full(const PriceView& window) {
-  // Fill the shared fit buffers: chronological values plus a full sort.
-  // Slides keep fit_.sorted up to date instead of re-running this sort.
-  fit_.values.resize(window.size());
-  for (std::size_t i = 0; i < window.size(); ++i)
-    fit_.values[i] = window.sample(i).to_double();
-  fit_.sorted.assign(fit_.values.begin(), fit_.values.end());
-  std::sort(fit_.sorted.begin(), fit_.sorted.end());
-  distinct_ = 1;
-  for (std::size_t i = 1; i < fit_.sorted.size(); ++i)
-    if (fit_.sorted[i] != fit_.sorted[i - 1]) ++distinct_;
-  model_ = detail::build_markov_model_presorted(fit_, window.step(),
-                                                max_states_, kDefaultSmoothing);
+  if (full_rebuilds_ == 0) {
+    // Reserve every refit buffer for the largest model once, so no later
+    // slide allocates: the fit below shrinks model_.trans to its shape
+    // but keeps the storage.
+    const std::size_t cells = max_states_ * max_states_;
+    model_.trans.resize(max_states_, max_states_);
+    model_.state_prices.reserve(max_states_);
+    fit_.trans_counts.reserve(cells);
+    fit_.edges.reserve(max_states_);
+    fit_.bin_sum.reserve(max_states_);
+    fit_.bin_count.reserve(max_states_);
+    fit_.pi.reserve(max_states_);
+    counts_before_.reserve(max_states_);
+    memo_.reserve(cells);
+    memo_epoch_.reserve(cells);
+    uptime_scratch_.i_minus_q.reserve(cells);
+    uptime_scratch_.perm.reserve(max_states_);
+    uptime_scratch_.t.reserve(max_states_);
+  }
+  // The one sort: the window's levels and counts, then the shared fit.
+  detail::load_levels(fit_, window);
+  detail::fit_markov_model(fit_, window, max_states_, kDefaultSmoothing,
+                           model_);
+  tracking_ = fit_.levels.size() <= max_states_;
   ++full_rebuilds_;
   ++model_refreshes_;
   ++epoch_;
-
-  binned_ = distinct_ > max_states_;
   remember_window(window);
-  if (binned_) {
-    // Binned slides maintain the window multiset as counting arrays and
-    // re-expand fit_.sorted from them on each refit.
-    bin_levels_.clear();
-    bin_counts_.clear();
-    for (const double v : fit_.sorted) {
-      if (bin_levels_.empty() || bin_levels_.back() != v) {
-        bin_levels_.push_back(v);
-        bin_counts_.push_back(1);
-      } else {
-        ++bin_counts_.back();
-      }
-    }
-    return;
-  }
-
-  // Exact unique mode: distinct micro-dollar prices, ascending, plus the
-  // integer counts the unique-mode slide maintains.
-  state_micros_.clear();
-  for (std::size_t i = 0; i < window.size(); ++i)
-    state_micros_.push_back(window.sample(i).micros());
-  std::sort(state_micros_.begin(), state_micros_.end());
-  state_micros_.erase(
-      std::unique(state_micros_.begin(), state_micros_.end()),
-      state_micros_.end());
-
-  const std::size_t n = state_micros_.size();
-  REDSPOT_CHECK(n == model_.num_states());
-  trans_counts_.assign(n * n, 0);
-  occupancy_.assign(n, 0);
-  std::size_t prev = SIZE_MAX;
-  for (std::size_t i = 0; i < window.size(); ++i) {
-    const std::size_t s = state_index(window.sample(i));
-    ++occupancy_[s];
-    if (prev != SIZE_MAX) ++trans_counts_[prev * n + s];
-    prev = s;
-  }
-
-  occ_scratch_.reserve(n);
-  removed_pairs_.reserve(16);
-  added_pairs_.reserve(16);
 }
 
 Duration IncrementalMarkovModel::expected_uptime(Money current_price,
@@ -264,9 +243,9 @@ Duration IncrementalMarkovModel::expected_uptime(Money current_price,
   const std::size_t s = model_.state_of(current_price);
   if (s > a) return 0;  // nearest state is out-of-bid
 
-  // A binned refit can have more states than any earlier fit (quantile
-  // bins collapse on duplicates), so the memo grows here; new slots read
-  // epoch 0, never fresh. A shrunk model keeps the larger memo.
+  // The state count moves with refits (binned or exact), so the memo
+  // grows within its reserved storage; new slots read epoch 0, never
+  // fresh. A shrunk model keeps the larger memo.
   const std::size_t n = model_.num_states();
   if (memo_.size() < n * n) {
     memo_.resize(n * n);

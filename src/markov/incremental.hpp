@@ -3,43 +3,48 @@
 // Markov-based policies refit build_markov_model() over the trailing
 // 2-day window at every decision, even though consecutive decisions see
 // windows that differ by a handful of 5-minute samples. This class keeps
-// the integer transition counts and occupancy of the current window and
-// slides them — add the newest samples, evict the oldest — instead of
-// re-sorting and re-counting 576 samples per decision.
+// the window's price multiset — its distinct prices (levels) and their
+// multiplicities — plus, in unique mode, the transition counts
+// between levels, and slides them: add the newest samples, evict the
+// oldest, refit from what it holds. It never re-sorts a slid window.
 //
 // Invariants and triggers (DESIGN.md §10):
-//   * The model is rebuilt from scratch only when the *state set* changes:
-//     an appended sample introduces an unseen price, or an evicted sample
-//     removes the last occurrence of one. Otherwise the state index map is
-//     stable and counts slide in O(samples moved).
-//   * Sliding is only attempted when the new window is a forward slide
-//     over the SAME underlying storage (the zone trace outlives the run,
-//     so evicted samples can still be read from the previous span). A
-//     window over different storage, a backward move, or a sampling-step
-//     change falls back to a full rebuild.
-//   * Quantile-binned windows (distinct prices > max_states) keep the
-//     window's sample multiset as flat counting arrays (distinct levels +
-//     multiplicities), edit the counts across slides, and re-run the
-//     shared mapping pass over the expanded multiset — identical input,
-//     identical arithmetic, identical model — instead of re-sorting the
-//     whole window or memmoving a sorted array per sample. The model
-//     still refreshes on every binned slide (bin means move with the
-//     window), but the per-decision path is count edits plus one linear
-//     expansion.
+//   * Sliding is attempted whenever the new window is a forward slide over
+//     the SAME underlying storage (the zone trace outlives the run, so
+//     evicted samples can still be read from the previous span). A first
+//     observe, a window over different storage, a backward move, a move
+//     past the whole previous window, or a sampling-step change rebuilds
+//     from scratch — the only rebuilds.
+//   * Unique mode (distinct prices <= max_states; the levels are the
+//     states): an appended unseen price inserts its state, and an evicted
+//     last occurrence erases its state, re-indexing the transition counts
+//     in place; then the counts slide in O(samples moved) and the matrix
+//     is re-finished from them.
+//   * Quantile-binned mode (distinct prices > max_states): a slide edits
+//     the level counts and refits from them — the quantile edges are
+//     order statistics read off the cumulative counts, and one
+//     chronological pass over the window bins the samples, sums the bin
+//     means and counts transitions. The model refreshes on every binned
+//     slide (bin means move with the window).
+//   * Crossing between the modes needs no sort either: the levels carry
+//     over, and the fit recounts transitions for the new mode.
 //   * The normalized matrix is re-finished only when the counts NET-change.
 //     A constant-price slide removes and adds the same transition, leaving
 //     counts — and therefore the model and the expected-uptime memo —
 //     untouched. This is the steady state: no allocation, no FP work.
+//   * Refits write into the model's own storage, reserved for max_states
+//     states at the first fit: a warm slide, binned or unique, does not
+//     touch the heap.
 //   * expected_uptime memoizes per (start state, max alive state) and is
 //     the decision path's one E[Tu] cache (DESIGN.md §10). A model is
 //     single-threaded: one engine or batch group owns it, and the serve
 //     registry mutates an entry's models only under the request batcher's
 //     per-key exclusivity.
 //
-// Bit-identity: counts are integers, and detail::finish_markov_model
-// reproduces build_markov_model's arithmetic from integer counts exactly,
-// so model() always equals build_markov_model(window) bit-for-bit
-// (property-tested in markov_test / decision_path_test).
+// Bit-identity: counts are exact integers, and every refit goes through the
+// same detail::fit_markov_model / detail::refit_markov_model arithmetic as
+// build_markov_model, so model() always equals build_markov_model(window)
+// bit-for-bit (property-tested in markov_test / decision_path_test).
 #pragma once
 
 #include <cstdint>
@@ -82,33 +87,36 @@ class IncrementalMarkovModel {
 
  private:
   void rebuild_full(const PriceView& window);
-  /// Attempts the incremental slide; false means "fall back to rebuild".
+  /// Slides to `window`, a forward move by `shift` samples over the same
+  /// storage; false means "not a forward slide, rebuild".
   bool try_slide(const PriceView& window);
-  /// Unique-price mode: slide the integer transition counts.
-  bool slide_unique(const PriceView& window, std::size_t shift);
-  /// Quantile-binned mode: slide the sorted multiset, refit via the shared
-  /// mapping pass.
-  bool slide_binned(const PriceView& window, std::size_t shift);
-  /// State index of an exact observed price, or SIZE_MAX when unseen.
-  std::size_t state_index(Money price) const;
+  /// Edits the levels, counts and (unique mode) transition counts by the
+  /// samples that left and arrived, then refits.
+  void slide(const PriceView& window, std::size_t shift);
+  /// Inserts the level `micros` at `pos` with one sample; in unique mode
+  /// also its zero row and column of the transition counts, unless the
+  /// state set outgrows max_states (then the counts are recounted).
+  void insert_level(std::size_t pos, std::int64_t micros);
+  /// Erases every level whose count reached zero, with its row and column.
+  void erase_empty_levels();
+  /// Index of the level `micros`; it must be present.
+  std::size_t level_index(std::int64_t micros) const;
   void remember_window(const PriceView& window);
 
   std::size_t max_states_;
 
   // Identity of the window the counts describe.
   bool valid_ = false;
-  bool binned_ = false;  ///< quantile mode: slides via the sorted multiset
+  /// Unique mode with fit_.trans_counts over the levels, kept in step with
+  /// every slide; false in binned mode (its counts are over the bins).
+  bool tracking_ = false;
   const Money* data_ = nullptr;
   std::size_t size_ = 0;
   SimTime start_ = 0;
   Duration step_ = kPriceStep;
 
-  // Exact state set (unique mode): ascending micro-dollar prices, aligned
-  // with model_.state_prices.
-  std::vector<std::int64_t> state_micros_;
-  std::vector<std::int64_t> trans_counts_;  ///< n x n, row-major
-  std::vector<std::int64_t> occupancy_;     ///< per-state sample count
-
+  // The window's levels and counts, transition counts and fit buffers.
+  detail::MarkovScratch fit_;
   MarkovModel model_;
 
   // expected_uptime memo: n*n slots keyed start_state * n + alive_state,
@@ -119,24 +127,10 @@ class IncrementalMarkovModel {
   std::vector<std::uint32_t> memo_epoch_;
   std::uint32_t epoch_ = 0;
 
-  // Reusable scratch (persisted to keep the slide allocation-free).
-  std::vector<std::int64_t> occ_scratch_;
+  // Reusable slide scratch (persisted to keep the slide allocation-free).
+  std::vector<std::int64_t> counts_before_;
   std::vector<std::uint32_t> removed_pairs_;
   std::vector<std::uint32_t> added_pairs_;
-  std::vector<double> pi_scratch_;  ///< smoothing distribution for refits
-
-  // Binned mode: the window's sample multiset as flat counting arrays —
-  // bin_levels_ the distinct prices ascending, bin_counts_[i] the
-  // multiplicity of bin_levels_[i], distinct_ == bin_levels_.size().
-  // Slides edit the counts and expand them back into fit_.sorted per
-  // refit; both are repopulated whenever rebuild_full runs.
-  std::vector<double> bin_levels_;
-  std::vector<std::int64_t> bin_counts_;
-
-  // Shared fit buffers (fit_.sorted is the expanded multiset above in
-  // binned mode, the full re-sort in a rebuild).
-  detail::MarkovScratch fit_;
-  std::size_t distinct_ = 0;
   UptimeScratch uptime_scratch_;
 
   std::uint64_t full_rebuilds_ = 0;

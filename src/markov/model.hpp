@@ -70,60 +70,60 @@ inline MarkovModel build_markov_model(const PriceSeries& history,
 
 namespace detail {
 
-/// Reusable buffers for model fitting. A persistent scratch makes repeated
-/// (re)builds allocation-free once warm — the incremental sliding-window
-/// model refits every few samples and must not churn the heap.
+/// A window's distinct prices and their multiplicities, plus the fit's
+/// reusable buffers. `levels`/`counts` are the one representation of the
+/// window's price multiset: in unique mode the levels ARE the states and the
+/// counts their occupancy; in quantile-binned mode the quantile edges are
+/// order statistics read off the cumulative counts. The incremental model
+/// edits them across slides; build_markov_model loads them with one sort.
+/// A persistent scratch keeps repeated refits allocation-free once warm.
 struct MarkovScratch {
-  std::vector<double> values;  ///< window samples, chronological
-  std::vector<double> sorted;  ///< the same samples, ascending
-  std::vector<double> unique;
-  std::vector<double> edges;
-  std::vector<double> bin_sum;
-  std::vector<double> state_prices;
-  std::vector<std::size_t> state_of_sample;
-  std::vector<std::size_t> bin_count;
-  std::vector<std::size_t> remap;
-  std::vector<std::int64_t> trans_counts;
-  std::vector<std::int64_t> occupancy;
+  std::vector<std::int64_t> levels;  ///< distinct prices (micros), ascending
+  std::vector<std::int64_t> counts;  ///< samples at each level
+  /// Row-major n x n transition counts over the fitted states. Held as
+  /// doubles — small integers, so every count and sum is exact — because
+  /// the refit then normalizes them with no integer conversion.
+  std::vector<double> trans_counts;
+  std::vector<double> edges;              ///< binned: quantile bin edges
+  std::vector<double> bin_sum;            ///< binned: chronological sums
+  std::vector<std::int64_t> bin_count;    ///< binned: per-state occupancy
+  std::vector<double> pi;                 ///< refit: smoothing * occupancy share
 };
 
-/// Fits a model from `scratch.values` (chronological) given
-/// `scratch.sorted` (the identical multiset, ascending). This is THE model
-/// fit: build_markov_model sorts and delegates here, and the incremental
-/// path maintains the sorted multiset across slides and delegates here,
-/// so both produce bit-identical models by construction.
-MarkovModel build_markov_model_presorted(MarkovScratch& scratch,
-                                         Duration step,
-                                         std::size_t max_states,
-                                         double smoothing);
+/// Loads `window`'s levels and counts (one sort of its samples).
+void load_levels(MarkovScratch& scratch, const PriceView& window);
 
-/// Turns integer transition counts + occupancy into the normalized,
-/// smoothed MarkovModel. Shared by the from-scratch builder and the
-/// incremental sliding-window builder so both produce bit-identical
-/// matrices: a count accumulated as `+= 1.0` k times equals (double)k
-/// exactly, so normalizing (double)count by 1/row_total reproduces the
-/// historical arithmetic operation-for-operation.
+/// THE model fit: refits `model` in place, reusing its storage, from the
+/// levels/counts of `scratch` (which must describe `window`) and the
+/// window's chronological samples. Unique mode (levels <= max_states)
+/// counts transitions between levels into scratch.trans_counts; binned
+/// mode cuts the levels into quantile bins, each represented by the mean
+/// of its samples summed in chronological order.
+void fit_markov_model(MarkovScratch& scratch, const PriceView& window,
+                      std::size_t max_states, double smoothing,
+                      MarkovModel& model);
+
+/// Unique mode: sets model.state_prices to the levels.
+void set_level_prices(MarkovModel& model,
+                      const std::vector<std::int64_t>& levels);
+
+/// Turns transition counts + occupancy into the normalized, smoothed
+/// transition matrix, rewriting `model.trans` in place (its storage is
+/// reused whenever it is large enough) and leaving state_prices/step
+/// untouched. Row r is normalized by its number of departures — its
+/// occupancy, less one if the window's last sample (`last_state`) sits in
+/// it — and then smoothed toward the occupancy distribution; a state never
+/// observed leaving self-loops. Every entry is written, so the result does
+/// not depend on what the storage held.
 ///
 /// `trans_counts` is row-major n x n; `occupancy[s]` the number of window
-/// samples in state s; `total_samples` their sum.
-MarkovModel finish_markov_model(std::vector<double> state_prices,
-                                const std::vector<std::int64_t>& trans_counts,
-                                const std::vector<std::int64_t>& occupancy,
-                                std::int64_t total_samples, Duration step,
-                                double smoothing);
-
-/// In-place variant for the steady-state slide: rewrites `model.trans`
-/// from the counts, reusing its storage when the shape already matches and
-/// `pi_scratch` for the smoothing distribution, leaving state_prices/step
-/// untouched. Writes the exact doubles finish_markov_model would — every
-/// matrix entry is overwritten (self-loop rows are zero-filled explicitly,
-/// matching the fresh zero-initialized Matrix) — so the two paths stay
-/// bit-identical while this one never touches the heap.
+/// samples in state s; `total_samples` their sum; `scratch` a reusable
+/// buffer.
 void refit_markov_model(MarkovModel& model,
-                        const std::vector<std::int64_t>& trans_counts,
+                        const std::vector<double>& trans_counts,
                         const std::vector<std::int64_t>& occupancy,
-                        std::int64_t total_samples, double smoothing,
-                        std::vector<double>& pi_scratch);
+                        std::size_t last_state, std::int64_t total_samples,
+                        double smoothing, std::vector<double>& scratch);
 
 }  // namespace detail
 

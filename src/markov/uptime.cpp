@@ -9,6 +9,17 @@
 
 namespace redspot {
 
+namespace {
+
+/// out[c] = 0.0 - q[c]: I - Q's off-diagonal entries, written exactly as
+/// (r == c ? 1.0 : 0.0) - q (so a zero q gives +0.0, not -0.0).
+void negate_row(double* __restrict out, const double* __restrict q,
+                std::size_t len) {
+  for (std::size_t c = 0; c < len; ++c) out[c] = 0.0 - q[c];
+}
+
+}  // namespace
+
 Duration expected_uptime(const MarkovModel& model, Money current_price,
                          Money bid, Duration cap) {
   UptimeScratch scratch;
@@ -35,10 +46,8 @@ Duration expected_uptime(const MarkovModel& model, Money current_price,
   const double* trans = model.trans.data();
   const std::size_t n = model.num_states();
   for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t c = 0; c < m; ++c) {
-      const double q = trans[r * n + c];
-      imq[r * m + c] = (r == c ? 1.0 : 0.0) - q;
-    }
+    negate_row(imq + r * m, trans + r * n, m);
+    imq[r * m + r] = 1.0 - trans[r * n + r];
   }
 
   scratch.perm.resize(m);
@@ -49,28 +58,28 @@ Duration expected_uptime(const MarkovModel& model, Money current_price,
     return cap;
   }
 
-  // t = (I - Q)^{-1} 1: expected steps to absorption from each alive state.
-  scratch.t.assign(m, 1.0);  // the ones vector, solved in place below
-  std::vector<double>& t = scratch.t;
-  {
-    // lu_solve_inplace forbids aliasing; permute b on the fly instead by
-    // noting b = 1 is permutation-invariant, so solve with b[i] = 1.
-    for (std::size_t i = 0; i < m; ++i) {
-      const double* row = imq + i * m;
-      double acc = 1.0;
-      for (std::size_t j = 0; j < i; ++j) acc -= row[j] * t[j];
-      t[i] = acc;
-    }
-    for (std::size_t ii = m; ii-- > 0;) {
-      const double* row = imq + ii * m;
-      double acc = t[ii];
-      for (std::size_t j = ii + 1; j < m; ++j) acc -= row[j] * t[j];
-      t[ii] = acc / row[ii];
-    }
-  }
-
   const std::size_t start = model.state_of(current_price);
   if (start > a) return 0;  // nearest state is out-of-bid
+
+  // t = (I - Q)^{-1} 1: expected steps to absorption from each alive
+  // state. b = 1 is permutation-invariant, so the permutation drops out.
+  scratch.t.resize(m);
+  double* t = scratch.t.data();
+  // Forward substitution (L has unit diagonal).
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* row = imq + i * m;
+    double acc = 1.0;
+    for (std::size_t j = 0; j < i; ++j) acc -= row[j] * t[j];
+    t[i] = acc;
+  }
+  // Back substitution, down to the start state: t[start] reads only the
+  // t[j] above it.
+  for (std::size_t ii = m; ii-- > start;) {
+    const double* row = imq + ii * m;
+    double acc = t[ii];
+    for (std::size_t j = ii + 1; j < m; ++j) acc -= row[j] * t[j];
+    t[ii] = acc / row[ii];
+  }
 
   const double steps = t[start];
   // Numerically near-singular systems can yield huge or negative values;

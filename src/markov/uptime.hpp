@@ -35,7 +35,9 @@ inline constexpr Duration kDefaultUptimeCap = 30 * kDay;
 struct UptimeScratch {
   std::vector<double> i_minus_q;  ///< m x m, row-major
   std::vector<std::size_t> perm;
-  std::vector<double> t;  ///< expected steps to absorption per alive state
+  /// Expected steps to absorption per alive state, from the start state
+  /// up (the solve stops there; lower entries hold forward-solve values).
+  std::vector<double> t;
 };
 
 /// Exact expected up-time starting from `current_price`, bidding `bid`.

@@ -4,8 +4,9 @@
 //   * IncrementalMarkovModel::observe equals build_markov_model over the
 //     same window after any sequence of slides — in unique-price mode AND
 //     in quantile-binned mode — including the state-set-changing edges
-//     (evicted last occurrence, appended new price) and binned refits
-//     that outgrow the memo the last rebuild sized.
+//     (evicted last occurrence, appended new price), which slide rather
+//     than rebuild, binned refits that outgrow the memo the last rebuild
+//     sized, and production-shape slides over the paper traces.
 //   * HistoryStats::advance equals a freshly constructed HistoryStats,
 //     slid multi-zone memo entries included; a warm advance plus subset
 //     reads allocates nothing, and a warm Adaptive re-plan allocates only
@@ -18,6 +19,7 @@
 //     scalar Markov-Daly run and of an Adaptive run that changes bids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -31,6 +33,7 @@
 #include "core/batch/model_pool.hpp"
 #include "core/engine.hpp"
 #include "core/strategy.hpp"
+#include "ensemble/shard_exec.hpp"
 #include "exp/scenario.hpp"
 #include "market/instance_type.hpp"
 #include "markov/incremental.hpp"
@@ -233,10 +236,11 @@ TEST(IncrementalMarkov, MixedModeTransitionsMatchFromScratch) {
   check_random_slides(series_of(prices), 31337, 300);
 }
 
-TEST(IncrementalMarkov, EvictedLastOccurrenceOfStateRebuilds) {
+TEST(IncrementalMarkov, EvictedLastOccurrenceOfStateSlides) {
   // 0.9 appears exactly once, as the oldest sample of the first window.
   // Sliding one sample evicts its last occurrence: the state set shrinks
-  // and the model must match a from-scratch build of the new window.
+  // in place (no rebuild) and the model must match a from-scratch build
+  // of the new window.
   std::vector<double> prices = {0.9};
   for (int i = 0; i < 12; ++i) prices.push_back(i % 2 == 0 ? 0.3 : 0.5);
   const PriceSeries s = series_of(prices);
@@ -245,16 +249,21 @@ TEST(IncrementalMarkov, EvictedLastOccurrenceOfStateRebuilds) {
   const PriceView w0 = s.view().window(s.start(), s.start() + 8 * kPriceStep);
   inc.observe(w0);
   ASSERT_EQ(inc.model().num_states(), 3u);
+  const std::uint64_t rebuilds = inc.full_rebuilds();
+  const std::uint64_t slides = inc.incremental_slides();
 
   const PriceView w1 =
       s.view().window(s.start() + kPriceStep, s.start() + 9 * kPriceStep);
   const MarkovModel& got = inc.observe(w1);
   EXPECT_EQ(got.num_states(), 2u);
+  EXPECT_EQ(inc.full_rebuilds(), rebuilds);
+  EXPECT_EQ(inc.incremental_slides(), slides + 1);
   expect_models_identical(got, build_markov_model(w1));
 }
 
-TEST(IncrementalMarkov, AppendedNewStateRebuilds) {
-  // The appended sample introduces a price unseen in the current window.
+TEST(IncrementalMarkov, AppendedNewStateSlides) {
+  // The appended sample introduces a price unseen in the current window:
+  // the state set grows in place (no rebuild).
   std::vector<double> prices;
   for (int i = 0; i < 10; ++i) prices.push_back(i % 2 == 0 ? 0.3 : 0.5);
   prices.push_back(1.7);
@@ -265,13 +274,55 @@ TEST(IncrementalMarkov, AppendedNewStateRebuilds) {
   inc.observe(w0);
   ASSERT_EQ(inc.model().num_states(), 2u);
   const std::uint64_t rebuilds = inc.full_rebuilds();
+  const std::uint64_t slides = inc.incremental_slides();
 
   const PriceView w1 =
       s.view().window(s.start() + kPriceStep, s.start() + 11 * kPriceStep);
   const MarkovModel& got = inc.observe(w1);
   EXPECT_EQ(got.num_states(), 3u);
-  EXPECT_EQ(inc.full_rebuilds(), rebuilds + 1);
+  EXPECT_EQ(inc.full_rebuilds(), rebuilds);
+  EXPECT_EQ(inc.incremental_slides(), slides + 1);
   expect_models_identical(got, build_markov_model(w1));
+}
+
+TEST(IncrementalMarkov, PriceSwapAtTheStateBoundSlides) {
+  // A full unique-mode state set (4 prices, max_states 4) where one slide
+  // appends a fifth price and evicts the last occurrence of another: the
+  // union briefly outgrows the bound, the window does not.
+  const std::vector<double> prices = {0.9, 0.3, 0.5, 0.7, 0.3, 0.5,
+                                      0.7, 0.3, 1.1, 1.1, 0.5};
+  const PriceSeries s = series_of(prices);
+  IncrementalMarkovModel inc(4);
+  const auto window_at = [&](std::size_t lo, std::size_t len) {
+    return s.view().window(
+        s.start() + static_cast<SimTime>(lo) * kPriceStep,
+        s.start() + static_cast<SimTime>(lo + len) * kPriceStep);
+  };
+  inc.observe(window_at(0, 8));
+  ASSERT_EQ(inc.model().num_states(), 4u);
+  for (const auto& [lo, len] :
+       {std::pair<std::size_t, std::size_t>{1, 8}, {1, 9}, {2, 9}}) {
+    const PriceView w = window_at(lo, len);
+    expect_models_identical(inc.observe(w), build_markov_model(w, 4));
+    const Money cur = w.sample(w.size() - 1);
+    EXPECT_EQ(inc.expected_uptime(cur, Money::cents(81)),
+              expected_uptime(build_markov_model(w, 4), cur, Money::cents(81)));
+  }
+  EXPECT_EQ(inc.full_rebuilds(), 1u);
+}
+
+TEST(IncrementalMarkov, SameTransitionsButMovedOccupancyRefits) {
+  // The slide evicts 0.3 -> 0.5 and appends 0.3 -> 0.5: the transition
+  // counts net-cancel, but a 0.3 sample left and a 0.5 arrived, so the
+  // smoothing distribution moved and the model must refresh.
+  const PriceSeries s = series_of({0.3, 0.5, 0.5, 0.3, 0.5});
+  IncrementalMarkovModel inc;
+  inc.observe(s.view().window(s.start(), s.start() + 4 * kPriceStep));
+  const std::uint64_t refreshes = inc.model_refreshes();
+  const PriceView w =
+      s.view().window(s.start() + kPriceStep, s.start() + 5 * kPriceStep);
+  expect_models_identical(inc.observe(w), build_markov_model(w));
+  EXPECT_EQ(inc.model_refreshes(), refreshes + 1);
 }
 
 TEST(IncrementalMarkov, BackwardSlideFallsBackToRebuild) {
@@ -321,7 +372,7 @@ TEST(IncrementalMarkov, ConstantSlideKeepsModelAndMemoAllocationFree) {
 }
 
 TEST(IncrementalMarkov, BinnedRefitGrowingTheStateSetGrowsTheMemo) {
-  // Regression: a binned slide refits through build_markov_model_presorted,
+  // Regression: a binned slide refits through detail::fit_markov_model,
   // which can yield MORE states than the last full rebuild did — quantile
   // bins collapse while duplicate-heavy mass dominates the window and
   // spread back out as it leaves. The memo, keyed state*n+alive, must grow
@@ -366,6 +417,118 @@ TEST(IncrementalMarkov, BinnedRefitGrowingTheStateSetGrowsTheMemo) {
   // full rebuild sized.
   EXPECT_GT(max_states_seen, states_at_rebuild);
   EXPECT_GT(slid.incremental_slides(), 0u);
+}
+
+/// Which refit path each forward move of a production-shape window took,
+/// told apart by the windows' own distinct prices.
+struct SlidePaths {
+  std::size_t unique_slides = 0;      ///< unique -> unique, same state set
+  std::size_t state_set_changes = 0;  ///< unique -> unique, set changed
+  std::size_t binned_slides = 0;      ///< binned -> binned
+  std::size_t to_binned = 0;          ///< unique -> binned
+  std::size_t to_unique = 0;          ///< binned -> unique
+  std::size_t backward_jumps = 0;
+};
+
+/// Slides 576-sample windows (the 2-day decision window) over samples
+/// [lo, hi) of `zone` through one pooled-size model — forward shifts of
+/// 0-20 samples, an occasional backward jump — and checks the model and
+/// E[Tu] at three bids against a from-scratch fit at every step.
+void check_production_slides(const PriceSeries& zone, std::size_t lo,
+                             std::size_t hi, std::uint64_t seed,
+                             SlidePaths& paths) {
+  constexpr std::size_t kWindow = 576;
+  constexpr std::size_t kMax = batch::ZoneModelPool::kMaxStates;
+  const Money bids[] = {Money::cents(27), Money::cents(81), Money::cents(240)};
+  Rng rng(seed);
+  IncrementalMarkovModel inc(kMax);
+  std::vector<std::int64_t> prev_states;
+  std::size_t prev_lo = SIZE_MAX;
+  for (std::size_t at = lo; at + kWindow <= hi;) {
+    const PriceView w(zone.time_of(at), kPriceStep,
+                      zone.samples().subspan(at, kWindow));
+    std::vector<std::int64_t> states;
+    for (const Money m : w.samples()) states.push_back(m.micros());
+    std::sort(states.begin(), states.end());
+    states.erase(std::unique(states.begin(), states.end()), states.end());
+
+    const std::uint64_t slides = inc.incremental_slides();
+    const std::uint64_t rebuilds = inc.full_rebuilds();
+    const MarkovModel& got = inc.observe(w);
+    const MarkovModel want = build_markov_model(w, kMax);
+    if (got.state_prices != want.state_prices || !(got.trans == want.trans) ||
+        got.step != want.step) {
+      expect_models_identical(got, want);
+      FAIL() << "model differs from a fresh fit at sample " << at;
+    }
+    const Money cur = w.sample(kWindow - 1);
+    for (const Money bid : bids) {
+      ASSERT_EQ(inc.expected_uptime(cur, bid), expected_uptime(want, cur, bid))
+          << "sample " << at << " bid " << bid.to_double();
+    }
+
+    if (prev_lo != SIZE_MAX && at < prev_lo) {
+      ++paths.backward_jumps;
+      EXPECT_EQ(inc.full_rebuilds(), rebuilds + 1) << "sample " << at;
+    } else if (prev_lo != SIZE_MAX && at > prev_lo) {
+      // Every forward move either slides or rebuilds, exactly once.
+      EXPECT_EQ(inc.incremental_slides() + inc.full_rebuilds(),
+                slides + rebuilds + 1)
+          << "sample " << at;
+      const bool was_binned = prev_states.size() > kMax;
+      const bool is_binned = states.size() > kMax;
+      if (!was_binned && !is_binned) {
+        ++(states == prev_states ? paths.unique_slides
+                                 : paths.state_set_changes);
+      } else if (was_binned && is_binned) {
+        ++paths.binned_slides;
+      } else {
+        ++(is_binned ? paths.to_binned : paths.to_unique);
+      }
+    }
+    prev_states = std::move(states);
+    prev_lo = at;
+    if (rng.uniform_index(64) == 0 && at >= lo + 300) {
+      at -= 1 + rng.uniform_index(300);
+    } else {
+      at += rng.uniform_index(21);
+    }
+  }
+}
+
+TEST(IncrementalMarkov, PaperTraceSlidesMatchFromScratch) {
+  // Production shape: the pooled model size, 2-day windows, and the
+  // paper's traces from the high-volatility month through the
+  // low-volatility one, where windows move between exact unique-price
+  // mode and quantile bins.
+  const ZoneTraceSet traces = paper_traces(42);
+  const std::size_t lo = traces.zone(0).index_of(
+      window_start(VolatilityWindow::kHigh) - 2 * kDay);
+  const std::size_t hi =
+      traces.zone(0).index_of(window_end(VolatilityWindow::kLow) - kPriceStep);
+  SlidePaths paths;
+  for (std::size_t z = 0; z < traces.num_zones(); ++z)
+    check_production_slides(traces.zone(z), lo, hi, 1000 + z, paths);
+  EXPECT_GT(paths.unique_slides, 0u);
+  EXPECT_GT(paths.state_set_changes, 0u);
+  EXPECT_GT(paths.binned_slides, 0u);
+  EXPECT_GT(paths.to_binned, 0u);
+  EXPECT_GT(paths.to_unique, 0u);
+  EXPECT_GT(paths.backward_jumps, 0u);
+
+  // One ensemble replication's span: mc-ensemble's traffic, a fresh
+  // high-volatility realization synthesized over only the samples its
+  // experiment reads, whose windows stay quantile-binned.
+  const SyntheticTraceSpec spec =
+      trimmed_spec(paper_trace_spec(7), window_end(VolatilityWindow::kHigh));
+  const Experiment experiment = Experiment::paper(
+      window_start(VolatilityWindow::kHigh) + 9 * kDay + 5 * kHour, 0.15, 300);
+  const ZoneTraceSet span = experiment_traces(spec, experiment);
+  SlidePaths span_paths;
+  for (std::size_t z = 0; z < span.num_zones(); ++z)
+    check_production_slides(span.zone(z), 0, span.zone(z).size(), 2000 + z,
+                            span_paths);
+  EXPECT_GT(span_paths.binned_slides, 0u);
 }
 
 // --- HistoryStats incremental advance ----------------------------------------

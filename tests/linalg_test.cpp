@@ -1,7 +1,10 @@
 // Unit tests for the dense linear algebra substrate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/random.hpp"
@@ -180,6 +183,102 @@ TEST(Lu, RandomRoundTrip) {
 
 TEST(Lu, RejectsNonSquare) {
   EXPECT_THROW(LuDecomposition(Matrix(2, 3)), CheckFailure);
+}
+
+/// The plain indexed loop detail::lu_factor_inplace must reproduce: every
+/// expected up-time (markov/uptime) is a function of these exact doubles.
+bool reference_lu_factor(double* lu, std::size_t n, std::size_t* perm,
+                         int* perm_sign) {
+  bool singular = false;
+  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t pivot = k;
+    double best = std::fabs(lu[k * n + k]);
+    for (std::size_t i = k + 1; i < n; ++i) {
+      const double v = std::fabs(lu[i * n + k]);
+      if (v > best) {
+        best = v;
+        pivot = i;
+      }
+    }
+    if (best == 0.0) {
+      singular = true;
+      continue;
+    }
+    if (pivot != k) {
+      for (std::size_t j = 0; j < n; ++j)
+        std::swap(lu[k * n + j], lu[pivot * n + j]);
+      std::swap(perm[k], perm[pivot]);
+      *perm_sign = -*perm_sign;
+    }
+    const double inv_pivot = 1.0 / lu[k * n + k];
+    const double* row_k = lu + k * n;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      double* row_i = lu + i * n;
+      const double factor = row_i[k] * inv_pivot;
+      row_i[k] = factor;
+      if (factor == 0.0) continue;
+      for (std::size_t j = k + 1; j < n; ++j)
+        row_i[j] -= factor * row_k[j];
+    }
+  }
+  return singular;
+}
+
+TEST(Lu, FactorIsBitIdenticalToReferenceLoop) {
+  Rng rng(2718);
+  std::size_t singular_seen = 0;
+  std::size_t swaps_seen = 0;
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (int shape = 0; shape < 4; ++shape) {
+      std::vector<double> a(n * n);
+      if (shape == 0) {
+        // I - Q over a smoothed, substochastic transition block (the
+        // expected-uptime solve's input): diagonally heavy, rarely swaps.
+        for (std::size_t r = 0; r < n; ++r) {
+          double total = 0.0;
+          for (std::size_t c = 0; c < n; ++c) {
+            a[r * n + c] = rng.uniform() < 0.7 ? 0.0 : rng.uniform();
+            total += a[r * n + c];
+          }
+          const double keep = rng.uniform(0.5, 1.0);
+          for (std::size_t c = 0; c < n; ++c) {
+            const double q = total > 0.0 ? a[r * n + c] / total * keep : 0.0;
+            a[r * n + c] = (r == c ? 1.0 : 0.0) - q;
+          }
+        }
+      } else {
+        // General: dense normals (pivot swaps), sparse with exact zeros
+        // (zero factors), and sparse with one all-zero column (singular).
+        for (double& v : a)
+          v = shape == 1 || rng.uniform() < 0.3 ? rng.normal() : 0.0;
+        if (shape == 3) {
+          const std::size_t col = rng.uniform_index(n);
+          for (std::size_t r = 0; r < n; ++r) a[r * n + col] = 0.0;
+        }
+      }
+      std::vector<double> got = a;
+      std::vector<double> want = a;
+      std::vector<std::size_t> got_perm(n), want_perm(n);
+      int got_sign = 1, want_sign = 1;
+      const bool got_singular =
+          detail::lu_factor_inplace(got.data(), n, got_perm.data(), &got_sign);
+      const bool want_singular = reference_lu_factor(
+          want.data(), n, want_perm.data(), &want_sign);
+      ASSERT_EQ(got_singular, want_singular) << "n=" << n << " shape=" << shape;
+      ASSERT_EQ(got_perm, want_perm) << "n=" << n << " shape=" << shape;
+      ASSERT_EQ(got_sign, want_sign) << "n=" << n << " shape=" << shape;
+      for (std::size_t i = 0; i < n * n; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "n=" << n << " shape=" << shape << " entry " << i;
+      }
+      singular_seen += want_singular ? 1 : 0;
+      swaps_seen += want_sign < 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(singular_seen, 0u);
+  EXPECT_GT(swaps_seen, 0u);
 }
 
 // --- OLS ----------------------------------------------------------------------

@@ -2,10 +2,15 @@
 // (Appendix B of the paper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/random.hpp"
+#include "linalg/lu.hpp"
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
 #include "test_util.hpp"
@@ -139,6 +144,115 @@ TEST(MarkovModel, SingleSampleHistoryDegeneratesToSelfLoop) {
             kDefaultUptimeCap);
 }
 
+/// The plain fit build_markov_model must reproduce bit for bit: sort the
+/// window, take its distinct prices as states or cut it into quantile bins
+/// (edges read off the sorted window, bin means summed in chronological
+/// order), count transitions, normalize, smooth.
+MarkovModel reference_build(const PriceView& history, std::size_t max_states,
+                            double smoothing) {
+  const std::vector<double> values = history.to_doubles();
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> unique = sorted;
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  std::vector<double> state_prices;
+  std::vector<std::size_t> state_of_sample(values.size());
+  if (unique.size() <= max_states) {
+    state_prices = unique;
+    for (std::size_t i = 0; i < values.size(); ++i)
+      state_of_sample[i] = static_cast<std::size_t>(
+          std::lower_bound(unique.begin(), unique.end(), values[i]) -
+          unique.begin());
+  } else {
+    std::vector<double> edges;
+    for (std::size_t b = 0; b + 1 < max_states; ++b) {
+      const double q =
+          static_cast<double>(b + 1) / static_cast<double>(max_states);
+      edges.push_back(sorted[static_cast<std::size_t>(
+          q * static_cast<double>(sorted.size() - 1))]);
+    }
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    std::vector<double> bin_sum(edges.size() + 1, 0.0);
+    std::vector<std::size_t> bin_count(edges.size() + 1, 0);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const std::size_t b = static_cast<std::size_t>(
+          std::upper_bound(edges.begin(), edges.end(), values[i]) -
+          edges.begin());
+      state_of_sample[i] = b;
+      bin_sum[b] += values[i];
+      ++bin_count[b];
+    }
+    std::vector<std::size_t> remap(bin_sum.size(), SIZE_MAX);
+    for (std::size_t b = 0; b < bin_sum.size(); ++b) {
+      if (bin_count[b] == 0) continue;
+      remap[b] = state_prices.size();
+      state_prices.push_back(bin_sum[b] / static_cast<double>(bin_count[b]));
+    }
+    for (auto& s : state_of_sample) s = remap[s];
+  }
+  const std::size_t n = state_prices.size();
+  std::vector<std::int64_t> counts(n * n, 0);
+  std::vector<std::int64_t> occupancy(n, 0);
+  for (std::size_t i = 0; i + 1 < state_of_sample.size(); ++i)
+    ++counts[state_of_sample[i] * n + state_of_sample[i + 1]];
+  for (std::size_t s : state_of_sample) ++occupancy[s];
+
+  MarkovModel model;
+  model.state_prices = state_prices;
+  model.step = history.step();
+  model.trans = Matrix(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::int64_t row_total = 0;
+    for (std::size_t c = 0; c < n; ++c) row_total += counts[r * n + c];
+    if (row_total == 0) {
+      model.trans(r, r) = 1.0;
+      continue;
+    }
+    const double inv = 1.0 / static_cast<double>(row_total);
+    for (std::size_t c = 0; c < n; ++c)
+      model.trans(r, c) = static_cast<double>(counts[r * n + c]) * inv;
+  }
+  if (smoothing > 0.0) {
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        model.trans(r, c) =
+            (1.0 - smoothing) * model.trans(r, c) +
+            smoothing * (static_cast<double>(occupancy[c]) /
+                         static_cast<double>(values.size()));
+  }
+  return model;
+}
+
+TEST(MarkovModel, FitIsBitIdenticalToReferenceBuild) {
+  // Windows of 1-600 samples over alphabets of 1-400 prices, some with
+  // most of the mass on the lowest price (so the lowest quantile edges
+  // collapse onto it and the empty bin below them is dropped), fitted at
+  // several state bounds.
+  Rng rng(8080);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t len = 1 + rng.uniform_index(600);
+    const std::size_t alphabet = 1 + rng.uniform_index(400);
+    const bool piled = rng.uniform() < 0.3;
+    std::vector<Money> samples(len);
+    std::int64_t level = static_cast<std::int64_t>(rng.uniform_index(alphabet));
+    for (Money& m : samples) {
+      if (rng.uniform() < 0.4)
+        level = static_cast<std::int64_t>(rng.uniform_index(alphabet));
+      m = piled && rng.uniform() < 0.8 ? Money::cents(20)
+                                       : Money::cents(20 + level);
+    }
+    const PriceSeries s(0, kPriceStep, std::move(samples));
+    const std::size_t bounds[] = {2, 3, 8, 32, 64};
+    const std::size_t max_states = bounds[rng.uniform_index(5)];
+    const double smoothing = rng.uniform() < 0.2 ? 0.0 : kDefaultSmoothing;
+    const MarkovModel got = build_markov_model(s, max_states, smoothing);
+    const MarkovModel want = reference_build(s.view(), max_states, smoothing);
+    ASSERT_EQ(got.state_prices, want.state_prices) << "trial " << trial;
+    ASSERT_EQ(got.trans, want.trans) << "trial " << trial;
+    ASSERT_EQ(got.step, want.step);
+  }
+}
+
 TEST(MarkovModel, ValidatesInput) {
   EXPECT_THROW(build_markov_model(constant_series(0.3, 10), 1),
                CheckFailure);
@@ -200,6 +314,73 @@ TEST(Uptime, IterativeMatchesClosedForm) {
                   0.02 * static_cast<double>(closed) + 600.0);
     }
   }
+}
+
+/// The plain closed-form solve the expected-uptime path must reproduce:
+/// I - Q over the alive states, factored, then forward and back
+/// substitution over every row. Returns t (steps to absorption per alive
+/// state), or an empty vector when I - Q is singular.
+std::vector<double> reference_steps(const MarkovModel& model, Money bid) {
+  const std::size_t m = model.max_alive_state(bid) + 1;
+  std::vector<double> imq(m * m);
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t c = 0; c < m; ++c)
+      imq[r * m + c] = (r == c ? 1.0 : 0.0) - model.trans(r, c);
+  std::vector<std::size_t> perm(m);
+  int sign = 1;
+  if (detail::lu_factor_inplace(imq.data(), m, perm.data(), &sign)) return {};
+  std::vector<double> t(m, 1.0);
+  for (std::size_t i = 0; i < m; ++i) {
+    double acc = 1.0;
+    for (std::size_t j = 0; j < i; ++j) acc -= imq[i * m + j] * t[j];
+    t[i] = acc;
+  }
+  for (std::size_t i = m; i-- > 0;) {
+    double acc = t[i];
+    for (std::size_t j = i + 1; j < m; ++j) acc -= imq[i * m + j] * t[j];
+    t[i] = acc / imq[i * m + i];
+  }
+  return t;
+}
+
+TEST(Uptime, ClosedFormIsBitIdenticalToReferenceSolve) {
+  // Paper-trace windows at every bid that leaves 1-64 states alive, from
+  // every alive start state: the solve's steps from the start state up
+  // (all it computes) equal the plain solve's bit for bit.
+  const ZoneTraceSet traces = paper_traces(42);
+  UptimeScratch scratch;
+  std::size_t solves = 0;
+  for (SimTime day = 20; day < 90; day += 7) {
+    const PriceSeries w = traces.zone(day % 3).window(
+        day * kDay, day * kDay + 2 * kDay);
+    const MarkovModel model = build_markov_model(w, 64);
+    for (std::size_t a = 0; a < model.num_states(); ++a) {
+      const Money bid = Money::from_micros(
+          static_cast<std::int64_t>(std::llround(model.state_prices[a] * 1e6)));
+      if (model.max_alive_state(bid) != a) continue;
+      const std::vector<double> want = reference_steps(model, bid);
+      for (std::size_t s = 0; s <= a; ++s) {
+        const Money price = Money::from_micros(static_cast<std::int64_t>(
+            std::llround(model.state_prices[s] * 1e6)));
+        if (price > bid || model.state_of(price) != s) continue;
+        const Duration got =
+            expected_uptime(model, price, bid, kDefaultUptimeCap, scratch);
+        if (want.empty()) {
+          EXPECT_EQ(got, kDefaultUptimeCap);
+          continue;
+        }
+        ASSERT_EQ(scratch.t.size(), want.size());
+        for (std::size_t i = s; i < want.size(); ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(scratch.t[i]),
+                    std::bit_cast<std::uint64_t>(want[i]))
+              << "day " << day << " alive " << a << " start " << s
+              << " row " << i;
+        }
+        ++solves;
+      }
+    }
+  }
+  EXPECT_GT(solves, 500u);
 }
 
 TEST(Uptime, HigherBidNeverShortensUptime) {
